@@ -17,7 +17,6 @@ from .lattices import (  # noqa: F401
     apply_symmetry,
     build_chain,
     build_pair_lattice,
-    build_symmetry,
     compose,
     gauge_conjugation_deviation,
     gauge_op,

@@ -8,14 +8,14 @@ rescaling rate ``lam``, reported alongside the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .lattices import LatticeKind, OperatorMatrix
-from .spectra import ComplexSpectrum, eigendecompose
+from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
 
 if TYPE_CHECKING:
     from .pairmap import PairBasis
@@ -32,7 +32,6 @@ __all__ = [
     "family_projection",
 ]
 
-CONDITION_LIMIT = 1e12
 PROJECTION_SUPPRESSION = 1e6
 
 
@@ -45,7 +44,6 @@ class TimeSeries:
     basis_labels: tuple
     lam: float = 0.0  # rescaling rate documented with any derived probability
     method: str = "spectral"
-    observables: dict = field(default_factory=dict)
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -73,15 +71,15 @@ def evolve(
     psi0: np.ndarray,
     times,
     spectrum: ComplexSpectrum | None = None,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> TimeSeries:
     """Propagate ``psi0`` under ``exp(-i H t)`` at the sampled times.
 
     Default path is spectral synthesis: expand in right eigenvectors,
     attach ``exp(-i E t)`` per mode, re-synthesize -- exact to eigensolver
     precision at arbitrary ``t``.  A near-defective eigenvector matrix
-    (condition number above ``condition_limit``) falls back to an adaptive
-    fourth-order integrator; ``TimeSeries.method`` records which path ran.
+    (``spectrum.condition`` above ``CONDITION_LIMIT``) falls back to an
+    adaptive fourth-order integrator; ``TimeSeries.method`` records which
+    path ran.
     """
     times = _check_times(times)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -92,12 +90,10 @@ def evolve(
 
     if spectrum is None:
         spectrum = eigendecompose(h)
-    vectors = spectrum.right_eigenvectors
-    cond = np.linalg.cond(vectors)
-    if cond <= condition_limit:
-        coeffs = np.linalg.solve(vectors, psi0)
+    if spectrum.condition <= CONDITION_LIMIT:
+        coeffs = spectrum.coefficients(psi0)
         phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
-        states = (vectors @ (coeffs[:, None] * phases)).T
+        states = (spectrum.right_eigenvectors @ (coeffs[:, None] * phases)).T
         method = "spectral"
     else:
         entries = h.entries
@@ -113,7 +109,7 @@ def evolve(
         if not sol.success:
             raise RuntimeError(f"integrator fallback failed: {sol.message}")
         states = sol.y.T.astype(complex)
-        method = f"integrator (eigenvector condition {cond:.2e})"
+        method = f"integrator (eigenvector condition {spectrum.condition:.2e})"
     states[0] = psi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
         times=times, states=states, basis_labels=h.basis_labels, method=method
@@ -159,7 +155,7 @@ def family_projection(
     Expansion runs over the full (non-orthogonal) right eigenbasis;
     coefficients outside ``member_indices`` are zeroed.
     """
-    coeffs = np.linalg.solve(spectrum.right_eigenvectors, np.asarray(psi, dtype=complex))
+    coeffs = spectrum.coefficients(psi)
     keep = np.zeros(spectrum.dim, dtype=complex)
     idx = np.asarray(list(member_indices), dtype=int)
     keep[idx] = coeffs[idx]

@@ -750,33 +750,23 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
     for side in cfg.run.sides:
         side = int(side)
         entry = {"side": side, "omega": omega}
-        electron = build_pair_lattice(
-            LatticeSpec(kind=LatticeKind.PAIR_2D_ELECTRON, n_sites=side, omega=omega)
-        )
-        for kind in (
-            LatticeKind.PAIR_2D_ELECTRON,
-            LatticeKind.PAIR_2D_FERMION,
-            LatticeKind.PAIR_2D_BOSON,
-        ):
-            built = build_pair_lattice(
-                LatticeSpec(kind=kind, n_sites=side, omega=omega)
-            )
-            oracle = oracle_pair_hamiltonian(kind, side, omega)
+        lattices = {
+            kind: build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=omega))
+            for kind in LatticeKind
+            if kind.is_pair
+        }
+        oracles = {kind: oracle_pair_hamiltonian(kind, side, omega) for kind in lattices}
+        for kind, built in lattices.items():
             entry[f"oracle_deviation_{kind.value}"] = float(
-                np.abs(built.entries - oracle.entries).max()
+                np.abs(built.entries - oracles[kind].entries).max()
             )
+        electron = lattices[LatticeKind.PAIR_2D_ELECTRON]
         h_sym, h_anti = sector_decompose(electron)
-        boson = build_pair_lattice(
-            LatticeSpec(kind=LatticeKind.PAIR_2D_BOSON, n_sites=side, omega=omega)
-        )
-        fermion = build_pair_lattice(
-            LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=side, omega=omega)
-        )
         entry["sector_deviation_symmetric"] = float(
-            np.abs(h_sym.entries - boson.entries).max()
+            np.abs(h_sym.entries - lattices[LatticeKind.PAIR_2D_BOSON].entries).max()
         )
         entry["sector_deviation_antisymmetric"] = float(
-            np.abs(h_anti.entries - fermion.entries).max()
+            np.abs(h_anti.entries - lattices[LatticeKind.PAIR_2D_FERMION].entries).max()
         )
         merged = np.concatenate(
             [np.linalg.eigvals(h_sym.entries), np.linalg.eigvals(h_anti.entries)]
@@ -789,7 +779,9 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        report = lift_1d_evolution(psi0, LatticeKind.PAIR_2D_ELECTRON, side, omega, times)
+        report = lift_1d_evolution(
+            psi0, electron, oracles[LatticeKind.PAIR_2D_ELECTRON], times
+        )
         entry["evolution_distance"] = report.max_state_distance
         entry["sector_reassembled_distance"] = sector_reassembled_distance(
             electron, psi0, times

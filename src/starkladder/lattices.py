@@ -33,7 +33,6 @@ __all__ = [
     "SymmetryOp",
     "build_chain",
     "build_pair_lattice",
-    "build_symmetry",
     "translation_op",
     "gauge_op",
     "time_reversal_op",
@@ -193,15 +192,6 @@ class SymmetryOp:
     antiunitary: bool = False
     factors: tuple["SymmetryOp", ...] = field(default=())
 
-    @property
-    def dim(self) -> int | None:
-        if self.matrix is not None:
-            return self.matrix.shape[0]
-        for f in self.factors:
-            if f.dim is not None:
-                return f.dim
-        return None
-
 
 def _bond_amplitudes(spec: LatticeSpec, n_bonds: int) -> np.ndarray:
     amps = np.empty(n_bonds, dtype=complex)
@@ -309,26 +299,6 @@ def compose(*factors: SymmetryOp) -> SymmetryOp:
     anti = sum(f.antiunitary for f in factors) % 2 == 1
     kind = " * ".join(f.kind for f in factors)
     return SymmetryOp(kind=kind, matrix=None, antiunitary=anti, factors=tuple(factors))
-
-
-def build_symmetry(kind: str, dim: int, **params) -> SymmetryOp:
-    """String-dispatched construction of a symmetry operator.
-
-    ``kind`` is one of ``translate`` (needs ``n0``), ``gauge``,
-    ``time_reversal``, ``parity_2d`` (``dim`` must be a perfect square).
-    """
-    if kind == "translate":
-        return translation_op(dim, int(params["n0"]))
-    if kind == "gauge":
-        return gauge_op(dim)
-    if kind == "time_reversal":
-        return time_reversal_op()
-    if kind == "parity_2d":
-        side = int(params.get("side", round(math.sqrt(dim))))
-        if side * side != dim:
-            raise ValueError(f"parity_2d needs dim == side**2, got {dim}")
-        return parity_2d_op(side)
-    raise ValueError(f"unknown symmetry kind: {kind!r}")
 
 
 def apply_symmetry(op: SymmetryOp, vec: np.ndarray) -> np.ndarray:

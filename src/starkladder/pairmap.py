@@ -18,9 +18,7 @@ import numpy as np
 from .dynamics import evolve
 from .lattices import (
     LatticeKind,
-    LatticeSpec,
     OperatorMatrix,
-    build_pair_lattice,
     pair_labels,
 )
 
@@ -40,17 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PairBasis:
-    """Ordered two-particle basis on a side-``L`` chain.
-
-    ``diagonal_weight`` records the 1/sqrt(2) bookkeeping of doubly
-    occupied boson states; it is 1 everywhere else and never enters the
-    amplitudes twice.
-    """
+    """Ordered two-particle basis on a side-``L`` chain."""
 
     kind: LatticeKind
     side: int
     labels: tuple
-    diagonal_weight: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -63,12 +55,7 @@ class PairBasis:
 def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
     """Lexicographic pair basis for the given statistics."""
     kind = LatticeKind(kind)
-    labels = pair_labels(kind, side)
-    weight = np.array(
-        [1.0 / math.sqrt(2.0) if (x == y and kind is LatticeKind.PAIR_2D_BOSON) else 1.0
-         for x, y in labels]
-    )
-    return PairBasis(kind=kind, side=side, labels=labels, diagonal_weight=weight)
+    return PairBasis(kind=kind, side=side, labels=pair_labels(kind, side))
 
 
 def _bond_amp(b: int) -> complex:
@@ -216,9 +203,6 @@ def sector_decompose(
 class PairEquivalenceReport:
     """Deviations between the hand-built lattice and the oracle."""
 
-    kind: str
-    side: int
-    omega: float
     matrix_deviation: float
     max_state_distance: float
     times: tuple
@@ -226,9 +210,6 @@ class PairEquivalenceReport:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "side": self.side,
-            "omega": self.omega,
             "matrix_deviation": self.matrix_deviation,
             "max_state_distance": self.max_state_distance,
             "times": list(self.times),
@@ -243,22 +224,14 @@ def _normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def lift_1d_evolution(
-    psi0: np.ndarray,
-    kind: LatticeKind,
-    side: int,
-    omega: float,
-    times,
+    psi0: np.ndarray, built: OperatorMatrix, oracle: OperatorMatrix, times
 ) -> PairEquivalenceReport:
-    """Evolve one pair state under the 2D lattice and under the oracle.
+    """Evolve one pair state under the built 2D lattice and under the oracle.
 
     The two matrices are supposed to be equal, so this certifies basis
     ordering and plumbing end to end; the report carries the normalized
     state distance at every sampled time.
     """
-    kind = LatticeKind(kind)
-    spec = LatticeSpec(kind=kind, n_sites=side, omega=omega)
-    built = build_pair_lattice(spec)
-    oracle = oracle_pair_hamiltonian(kind, side, omega)
     if built.basis_labels != oracle.basis_labels:
         raise ValueError("basis ordering mismatch between builder and oracle")
     series_a = evolve(built, psi0, times)
@@ -268,9 +241,6 @@ def lift_1d_evolution(
         for sa, sb in zip(series_a.states, series_b.states)
     )
     return PairEquivalenceReport(
-        kind=kind.value,
-        side=side,
-        omega=omega,
         matrix_deviation=float(np.abs(built.entries - oracle.entries).max()),
         max_state_distance=max(distances),
         times=tuple(float(t) for t in series_a.times),

@@ -10,6 +10,7 @@ reference eigenstate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +22,7 @@ from .lattices import (
     apply_symmetry,
     build_chain,
     interior_slice,
+    translation_op,
 )
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 DETECTION_TOL = 1e-6
+CONDITION_LIMIT = 1e12
 
 
 class EigendecompositionError(RuntimeError):
@@ -62,6 +65,10 @@ class ComplexSpectrum:
     Eigenvalues are sorted by real part (ties: imaginary part ascending);
     ``right_eigenvectors[:, k]`` is unit-norm with its largest-magnitude
     amplitude made real positive, so the decomposition is deterministic.
+
+    The eigenvector matrix ``V`` is the (non-orthogonal) basis of every
+    expansion: its condition number and LU factorization are computed on
+    first use and kept for the lifetime of the spectrum.
     """
 
     eigenvalues: np.ndarray
@@ -72,6 +79,31 @@ class ComplexSpectrum:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def condition(self) -> float:
+        """2-norm condition number of ``V``; huge near an exceptional point."""
+        return float(np.linalg.cond(self.right_eigenvectors))
+
+    @cached_property
+    def _lu(self) -> tuple:
+        return scipy.linalg.lu_factor(self.right_eigenvectors)
+
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """Expansion coefficients ``c`` of ``psi = V c``.
+
+        Raises
+        ------
+        ValueError
+            If the condition number of ``V`` exceeds ``CONDITION_LIMIT``:
+            the coefficients would be dominated by rounding error.
+        """
+        if self.condition > CONDITION_LIMIT:
+            raise ValueError(
+                f"eigenvector condition number {self.condition:.2e} exceeds "
+                f"{CONDITION_LIMIT:.0e}; the eigenbasis is numerically defective"
+            )
+        return scipy.linalg.lu_solve(self._lu, np.asarray(psi, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -209,14 +241,14 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     vectors = vectors * (np.abs(phases) / phases)[None, :]
 
     residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
+    spectrum = ComplexSpectrum(values, vectors, residuals, h.basis_labels)
     if not np.all(residuals < residual_tol):
-        cond = np.linalg.cond(vectors)
         raise EigendecompositionError(
             f"residual certificate failed: max residual {residuals.max():.3e} "
-            f">= {residual_tol:.1e}; eigenvector condition number {cond:.3e} "
-            "(possible exceptional point)"
+            f">= {residual_tol:.1e}; eigenvector condition number "
+            f"{spectrum.condition:.3e} (possible exceptional point)"
         )
-    return ComplexSpectrum(values, vectors, residuals, h.basis_labels)
+    return spectrum
 
 
 def _degenerate_indices(values: np.ndarray, tol: float) -> set:
@@ -370,11 +402,8 @@ def rung_shift_weight(
     re-expanded in the (non-orthogonal) right eigenbasis, and the squared
     coefficient fraction on ``to_index`` is returned.
     """
-    from .lattices import translation_op
-
     v = spectrum.right_eigenvectors[:, from_index]
-    shifted = translation_op(spectrum.dim, n0).matrix @ v
-    coeffs = np.linalg.solve(spectrum.right_eigenvectors, shifted)
+    coeffs = spectrum.coefficients(translation_op(spectrum.dim, n0).matrix @ v)
     weights = np.abs(coeffs) ** 2
     return float(weights[to_index] / weights.sum())
 

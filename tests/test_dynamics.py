@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,12 @@ from starkladder.lattices import (
     interior_slice,
 )
 from starkladder.pairmap import pair_basis, sector_projector
-from starkladder.spectra import detect_ladders, select_reference_state
+from starkladder.spectra import (
+    detect_ladders,
+    eigendecompose,
+    rung_shift_weight,
+    select_reference_state,
+)
 
 OMEGA = 0.2
 PERIOD = np.pi / OMEGA
@@ -99,6 +106,38 @@ def test_integrator_fallback_on_defective_matrix():
     assert series.method.startswith("integrator")
     # exact: exp(-iHt) = I - iHt for a nilpotent H
     np.testing.assert_allclose(series.states[2], [-1j, 1.0], atol=1e-8)
+
+
+def test_defective_basis_refuses_expansion():
+    h = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), (0, 1))
+    spectrum = eigendecompose(h)
+    with pytest.raises(ValueError, match="condition number"):
+        family_projection(spectrum, [0], np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="condition number"):
+        rung_shift_weight(spectrum, 0, 1, n0=1)
+
+
+def test_basis_is_factored_once_per_spectrum(dimer60, monkeypatch):
+    _, h, cached = dimer60
+    spectrum = dataclasses.replace(cached)  # fresh instance, nothing cached yet
+    calls = {"lu_factor": 0, "cond": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(scipy.linalg, "lu_factor")
+    counted(np.linalg, "cond")
+    psi0 = gaussian_state(0.3, 30, 60)
+    evolve(h, psi0, [0.0, 1.0], spectrum=spectrum)
+    evolve(h, psi0, [0.0, 2.0], spectrum=spectrum)
+    family_projection(spectrum, [0, 1], psi0)
+    assert calls == {"lu_factor": 1, "cond": 1}
 
 
 def test_times_and_state_validation(dimer60):

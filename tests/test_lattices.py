@@ -10,7 +10,6 @@ from starkladder.lattices import (
     apply_symmetry,
     build_chain,
     build_pair_lattice,
-    build_symmetry,
     compose,
     gauge_conjugation_deviation,
     gauge_op,
@@ -199,17 +198,6 @@ def test_parity_2d_floor_arithmetic():
     assert p[label, label] == 1.0
     label = 1 * 6 + 2  # (1, 2): (-1)**(0 + 1) = -1
     assert p[label, label] == -1.0
-
-
-def test_build_symmetry_dispatch_and_errors():
-    assert build_symmetry("translate", 6, n0=2).matrix.shape == (6, 6)
-    assert build_symmetry("gauge", 6).matrix is not None
-    assert build_symmetry("time_reversal", 6).antiunitary
-    assert build_symmetry("parity_2d", 16).matrix.shape == (16, 16)
-    with pytest.raises(ValueError):
-        build_symmetry("parity_2d", 15)
-    with pytest.raises(ValueError):
-        build_symmetry("mirror", 6)
 
 
 def test_compose_tracks_antiunitarity():

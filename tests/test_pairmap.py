@@ -49,14 +49,6 @@ def test_basis_regions_and_sizes():
         assert all(x >= y for x, y in boson.labels)
 
 
-def test_boson_diagonal_weight_bookkeeping():
-    basis = pair_basis(LatticeKind.PAIR_2D_BOSON, 5)
-    for (x, y), w in zip(basis.labels, basis.diagonal_weight):
-        assert w == pytest.approx(1 / np.sqrt(2) if x == y else 1.0)
-    electron = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 5)
-    assert np.all(electron.diagonal_weight == 1.0)
-
-
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
@@ -191,12 +183,13 @@ def test_lift_evolution_certifies_plumbing():
     psi0 = rng.normal(size=side**2) + 1j * rng.normal(size=side**2)
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 4.0, 5)
-    report = lift_1d_evolution(psi0, LatticeKind.PAIR_2D_ELECTRON, side, OMEGA, times)
+    oracle = oracle_pair_hamiltonian(LatticeKind.PAIR_2D_ELECTRON, side, OMEGA)
+    report = lift_1d_evolution(psi0, _electron(side), oracle, times)
     assert report.distances[0] == 0.0
     assert report.max_state_distance < 1e-8
     assert report.matrix_deviation < 1e-12
     payload = report.to_dict()
-    assert payload["side"] == side and len(payload["distances"]) == 5
+    assert payload["times"] == list(times) and len(payload["distances"]) == 5
 
 
 def test_sector_evolution_reassembles():
