@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .lattices import LatticeKind, OperatorMatrix
 from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
@@ -23,6 +22,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TimeSeries",
     "evolve",
+    "evolve_pair",
     "gaussian_state",
     "site_state",
     "dirac_probability",
@@ -66,6 +66,33 @@ def _check_times(times: np.ndarray) -> np.ndarray:
     return times
 
 
+def _check_state(psi0: np.ndarray, dim: int) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (dim,):
+        raise ValueError(f"state dimension {psi0.shape} does not match {dim}")
+    if not (np.all(np.isfinite(psi0.real)) and np.all(np.isfinite(psi0.imag))):
+        raise ValueError("initial state has non-finite amplitudes")
+    return psi0
+
+
+def _integrate(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Adaptive fourth-order integration of ``dy/dt = rhs(t, y)``; rows per time."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(times[-1])),
+        y0,
+        t_eval=times,
+        method="RK45",
+        rtol=1e-10,
+        atol=1e-12,
+    )
+    if not sol.success:
+        raise RuntimeError(f"integrator fallback failed: {sol.message}")
+    return sol.y.T.astype(complex)
+
+
 def evolve(
     h: OperatorMatrix,
     psi0: np.ndarray,
@@ -82,12 +109,7 @@ def evolve(
     path ran.
     """
     times = _check_times(times)
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (h.dim,):
-        raise ValueError(f"state dimension {psi0.shape} does not match {h.dim}")
-    if not (np.all(np.isfinite(psi0.real)) and np.all(np.isfinite(psi0.imag))):
-        raise ValueError("initial state has non-finite amplitudes")
-
+    psi0 = _check_state(psi0, h.dim)
     if spectrum is None:
         spectrum = eigendecompose(h)
     if spectrum.condition <= CONDITION_LIMIT:
@@ -97,22 +119,105 @@ def evolve(
         method = "spectral"
     else:
         entries = h.entries
-        sol = solve_ivp(
-            lambda _t, y: -1j * (entries @ y),
-            (0.0, float(times[-1])),
-            psi0,
-            t_eval=times,
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        if not sol.success:
-            raise RuntimeError(f"integrator fallback failed: {sol.message}")
-        states = sol.y.T.astype(complex)
+        states = _integrate(lambda _t, y: -1j * (entries @ y), psi0, times)
         method = f"integrator (eigenvector condition {spectrum.condition:.2e})"
     states[0] = psi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
         times=times, states=states, basis_labels=h.basis_labels, method=method
+    )
+
+
+def _pair_layout(basis: "PairBasis") -> tuple:
+    """Where each sector amplitude sits in the ``L x L`` amplitude matrix.
+
+    Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at the
+    mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``: the rows of
+    the sector projector (1/sqrt(2) off the diagonal, 1/2 twice on it).
+    The electron basis is the identity map (``parity`` 0).
+    """
+    x, y = np.asarray(basis.labels, dtype=int).T
+    if basis.kind is LatticeKind.PAIR_2D_ELECTRON:
+        return x, y, 0.0, 1.0
+    if basis.kind is LatticeKind.PAIR_2D_BOSON:
+        parity = 1.0
+    elif basis.kind is LatticeKind.PAIR_2D_FERMION:
+        parity = -1.0
+    else:
+        raise ValueError(f"not a pair basis: {basis.kind!r}")
+    return x, y, parity, np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
+
+
+def _embed_pair(amps: np.ndarray, basis: "PairBasis") -> np.ndarray:
+    """``L x L`` amplitude matrix of a sector state (projector transpose)."""
+    x, y, parity, weight = _pair_layout(basis)
+    psi = np.zeros((basis.side, basis.side), dtype=complex)
+    psi[x, y] = weight * amps
+    if parity:
+        psi[y, x] += parity * weight * amps
+    return psi
+
+
+def _restrict_pair(psi: np.ndarray, basis: "PairBasis") -> np.ndarray:
+    """Sector amplitudes of amplitude matrices ``psi[..., L, L]`` (projector)."""
+    x, y, parity, weight = _pair_layout(basis)
+    if not parity:
+        return psi[..., x, y]
+    return weight * (psi[..., x, y] + parity * psi[..., y, x])
+
+
+def evolve_pair(
+    chain: OperatorMatrix,
+    phi0: np.ndarray,
+    basis: "PairBasis",
+    times,
+    spectrum: ComplexSpectrum | None = None,
+) -> TimeSeries:
+    """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
+
+    The electron pair lattice is ``H1 x 1 + 1 x H1`` (``H1`` the chain, as
+    :func:`starkladder.lattices.build_pair_lattice` builds it), so the pair
+    amplitude matrix evolves as ``Psi(t) = U(t) Psi0 U(t)^T`` with
+    ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` and
+    ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C * exp(-i (e_i + e_j) t)) V^T``:
+    O(L^3) per sample from the chain's spectrum, never an ``L^2 x L^2``
+    matrix.  Fermion and boson states are embedded as (anti)symmetric
+    amplitude matrices and restricted back to ``basis.labels``.
+
+    ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
+    ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
+    :func:`evolve` does; ``TimeSeries.method`` records which path ran.
+    """
+    times = _check_times(times)
+    phi0 = _check_state(phi0, basis.dim)
+    if chain.dim != basis.side:
+        raise ValueError(
+            f"chain of {chain.dim} sites does not match pair side {basis.side}"
+        )
+    if spectrum is None:
+        spectrum = eigendecompose(chain)
+    psi0 = _embed_pair(phi0, basis)
+    condition = spectrum.condition**2
+    if condition <= CONDITION_LIMIT:
+        v = spectrum.right_eigenvectors
+        c = spectrum.coefficients(spectrum.coefficients(psi0).T).T
+        phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
+        w = v[None, :, :] * phases[:, None, :]  # V diag(exp(-i e t))
+        psis = w @ c @ w.transpose(0, 2, 1)
+        method = "spectral"
+    else:
+        h1 = chain.entries
+        side = basis.side
+
+        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+            psi = y.reshape(side, side)
+            return (-1j * (h1 @ psi + psi @ h1.T)).ravel()
+
+        psis = _integrate(rhs, psi0.ravel(), times).reshape(-1, side, side)
+        method = f"integrator (eigenvector condition {condition:.2e})"
+    states = _restrict_pair(psis, basis)
+    states[0] = phi0  # t = 0 is the initial snapshot, exactly
+    return TimeSeries(
+        times=times, states=states, basis_labels=basis.labels, method=method
     )
 
 
@@ -216,22 +321,7 @@ def build_pair_product_state(mu: np.ndarray, pair_basis: "PairBasis") -> np.ndar
     signs = np.where((np.arange(side) // 2) % 2 == 0, 1.0, -1.0)
     psi = np.outer(mu, signs * np.conj(mu))
 
-    kind = pair_basis.kind
-    if kind is LatticeKind.PAIR_2D_ELECTRON:
-        amps = psi.ravel()
-    elif kind is LatticeKind.PAIR_2D_FERMION:
-        amps = np.array(
-            [(psi[x, y] - psi[y, x]) / math.sqrt(2.0) for x, y in pair_basis.labels]
-        )
-    elif kind is LatticeKind.PAIR_2D_BOSON:
-        amps = np.array(
-            [
-                psi[x, y] if x == y else (psi[x, y] + psi[y, x]) / math.sqrt(2.0)
-                for x, y in pair_basis.labels
-            ]
-        )
-    else:
-        raise ValueError(f"not a pair basis: {kind!r}")
+    amps = _restrict_pair(psi, pair_basis)
     nrm = np.linalg.norm(amps)
     if nrm < 1e-15:
         raise ValueError(

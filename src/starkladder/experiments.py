@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .dynamics import (
     build_pair_product_state,
     dirac_probability,
     evolve,
+    evolve_pair,
     extract_projected_mu,
     family_projection,
     fidelity,
@@ -626,6 +627,7 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
                     "kind": model.kind.value,
                     "n_sites": model.n_sites,
                     "omega": model.omega,
+                    "origin_offset": model.origin_offset,
                     "e0": [ref.energy.real, ref.energy.imag],
                     "t_late": float(t_late),
                     "mu": [[a.real, a.imag] for a in mu],
@@ -647,7 +649,7 @@ def _load_mu(from_run: str) -> dict:
             "run evolve1d first (non-Hermitian model) or point at its directory"
         )
     data = json.loads(path.read_text())
-    for key in ("mu", "omega", "n_sites", "e0"):
+    for key in ("mu", "kind", "omega", "n_sites", "e0"):
         if key not in data:
             raise ConfigError(f"{path}: missing key {key!r}")
     return data
@@ -663,6 +665,11 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         )
     payload = _load_mu(cfg.run.from_run)
     side = cfg.model.n_sites
+    if payload["kind"] != LatticeKind.DIMER_1I.value:
+        raise ConfigError(
+            f"profile comes from a {payload['kind']} chain; pair lattices are "
+            f"built on {LatticeKind.DIMER_1I.value}"
+        )
     if payload["n_sites"] != side:
         raise ConfigError(
             f"profile length {payload['n_sites']} does not match model side {side}"
@@ -672,11 +679,18 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
             f"profile omega {payload['omega']} does not match model omega "
             f"{cfg.model.omega}; refusing to mix parameters"
         )
+    offset = payload.get("origin_offset", side // 2)
+    if offset != cfg.model.origin_offset:
+        raise ConfigError(
+            f"profile origin_offset {offset} does not match model origin_offset "
+            f"{cfg.model.origin_offset}; refusing to mix parameters"
+        )
     mu = np.array([complex(re, im) for re, im in payload["mu"]])
 
     basis = pair_basis(cfg.model.kind, side)
     phi0 = build_pair_product_state(mu, basis)
-    h = build_pair_lattice(cfg.model)
+    # the pair lattice is the Kronecker sum of this chain with itself
+    chain = build_chain(replace(cfg.model, kind=LatticeKind.DIMER_1I))
 
     omega = cfg.model.omega
     candidates = {
@@ -689,7 +703,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    series = evolve(h, phi0, times)
+    series = evolve_pair(chain, phi0, basis, times)
     f_curve = fidelity(series)
 
     fid_at = {}

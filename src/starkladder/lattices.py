@@ -242,14 +242,7 @@ def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
     if not spec.kind.is_pair:
         raise ValueError(f"build_pair_lattice needs a 2D kind, got {spec.kind.value}")
     side = spec.n_sites
-    chain = build_chain(
-        LatticeSpec(
-            kind=LatticeKind.DIMER_1I,
-            n_sites=side,
-            omega=spec.omega,
-            origin_offset=spec.origin_offset,
-        )
-    ).entries
+    chain = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
     eye = np.eye(side)
     electron = np.kron(chain, eye) + np.kron(eye, chain)
     if spec.kind is LatticeKind.PAIR_2D_ELECTRON:

@@ -266,6 +266,52 @@ def test_evolve2d_refuses_mismatched_parameters(tmp_path):
         run(wrong_side)
 
 
+def _seed_run(path, model: dict) -> None:
+    run(
+        load_config(
+            overrides={
+                "experiment": "evolve1d",
+                "model": model,
+                "run": {"n_steps": 4},
+                "output": {"directory": str(path)},
+            }
+        )
+    )
+
+
+def _pair_run(seed, out, **model) -> dict:
+    return run(
+        load_config(
+            overrides={
+                "experiment": "evolve2d",
+                "model": {"kind": "pair_2d_electron", "n_sites": 16, "omega": 0.2,
+                          **model},
+                "run": {"from_run": str(seed), "n_steps": 8},
+                "output": {"directory": str(out)},
+            }
+        )
+    )
+
+
+def test_evolve2d_refuses_seed_from_another_chain_kind(tmp_path):
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"kind": "dimer_jjstar", "n_sites": 16, "omega": 0.2,
+                     "j_even": [0.8, 0.6]})
+    assert json.loads((seed / "mu.json").read_text())["kind"] == "dimer_jjstar"
+    with pytest.raises(ConfigError, match="dimer_jjstar"):
+        _pair_run(seed, tmp_path / "pair")
+
+
+def test_evolve2d_refuses_seed_with_another_origin_offset(tmp_path):
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"n_sites": 16, "omega": 0.2, "origin_offset": 5})
+    assert json.loads((seed / "mu.json").read_text())["origin_offset"] == 5
+    with pytest.raises(ConfigError, match="origin_offset"):
+        _pair_run(seed, tmp_path / "default_offset")
+    checks = _pair_run(seed, tmp_path / "same_offset", origin_offset=5)["checks"]
+    assert checks["method"] == "spectral"
+
+
 def test_pair_equivalence_run(tmp_path):
     cfg = load_config(
         overrides={
