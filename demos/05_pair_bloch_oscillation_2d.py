@@ -51,7 +51,7 @@ phi0 = build_pair_product_state(mu, basis)
 times = np.unique(np.concatenate([
     np.linspace(0.0, 1.1 * period, 45), [period / 2, period],
 ]))
-series = evolve_pair(chain, phi0, basis, times, spectrum=spectrum)
+series = evolve_pair(chain, phi0, basis, times)
 f_curve = fidelity(series)
 
 for name, t in (("pi/(2w)", period / 2), ("pi/w", period)):

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattices import LatticeKind, OperatorMatrix
+from .lattices import OperatorMatrix
 from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
 
 if TYPE_CHECKING:
@@ -127,50 +127,11 @@ def evolve(
     )
 
 
-def _pair_layout(basis: "PairBasis") -> tuple:
-    """Where each sector amplitude sits in the ``L x L`` amplitude matrix.
-
-    Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at the
-    mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``: the rows of
-    the sector projector (1/sqrt(2) off the diagonal, 1/2 twice on it).
-    The electron basis is the identity map (``parity`` 0).
-    """
-    x, y = np.asarray(basis.labels, dtype=int).T
-    if basis.kind is LatticeKind.PAIR_2D_ELECTRON:
-        return x, y, 0.0, 1.0
-    if basis.kind is LatticeKind.PAIR_2D_BOSON:
-        parity = 1.0
-    elif basis.kind is LatticeKind.PAIR_2D_FERMION:
-        parity = -1.0
-    else:
-        raise ValueError(f"not a pair basis: {basis.kind!r}")
-    return x, y, parity, np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
-
-
-def _embed_pair(amps: np.ndarray, basis: "PairBasis") -> np.ndarray:
-    """``L x L`` amplitude matrix of a sector state (projector transpose)."""
-    x, y, parity, weight = _pair_layout(basis)
-    psi = np.zeros((basis.side, basis.side), dtype=complex)
-    psi[x, y] = weight * amps
-    if parity:
-        psi[y, x] += parity * weight * amps
-    return psi
-
-
-def _restrict_pair(psi: np.ndarray, basis: "PairBasis") -> np.ndarray:
-    """Sector amplitudes of amplitude matrices ``psi[..., L, L]`` (projector)."""
-    x, y, parity, weight = _pair_layout(basis)
-    if not parity:
-        return psi[..., x, y]
-    return weight * (psi[..., x, y] + parity * psi[..., y, x])
-
-
 def evolve_pair(
     chain: OperatorMatrix,
     phi0: np.ndarray,
     basis: "PairBasis",
     times,
-    spectrum: ComplexSpectrum | None = None,
 ) -> TimeSeries:
     """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
 
@@ -181,7 +142,8 @@ def evolve_pair(
     ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C * exp(-i (e_i + e_j) t)) V^T``:
     O(L^3) per sample from the chain's spectrum, never an ``L^2 x L^2``
     matrix.  Fermion and boson states are embedded as (anti)symmetric
-    amplitude matrices and restricted back to ``basis.labels``.
+    amplitude matrices and restricted back to ``basis.labels``
+    (:meth:`starkladder.pairmap.PairBasis.embed` and ``restrict``).
 
     ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
     ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
@@ -193,9 +155,8 @@ def evolve_pair(
         raise ValueError(
             f"chain of {chain.dim} sites does not match pair side {basis.side}"
         )
-    if spectrum is None:
-        spectrum = eigendecompose(chain)
-    psi0 = _embed_pair(phi0, basis)
+    spectrum = eigendecompose(chain)
+    psi0 = basis.embed(phi0)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:
         v = spectrum.right_eigenvectors
@@ -214,7 +175,7 @@ def evolve_pair(
 
         psis = _integrate(rhs, psi0.ravel(), times).reshape(-1, side, side)
         method = f"integrator (eigenvector condition {condition:.2e})"
-    states = _restrict_pair(psis, basis)
+    states = basis.restrict(psis)
     states[0] = phi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
         times=times, states=states, basis_labels=basis.labels, method=method
@@ -321,7 +282,7 @@ def build_pair_product_state(mu: np.ndarray, pair_basis: "PairBasis") -> np.ndar
     signs = np.where((np.arange(side) // 2) % 2 == 0, 1.0, -1.0)
     psi = np.outer(mu, signs * np.conj(mu))
 
-    amps = _restrict_pair(psi, pair_basis)
+    amps = pair_basis.restrict(psi)
     nrm = np.linalg.norm(amps)
     if nrm < 1e-15:
         raise ValueError(

@@ -51,6 +51,36 @@ class PairBasis:
     def label_index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    def layout(self) -> tuple:
+        """Where each amplitude sits in the ``side x side`` amplitude matrix.
+
+        Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at
+        the mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``: the
+        rows of the sector projector (1/sqrt(2) off the diagonal, 1/2 twice
+        on it).  The electron basis is the identity map (``parity`` 0).
+        """
+        x, y = np.asarray(self.labels, dtype=int).T
+        if self.kind is LatticeKind.PAIR_2D_ELECTRON:
+            return x, y, 0.0, 1.0
+        parity = 1.0 if self.kind is LatticeKind.PAIR_2D_BOSON else -1.0
+        return x, y, parity, np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
+
+    def embed(self, amps: np.ndarray) -> np.ndarray:
+        """Amplitude matrix of a state in this basis (projector transpose)."""
+        x, y, parity, weight = self.layout()
+        psi = np.zeros((self.side, self.side), dtype=complex)
+        psi[x, y] = weight * amps
+        if parity:
+            psi[y, x] += parity * weight * amps
+        return psi
+
+    def restrict(self, psi: np.ndarray) -> np.ndarray:
+        """Amplitudes in this basis of amplitude matrices ``psi[..., L, L]``."""
+        x, y, parity, weight = self.layout()
+        if not parity:
+            return psi[..., x, y]
+        return weight * (psi[..., x, y] + parity * psi[..., y, x])
+
 
 def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
     """Lexicographic pair basis for the given statistics."""
@@ -150,16 +180,13 @@ def sector_projector(side: int, swap_parity: int) -> SectorProjector:
     kind = (
         LatticeKind.PAIR_2D_BOSON if swap_parity == +1 else LatticeKind.PAIR_2D_FERMION
     )
-    labels = pair_labels(kind, side)
-    mat = np.zeros((len(labels), side * side))
-    root2 = math.sqrt(2.0)
-    for row, (x, y) in enumerate(labels):
-        if x == y:
-            mat[row, x * side + y] = 1.0
-        else:
-            mat[row, x * side + y] = 1.0 / root2
-            mat[row, y * side + x] = swap_parity / root2
-    return SectorProjector(swap_parity=swap_parity, matrix=mat, labels=labels)
+    basis = pair_basis(kind, side)
+    x, y, parity, weight = basis.layout()
+    rows = np.arange(basis.dim)
+    mat = np.zeros((basis.dim, side * side))
+    mat[rows, x * side + y] += weight
+    mat[rows, y * side + x] += parity * weight
+    return SectorProjector(swap_parity=swap_parity, matrix=mat, labels=basis.labels)
 
 
 def reflection_swap_matrix(side: int) -> np.ndarray:
