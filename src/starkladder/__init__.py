@@ -62,12 +62,9 @@ from .dynamics import (  # noqa: F401
 from .pairmap import (  # noqa: F401
     PairBasis,
     PairEquivalenceReport,
-    SectorProjector,
     lift_1d_evolution,
     oracle_pair_hamiltonian,
     pair_basis,
-    reflection_swap_matrix,
     sector_decompose,
-    sector_projector,
     sector_reassembled_distance,
 )

@@ -162,8 +162,12 @@ def evolve_pair(
         v = spectrum.right_eigenvectors
         c = spectrum.coefficients(spectrum.coefficients(psi0).T).T
         phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
-        w = v[None, :, :] * phases[:, None, :]  # V diag(exp(-i e t))
-        psis = w @ c @ w.transpose(0, 2, 1)
+        # column-major like the integrator branch's batched restrict: both
+        # branches hand fidelity one memory layout, so one summation order
+        states = np.empty((times.size, basis.dim), dtype=complex, order="F")
+        for k, phase in enumerate(phases):  # one L x L amplitude matrix alive
+            w = v * phase  # V diag(exp(-i e t))
+            states[k] = basis.restrict(w @ c @ w.T)
         method = "spectral"
     else:
         h1 = chain.entries
@@ -174,8 +178,8 @@ def evolve_pair(
             return (-1j * (h1 @ psi + psi @ h1.T)).ravel()
 
         psis = _integrate(rhs, psi0.ravel(), times).reshape(-1, side, side)
+        states = basis.restrict(psis)
         method = f"integrator (eigenvector condition {condition:.2e})"
-    states = basis.restrict(psis)
     states[0] = phi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
         times=times, states=states, basis_labels=basis.labels, method=method

@@ -239,6 +239,16 @@ def _parse_output(section: dict) -> OutputConfig:
     return cfg
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON (line {exc.lineno}): {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return data
+
+
 def load_config(
     path: str | Path | None = None, overrides: dict | None = None
 ) -> ExperimentConfig:
@@ -254,12 +264,7 @@ def load_config(
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{p}: invalid JSON (line {exc.lineno}): {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{p}: top level must be an object")
+        data = _read_json_object(p)
     data = {k: v for k, v in data.items() if k not in _MANIFEST_META_KEYS}
     merged = {k: dict(v) if isinstance(v, dict) else v for k, v in data.items()}
     for key, section in (overrides or {}).items():
@@ -648,10 +653,18 @@ def _load_mu(from_run: str) -> dict:
             f"run.from_run: no serialized profile at {path}; "
             "run evolve1d first (non-Hermitian model) or point at its directory"
         )
-    data = json.loads(path.read_text())
+    data = _read_json_object(path)
     for key in ("mu", "kind", "omega", "n_sites", "e0"):
         if key not in data:
             raise ConfigError(f"{path}: missing key {key!r}")
+    try:
+        data["mu"] = np.array([complex(re, im) for re, im in data["mu"]])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: mu must be a list of [re, im] pairs") from exc
+    if data["mu"].size != data["n_sites"]:
+        raise ConfigError(
+            f"{path}: mu has {data['mu'].size} amplitudes for n_sites {data['n_sites']}"
+        )
     return data
 
 
@@ -685,10 +698,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
             f"profile origin_offset {offset} does not match model origin_offset "
             f"{cfg.model.origin_offset}; refusing to mix parameters"
         )
-    mu = np.array([complex(re, im) for re, im in payload["mu"]])
-
     basis = pair_basis(cfg.model.kind, side)
-    phi0 = build_pair_product_state(mu, basis)
+    phi0 = build_pair_product_state(payload["mu"], basis)
     # the pair lattice is the Kronecker sum of this chain with itself
     chain = build_chain(replace(cfg.model, kind=LatticeKind.DIMER_1I))
 

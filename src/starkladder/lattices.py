@@ -44,6 +44,7 @@ __all__ = [
     "ramped_translation_deviation",
     "gauge_conjugation_deviation",
     "pt_commutator_deviation",
+    "electron_side",
 ]
 
 
@@ -230,6 +231,23 @@ def pair_labels(kind: LatticeKind, side: int) -> tuple:
     raise ValueError(f"not a pair kind: {kind!r}")
 
 
+def electron_side(h: OperatorMatrix) -> int:
+    """Side ``L`` of an electron pair lattice; ``ValueError`` for any other basis.
+
+    The size alone cannot tell: the fermion lattice at ``L = 9`` and the
+    boson lattice at ``L = 8`` both have dimension 36 = 6 x 6.
+    """
+    side = math.isqrt(h.dim)
+    if h.basis_labels != pair_labels(LatticeKind.PAIR_2D_ELECTRON, side):
+        labels = h.basis_labels
+        raise ValueError(
+            f"not an electron pair lattice: its {h.dim} basis labels "
+            f"({labels[0]!r} ... {labels[-1]!r}) are not the full L x L square "
+            "of (x, y) pairs"
+        )
+    return side
+
+
 def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
     """2D square-lattice matrix encoding a two-particle chain problem.
 
@@ -350,8 +368,5 @@ def pt_commutator_deviation(h2d: OperatorMatrix) -> float:
     For antiunitary ``PT``, ``[PT, H] v = (P conj(H) - H P) conj(v)``, so
     the reported value is ``|| P conj(H) - H P ||``.
     """
-    side = round(math.sqrt(h2d.dim))
-    if side * side != h2d.dim:
-        raise ValueError("pt_commutator_deviation needs a full square lattice")
-    p = parity_2d_op(side).matrix
+    p = parity_2d_op(electron_side(h2d)).matrix
     return float(np.linalg.norm(p @ np.conj(h2d.entries) - h2d.entries @ p))

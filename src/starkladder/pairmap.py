@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,18 +20,16 @@ from .dynamics import evolve
 from .lattices import (
     LatticeKind,
     OperatorMatrix,
+    electron_side,
     pair_labels,
 )
 
 __all__ = [
     "PairBasis",
-    "SectorProjector",
     "PairEquivalenceReport",
     "pair_basis",
     "oracle_pair_hamiltonian",
-    "sector_projector",
     "sector_decompose",
-    "reflection_swap_matrix",
     "lift_1d_evolution",
     "sector_reassembled_distance",
 ]
@@ -51,13 +50,15 @@ class PairBasis:
     def label_index(self) -> dict:
         return {lab: i for i, lab in enumerate(self.labels)}
 
+    @cached_property
     def layout(self) -> tuple:
         """Where each amplitude sits in the ``side x side`` amplitude matrix.
 
         Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at
-        the mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``: the
-        rows of the sector projector (1/sqrt(2) off the diagonal, 1/2 twice
-        on it).  The electron basis is the identity map (``parity`` 0).
+        the mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``
+        (1/sqrt(2) off the diagonal, 1/2 twice on it), so ``restrict`` maps
+        onto the swap sector with orthonormal rows and ``embed`` is its
+        transpose.  The electron basis is the identity map (``parity`` 0).
         """
         x, y = np.asarray(self.labels, dtype=int).T
         if self.kind is LatticeKind.PAIR_2D_ELECTRON:
@@ -66,17 +67,18 @@ class PairBasis:
         return x, y, parity, np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
 
     def embed(self, amps: np.ndarray) -> np.ndarray:
-        """Amplitude matrix of a state in this basis (projector transpose)."""
-        x, y, parity, weight = self.layout()
-        psi = np.zeros((self.side, self.side), dtype=complex)
-        psi[x, y] = weight * amps
+        """Amplitude matrices ``[..., L, L]`` of states ``amps[..., dim]``."""
+        x, y, parity, weight = self.layout
+        amps = np.asarray(amps)
+        psi = np.zeros(amps.shape[:-1] + (self.side, self.side), dtype=complex)
+        psi[..., x, y] = weight * amps
         if parity:
-            psi[y, x] += parity * weight * amps
+            psi[..., y, x] += parity * weight * amps
         return psi
 
     def restrict(self, psi: np.ndarray) -> np.ndarray:
         """Amplitudes in this basis of amplitude matrices ``psi[..., L, L]``."""
-        x, y, parity, weight = self.layout()
+        x, y, parity, weight = self.layout
         if not parity:
             return psi[..., x, y]
         return weight * (psi[..., x, y] + parity * psi[..., y, x])
@@ -165,37 +167,8 @@ def oracle_pair_hamiltonian(
     return OperatorMatrix(h, basis.labels)
 
 
-@dataclass(frozen=True)
-class SectorProjector:
-    """Orthonormal rows mapping the electron basis onto one swap sector."""
-
-    swap_parity: int  # +1 symmetric (boson order), -1 antisymmetric (fermion order)
-    matrix: np.ndarray
-    labels: tuple
-
-
-def sector_projector(side: int, swap_parity: int) -> SectorProjector:
-    if swap_parity not in (+1, -1):
-        raise ValueError("swap_parity must be +1 or -1")
-    kind = (
-        LatticeKind.PAIR_2D_BOSON if swap_parity == +1 else LatticeKind.PAIR_2D_FERMION
-    )
-    basis = pair_basis(kind, side)
-    x, y, parity, weight = basis.layout()
-    rows = np.arange(basis.dim)
-    mat = np.zeros((basis.dim, side * side))
-    mat[rows, x * side + y] += weight
-    mat[rows, y * side + x] += parity * weight
-    return SectorProjector(swap_parity=swap_parity, matrix=mat, labels=basis.labels)
-
-
-def reflection_swap_matrix(side: int) -> np.ndarray:
-    """Permutation exchanging the two coordinates, (x, y) -> (y, x)."""
-    s = np.zeros((side * side, side * side))
-    for x in range(side):
-        for y in range(side):
-            s[y * side + x, x * side + y] = 1.0
-    return s
+# swap sectors of the electron lattice: (symmetric, antisymmetric)
+_SECTOR_KINDS = (LatticeKind.PAIR_2D_BOSON, LatticeKind.PAIR_2D_FERMION)
 
 
 def sector_decompose(
@@ -203,26 +176,28 @@ def sector_decompose(
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Split the electron lattice into (symmetric, antisymmetric) sectors.
 
-    Refuses (raising ``ValueError``) if the matrix is not reflection
-    symmetric about ``x == y``, which would indicate a builder bug rather
-    than a property of the model.
+    Refuses (raising ``ValueError``) a matrix on any basis other than the
+    electron pair basis, and one that is not reflection symmetric about
+    ``x == y``, which would indicate a builder bug rather than a property
+    of the model.  Each sector ``P H P^T`` is taken by index maps
+    (:meth:`PairBasis.restrict` on both index pairs), never by a dense
+    projector.
     """
-    dim = h_electron.dim
-    side = round(math.sqrt(dim))
-    if side * side != dim:
-        raise ValueError("sector_decompose needs a full square-lattice matrix")
-    swap = reflection_swap_matrix(side)
-    asym = float(np.linalg.norm(h_electron.entries - swap @ h_electron.entries @ swap))
+    side = electron_side(h_electron)
+    h4 = h_electron.entries.reshape(side, side, side, side)
+    asym = float(np.linalg.norm(h4 - h4.transpose(1, 0, 3, 2)))  # (x, y) -> (y, x)
     if asym > symmetry_tol * max(1.0, float(np.abs(h_electron.entries).max())):
         raise ValueError(
             f"electron lattice is not reflection symmetric (deviation {asym:.3e}); "
             "refusing to decompose"
         )
+    rows = h_electron.entries.reshape(side * side, side, side)
     out = []
-    for parity in (+1, -1):
-        proj = sector_projector(side, parity)
-        sector = proj.matrix @ h_electron.entries @ proj.matrix.T
-        out.append(OperatorMatrix(sector, proj.labels))
+    for kind in _SECTOR_KINDS:
+        basis = pair_basis(kind, side)
+        h_pt = basis.restrict(rows)  # H P^T
+        sector = basis.restrict(h_pt.T.reshape(basis.dim, side, side)).T
+        out.append(OperatorMatrix(sector, basis.labels))
     return out[0], out[1]
 
 
@@ -280,26 +255,19 @@ def sector_reassembled_distance(
 ) -> float:
     """Full-lattice evolution versus sector-wise evolution, reassembled.
 
-    Projects the initial state onto both swap sectors, evolves each under
-    its sector matrix, lifts back with the projector transposes, and
+    Restricts the initial state to both swap sectors, evolves each under
+    its sector matrix, embeds the results back into the full lattice, and
     returns the maximum normalized distance to the direct evolution.
     """
-    dim = h_electron.dim
-    side = round(math.sqrt(dim))
-    h_sym, h_anti = sector_decompose(h_electron)
-    p_sym = sector_projector(side, +1)
-    p_anti = sector_projector(side, -1)
+    sectors = sector_decompose(h_electron)
+    side = math.isqrt(h_electron.dim)
     direct = evolve(h_electron, psi0, times)
-    parts = []
-    for proj, sector in ((p_sym, h_sym), (p_anti, h_anti)):
-        comp = proj.matrix @ np.asarray(psi0, dtype=complex)
-        series = evolve(sector, comp, times) if np.linalg.norm(comp) > 0 else None
-        parts.append((proj, series))
-    worst = 0.0
-    for k in range(direct.times.size):
-        rebuilt = np.zeros(dim, dtype=complex)
-        for proj, series in parts:
-            if series is not None:
-                rebuilt += proj.matrix.T @ series.states[k]
-        worst = max(worst, _normalized_distance(direct.states[k], rebuilt))
-    return worst
+    amps = np.asarray(psi0, dtype=complex).reshape(side, side)
+    rebuilt = np.zeros_like(direct.states)
+    for kind, sector in zip(_SECTOR_KINDS, sectors):
+        basis = pair_basis(kind, side)
+        comp = basis.restrict(amps)
+        if np.linalg.norm(comp) > 0:
+            series = evolve(sector, comp, times)
+            rebuilt += basis.embed(series.states).reshape(-1, side * side)
+    return max(_normalized_distance(d, r) for d, r in zip(direct.states, rebuilt))

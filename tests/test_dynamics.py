@@ -21,13 +21,15 @@ from starkladder.lattices import (
     build_pair_lattice,
     interior_slice,
 )
-from starkladder.pairmap import pair_basis, sector_projector
+from starkladder.pairmap import pair_basis
 from starkladder.spectra import (
     detect_ladders,
     eigendecompose,
     rung_shift_weight,
     select_reference_state,
 )
+
+from sector_reference import reference_projector
 
 OMEGA = 0.2
 PERIOD = np.pi / OMEGA
@@ -312,8 +314,9 @@ def test_boson_state_matches_symmetric_projection():
     mu = rng.normal(size=side) + 1j * rng.normal(size=side)
     mu /= np.linalg.norm(mu)
     electron = build_pair_product_state(mu, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side))
-    boson = build_pair_product_state(mu, pair_basis(LatticeKind.PAIR_2D_BOSON, side))
-    projected = sector_projector(side, +1).matrix @ electron
+    boson_basis = pair_basis(LatticeKind.PAIR_2D_BOSON, side)
+    boson = build_pair_product_state(mu, boson_basis)
+    projected = reference_projector(boson_basis) @ electron
     projected /= np.linalg.norm(projected)
     np.testing.assert_allclose(boson, projected, atol=1e-12)
 

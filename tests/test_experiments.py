@@ -414,6 +414,37 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+_SEED = {
+    "kind": "dimer_1i",
+    "n_sites": 8,
+    "omega": 0.2,
+    "e0": [0.0, 0.7],
+    "t_late": 40.0,
+    "mu": [[0.5, 0.0]] * 8,
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "dimer_1i", "mu": [', "invalid JSON"),
+        (json.dumps({**_SEED, "mu": [[0.5, 0.0]] * 7}), "mu has 7 amplitudes"),
+    ],
+    ids=["malformed", "short_mu"],
+)
+def test_cli_bad_seed_file_is_config_error(tmp_path, capsys, text, message):
+    seed = tmp_path / "seed"
+    seed.mkdir()
+    (seed / "mu.json").write_text(text)
+    code = main(
+        ["evolve2d", "--model", "pair_2d_boson", "--sites", "8", "--omega", "0.2",
+         "--from-run", str(seed), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_cli_runs_spectrum(tmp_path, capsys):
     code = main(
         ["spectrum", "--sites", "12", "--omega", "0.3", "--out", str(tmp_path)]

@@ -246,6 +246,17 @@ def test_pt_commutes_with_electron_lattice():
     assert pt_commutator_deviation(build_pair_lattice(spec)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "kind, side", [(LatticeKind.PAIR_2D_FERMION, 9), (LatticeKind.PAIR_2D_BOSON, 8)]
+)
+def test_pt_commutator_refuses_square_sized_sector_lattice(kind, side):
+    # dimension 36 = 6 x 6: only the basis labels tell it is not an electron lattice
+    h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=0.2))
+    assert h.dim == 36
+    with pytest.raises(ValueError, match="not an electron pair lattice"):
+        pt_commutator_deviation(h)
+
+
 def test_interior_window_defaults():
     assert interior_margin(60) == 10
     win = interior_slice(60)

@@ -14,7 +14,9 @@ import starkladder.lattices as lattices
 from starkladder.dynamics import evolve_pair
 from starkladder.experiments import load_config, run
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
-from starkladder.pairmap import pair_basis, sector_projector
+from starkladder.pairmap import pair_basis
+
+from sector_reference import reference_projector
 
 PAIR_KINDS = [k for k in LatticeKind if k.is_pair]
 
@@ -25,34 +27,18 @@ def _random_state(dim: int, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _reference_projector(basis) -> np.ndarray:
-    """Sector projector written out label by label, independent of the layout."""
-    side = basis.side
-    parity = {LatticeKind.PAIR_2D_ELECTRON: 0, LatticeKind.PAIR_2D_BOSON: +1,
-              LatticeKind.PAIR_2D_FERMION: -1}[basis.kind]
-    proj = np.zeros((basis.dim, side * side))
-    for row, (x, y) in enumerate(basis.labels):
-        if parity == 0 or x == y:
-            proj[row, x * side + y] = 1.0
-        else:
-            proj[row, x * side + y] = 1.0 / math.sqrt(2.0)
-            proj[row, y * side + x] = parity / math.sqrt(2.0)
-    return proj
-
-
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
 def test_embed_and_restrict_are_the_sector_projector(kind):
     side = 7
     basis = pair_basis(kind, side)
-    proj = _reference_projector(basis)
+    proj = reference_projector(basis)
     amps = _random_state(basis.dim, 11)
     psi = _random_state(side * side, 12).reshape(side, side)
     np.testing.assert_allclose(basis.embed(amps).ravel(), proj.T @ amps, atol=1e-15)
     np.testing.assert_allclose(basis.restrict(psi), proj @ psi.ravel(), atol=1e-15)
     np.testing.assert_allclose(basis.restrict(basis.embed(amps)), amps, atol=1e-15)
-    if kind is not LatticeKind.PAIR_2D_ELECTRON:
-        parity = 1 if kind is LatticeKind.PAIR_2D_BOSON else -1
-        np.testing.assert_allclose(sector_projector(side, parity).matrix, proj, atol=1e-15)
+    batch = np.stack([amps, _random_state(basis.dim, 13)])
+    np.testing.assert_allclose(basis.embed(batch).reshape(2, -1), batch @ proj, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)

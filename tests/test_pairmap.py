@@ -12,12 +12,12 @@ from starkladder.pairmap import (
     lift_1d_evolution,
     oracle_pair_hamiltonian,
     pair_basis,
-    reflection_swap_matrix,
     sector_decompose,
-    sector_projector,
     sector_reassembled_distance,
 )
 from starkladder.spectra import spectrum_multiset_distance
+
+from sector_reference import reference_projector
 
 OMEGA = 0.2
 KINDS = (
@@ -75,8 +75,8 @@ def test_oracle_fermion_matches_antisymmetric_projection():
     electron = oracle_pair_hamiltonian(LatticeKind.PAIR_2D_ELECTRON, side, 0.0)
     fermion = oracle_pair_hamiltonian(LatticeKind.PAIR_2D_FERMION, side, 0.0)
     assert fermion.dim == 6
-    proj = sector_projector(side, -1)
-    projected = proj.matrix @ electron.entries @ proj.matrix.T
+    proj = reference_projector(pair_basis(LatticeKind.PAIR_2D_FERMION, side))
+    projected = proj @ electron.entries @ proj.T
     np.testing.assert_allclose(fermion.entries, projected, atol=1e-12)
 
 
@@ -100,25 +100,53 @@ def test_oracle_rejects_small_side():
 
 
 def test_projector_rows_are_orthonormal():
-    for parity in (+1, -1):
-        proj = sector_projector(6, parity)
-        gram = proj.matrix @ proj.matrix.T
-        np.testing.assert_allclose(gram, np.eye(proj.matrix.shape[0]), atol=1e-14)
+    side = 6
+    for kind in (LatticeKind.PAIR_2D_BOSON, LatticeKind.PAIR_2D_FERMION):
+        basis = pair_basis(kind, side)
+        # restrict applied to every electron basis state: the projector's columns
+        proj = basis.restrict(np.eye(side * side).reshape(-1, side, side)).T
+        np.testing.assert_allclose(proj @ proj.T, np.eye(basis.dim), atol=1e-14)
 
 
 def test_sector_dimensions_partition_the_square():
     side = 7
-    sym = sector_projector(side, +1).matrix.shape[0]
-    anti = sector_projector(side, -1).matrix.shape[0]
-    assert sym == side * (side + 1) // 2
-    assert anti == side * (side - 1) // 2
-    assert sym + anti == side**2
+    h_sym, h_anti = sector_decompose(_electron(side))
+    assert h_sym.dim == side * (side + 1) // 2
+    assert h_anti.dim == side * (side - 1) // 2
+    assert h_sym.dim + h_anti.dim == side**2
 
 
 def test_electron_lattice_is_reflection_symmetric():
     h = _electron(8)
-    swap = reflection_swap_matrix(8)
-    assert np.linalg.norm(h.entries - swap @ h.entries @ swap) == 0.0
+    index = h.label_index()
+    swap = [index[(y, x)] for x, y in h.basis_labels]
+    assert np.array_equal(h.entries[np.ix_(swap, swap)], h.entries)
+
+
+def _reflection_symmetric_random(side):
+    """Random matrix on the electron basis that commutes with (x, y) -> (y, x)."""
+    labels = _electron(side).basis_labels
+    index = {lab: i for i, lab in enumerate(labels)}
+    swap = [index[(y, x)] for x, y in labels]
+    rng = np.random.default_rng(side)
+    a = rng.normal(size=(side**2, side**2)) + 1j * rng.normal(size=(side**2, side**2))
+    return OperatorMatrix(a + a[np.ix_(swap, swap)], labels)
+
+
+@pytest.mark.parametrize("side", [6, 7])
+@pytest.mark.parametrize("source", ["lattice", "random"])
+def test_sectors_equal_reference_projections(side, source):
+    # the random matrix is not transpose-symmetric, unlike the lattice
+    h = _electron(side) if source == "lattice" else _reflection_symmetric_random(side)
+    sectors = sector_decompose(h)
+    kinds = (LatticeKind.PAIR_2D_BOSON, LatticeKind.PAIR_2D_FERMION)
+    for kind, sector in zip(kinds, sectors):
+        basis = pair_basis(kind, side)
+        proj = reference_projector(basis)
+        assert sector.basis_labels == basis.labels
+        np.testing.assert_allclose(
+            sector.entries, proj @ h.entries @ proj.T, rtol=0, atol=1e-13
+        )
 
 
 def test_sectors_match_hand_built_lattices():
@@ -172,6 +200,17 @@ def test_decompose_needs_square_lattice():
         sector_decompose(fermion)
 
 
+@pytest.mark.parametrize(
+    "kind, side", [(LatticeKind.PAIR_2D_FERMION, 9), (LatticeKind.PAIR_2D_BOSON, 8)]
+)
+def test_decompose_refuses_square_sized_sector_lattice(kind, side):
+    # dimension 36 = 6 x 6: only the basis labels tell it is not an electron lattice
+    sector = build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=OMEGA))
+    assert sector.dim == 36
+    with pytest.raises(ValueError, match="not an electron pair lattice"):
+        sector_decompose(sector)
+
+
 # ---------------------------------------------------------------------------
 # evolution equivalence
 # ---------------------------------------------------------------------------
@@ -204,11 +243,11 @@ def test_sector_evolution_reassembles():
 def test_pure_sector_state_stays_in_sector():
     side = 6
     electron = _electron(side)
-    proj = sector_projector(side, -1)
+    fermion = pair_basis(LatticeKind.PAIR_2D_FERMION, side)
     rng = np.random.default_rng(2)
-    comp = rng.normal(size=proj.matrix.shape[0]) + 0j
-    psi0 = proj.matrix.T @ (comp / np.linalg.norm(comp))
+    comp = rng.normal(size=fermion.dim) + 0j
+    psi0 = fermion.embed(comp / np.linalg.norm(comp)).ravel()
     series = evolve(electron, psi0, np.linspace(0.0, 5.0, 6))
-    other = sector_projector(side, +1)
+    boson = pair_basis(LatticeKind.PAIR_2D_BOSON, side)
     for state in series.states:
-        assert np.linalg.norm(other.matrix @ state) < 1e-9
+        assert np.linalg.norm(boson.restrict(state.reshape(side, side))) < 1e-9
