@@ -60,11 +60,15 @@ class PairBasis:
         onto the swap sector with orthonormal rows and ``embed`` is its
         transpose.  The electron basis is the identity map (``parity`` 0).
         """
-        x, y = np.asarray(self.labels, dtype=int).T
+        xy = np.asarray(self.labels, dtype=int).T
+        xy.flags.writeable = False  # cached: every caller shares these arrays
+        x, y = xy
         if self.kind is LatticeKind.PAIR_2D_ELECTRON:
             return x, y, 0.0, 1.0
         parity = 1.0 if self.kind is LatticeKind.PAIR_2D_BOSON else -1.0
-        return x, y, parity, np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
+        weight = np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
+        weight.flags.writeable = False
+        return x, y, parity, weight
 
     def embed(self, amps: np.ndarray) -> np.ndarray:
         """Amplitude matrices ``[..., L, L]`` of states ``amps[..., dim]``."""
