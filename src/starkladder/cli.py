@@ -50,7 +50,7 @@ def _overrides(args: argparse.Namespace) -> dict:
             "omega": args.omega,
         },
         "run": {
-            "lam": args.lam,
+            "lambda": args.lam,
             "alpha": args.alpha,
             "from_run": getattr(args, "from_run", None),
         },
@@ -85,6 +85,8 @@ def main(argv: list | None = None) -> int:
     if command == "list":
         for entry in list_experiments():
             print(f"{entry['name']:18s} {entry['demonstrates']}")
+            print(f"{'':18s} parameters: {', '.join(entry['parameters']) or 'none'}")
+            print(f"{'':18s} lattices: {', '.join(entry['kinds'])}")
             print(f"{'':18s} outputs: {', '.join(entry['outputs'])}")
         return 0
 

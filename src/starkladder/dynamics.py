@@ -162,9 +162,7 @@ def evolve_pair(
         v = spectrum.right_eigenvectors
         c = spectrum.coefficients(spectrum.coefficients(psi0).T).T
         phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
-        # column-major like the integrator branch's batched restrict: both
-        # branches hand fidelity one memory layout, so one summation order
-        states = np.empty((times.size, basis.dim), dtype=complex, order="F")
+        states = np.empty((times.size, basis.dim), dtype=complex)
         for k, phase in enumerate(phases):  # one L x L amplitude matrix alive
             w = v * phase  # V diag(exp(-i e t))
             states[k] = basis.restrict(w @ c @ w.T)
@@ -302,9 +300,11 @@ def fidelity(series: TimeSeries) -> np.ndarray:
     Bounded in [0, 1] by Cauchy-Schwarz, exactly as computed.
     """
     phi0 = series.initial_state
+    # C order: the sums below round alike whatever layout the states come in
+    states = np.ascontiguousarray(series.states)
     n0 = np.linalg.norm(phi0) ** 2
-    overlaps = np.abs(series.states @ np.conj(phi0)) ** 2
-    norms = np.linalg.norm(series.states, axis=1) ** 2
+    overlaps = np.abs(states @ np.conj(phi0)) ** 2
+    norms = np.linalg.norm(states, axis=1) ** 2
     if np.any(norms == 0):
         raise ValueError("evolved state has zero norm; fidelity undefined")
     return overlaps / (norms * n0)

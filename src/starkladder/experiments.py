@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -61,13 +63,14 @@ from .spectra import (
 
 __all__ = [
     "ConfigError",
+    "Experiment",
     "ExperimentConfig",
-    "RunConfig",
     "OutputConfig",
     "load_config",
     "validate",
     "list_experiments",
     "run",
+    "EXPERIMENTS",
     "EXPERIMENT_NAMES",
 ]
 
@@ -78,44 +81,67 @@ class ConfigError(ValueError):
 
 _MODEL_KEYS = {"kind", "n_sites", "omega", "j_even", "j_odd", "origin_offset"}
 _MANIFEST_META_KEYS = {"version", "generated_files"}
-
-EXPERIMENT_NAMES = (
-    "spectrum",
-    "ladder_scan",
-    "e0_vs_omega",
-    "evolve1d",
-    "evolve2d",
-    "pair_equivalence",
-)
+_CHAINS = [k for k in LatticeKind if k.is_chain]
+_PAIRS = [k for k in LatticeKind if k.is_pair]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-section parameters; every field has a usable default.
+def _ascending(values) -> bool:
+    return len(values) > 0 and all(b > a for a, b in zip(values, values[1:]))
 
-    ``lam`` (JSON key ``lambda``) defaults to the computed growth rate
-    Im E0 of the selected reference state (0 for real spectra); ``t_late``
-    to ``max(10 / (2 Im E0), 3 pi / omega)``; ``expected_spacing`` to the
-    ladder step of the model (unit-cell size times omega); ``t_max`` to
-    two rescaled periods ``2 pi / omega``.
-    """
 
-    times: tuple | None = None
-    t_max: float | None = None
-    n_steps: int = 64
-    lam: float | None = None
-    alpha: float = 0.3
-    j0: int | None = None
-    initial_state: str = "gaussian"  # gaussian | site | random
-    project: bool = False  # keep only the detected im_sign ladder family
-    im_sign: str = "+"
-    t_late: float | None = None
-    seed: int = 0
-    expected_spacing: float | None = None
-    tol: float = DETECTION_TOL
-    omega_grid: tuple | None = None
-    sides: tuple = (4, 6, 8)
-    from_run: str | None = None
+def _ladder_spacing(expected_spacing, model: LatticeSpec) -> float:
+    """The given spacing, or the model's ladder step (unit cell times omega)."""
+    if expected_spacing is not None:
+        return expected_spacing
+    return (1 if model.kind is LatticeKind.UNIFORM_1D else 2) * model.omega
+
+
+def _pair_specs(side: int, omega: float) -> dict:
+    return {kind: LatticeSpec(kind=kind, n_sites=side, omega=omega) for kind in _PAIRS}
+
+
+# Every run key: JSON name -> (default, check, what the check asks of a value).
+# A check takes (value, model) and may raise ValueError naming the fault.  A
+# None default resolves at run time: ``lambda`` to Im E0 of the reference
+# state, ``t_late`` to ``max(10 / (2 Im E0), 3 pi / omega)``, ``t_max`` to the
+# experiment's span, ``j0`` to the middle site, ``expected_spacing`` to the
+# model's ladder step.  ``project`` keeps only the detected im_sign family.
+_RUN_KEYS = {
+    "times": (None, lambda v, m: v is None or _ascending(v) and v[0] == 0,
+              "must start at 0 and ascend strictly"),
+    "t_max": (None, lambda v, m: v is None or v > 0, "must be positive"),
+    "n_steps": (64, lambda v, m: isinstance(v, int) and v >= 1, "must be an integer >= 1"),
+    "lambda": (None, None, ""),
+    "alpha": (0.3, lambda v, m: v > 0, "must be positive"),
+    "j0": (None, lambda v, m: v is None or 0 <= v < m.n_sites,
+           "must be a site of the chain, 0 <= j0 < n_sites"),
+    "initial_state": ("gaussian", lambda v, m: v in ("gaussian", "site", "random"),
+                      "must be gaussian, site or random"),
+    "project": (False, None, ""),
+    "im_sign": ("+", lambda v, m: v in ("+", "-"), "must be '+' or '-'"),
+    "t_late": (None, lambda v, m: v is None or v > 0, "must be positive"),
+    "seed": (0, None, ""),
+    "expected_spacing": (None, lambda v, m: _ladder_spacing(v, m) > 0,
+                         "must resolve to a positive value"),
+    "tol": (DETECTION_TOL, lambda v, m: v > 0, "must be positive"),
+    "omega_grid": (tuple(np.round(np.arange(0.2, 1.2 + 1e-9, 0.1), 10)),
+                   lambda v, m: _ascending(v) and v[0] > 0,
+                   "must be positive and ascend strictly"),
+    "sides": ((4, 6, 8), lambda v, m: len(v) > 0 and all(_pair_specs(s, m.omega) for s in v),
+              "must not be empty"),
+    "from_run": (None, lambda v, m: v is not None, "is required: a prior evolve1d run "
+                 "directory providing the projected profile (never recomputed silently)"),
+}
+
+
+class Experiment(NamedTuple):
+    """One experiment: its runner (whose docstring says what it demonstrates),
+    the run keys and lattice kinds that the runner reads, and its outputs."""
+
+    runner: Callable  # (cfg, outdir) -> (files, checks)
+    run_keys: tuple
+    kinds: Collection
+    outputs: tuple
 
 
 @dataclass(frozen=True)
@@ -128,7 +154,7 @@ class OutputConfig:
 class ExperimentConfig:
     experiment: str
     model: LatticeSpec
-    run: RunConfig = field(default_factory=RunConfig)
+    run: tuple  # named tuple of EXPERIMENTS[experiment].run_keys
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self) -> dict:
@@ -140,17 +166,10 @@ class ExperimentConfig:
             "j_odd": [self.model.j_odd.real, self.model.j_odd.imag],
             "origin_offset": self.model.origin_offset,
         }
-        run = {}
-        for f in fields(RunConfig):
-            key = "lambda" if f.name == "lam" else f.name
-            value = getattr(self.run, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            run[key] = value
         return {
             "experiment": self.experiment,
             "model": model,
-            "run": run,
+            "run": dict(zip(EXPERIMENTS[self.experiment].run_keys, self.run)),
             "output": {"directory": self.output.directory, "format": self.output.format},
         }
 
@@ -176,6 +195,10 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
         )
 
 
+def _readers(key: str) -> str:
+    return ", ".join(n for n, e in EXPERIMENTS.items() if key in e.run_keys) or "none"
+
+
 def _parse_model(section: dict) -> LatticeSpec:
     _reject_unknown(section, _MODEL_KEYS, "model")
     kw = dict(section)
@@ -197,38 +220,27 @@ def _parse_model(section: dict) -> LatticeSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
-def _parse_run(section: dict) -> RunConfig:
-    section = dict(section)
-    if "lambda" in section:
-        section["lam"] = section.pop("lambda")
-    allowed = {f.name for f in fields(RunConfig)}
-    _reject_unknown(section, allowed, "run")
-    for key in ("times", "omega_grid", "sides"):
-        if section.get(key) is not None:
-            section[key] = tuple(section[key])
-    try:
-        cfg = RunConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"run: {exc}") from exc
-    if cfg.initial_state not in ("gaussian", "site", "random"):
-        raise ConfigError(
-            f"run.initial_state: {cfg.initial_state!r} not in gaussian|site|random"
-        )
-    if cfg.im_sign not in ("+", "-"):
-        raise ConfigError(f"run.im_sign: {cfg.im_sign!r} must be '+' or '-'")
-    if cfg.n_steps < 1:
-        raise ConfigError("run.n_steps must be >= 1")
-    if cfg.tol <= 0:
-        raise ConfigError("run.tol must be positive")
-    if cfg.alpha <= 0:
-        raise ConfigError("run.alpha must be positive")
-    if cfg.times is not None:
-        times = list(cfg.times)
-        if not times or times[0] != 0 or any(
-            b <= a for a, b in zip(times, times[1:])
-        ):
-            raise ConfigError("run.times must start at 0 and ascend strictly")
-    return cfg
+def _parse_run(section: dict, experiment: str, model: LatticeSpec) -> tuple:
+    declared = EXPERIMENTS[experiment].run_keys
+    undeclared = [key for key in sorted(section) if key not in declared]
+    if undeclared:
+        readers = "; ".join(f"{k!r} (read by {_readers(k)})" for k in undeclared)
+        raise ConfigError(f"run: {experiment} reads {list(declared)}, not {readers}")
+    values = []
+    for key in declared:
+        default, check, need = _RUN_KEYS[key]
+        value = section.get(key, default)
+        if isinstance(value, list):
+            value = tuple(value)
+        try:
+            ok = check is None or check(value, model)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"run.{key}: {exc}") from exc
+        if not ok:
+            raise ConfigError(f"run.{key} {need} (got {value!r})")
+        values.append(value)
+    fields = ["lam" if k == "lambda" else k for k in declared]  # lambda is a keyword
+    return namedtuple(f"{experiment}_run", fields)(*values)
 
 
 def _parse_output(section: dict) -> OutputConfig:
@@ -257,7 +269,9 @@ def load_config(
     ``overrides`` uses the same nesting as the file
     (``{"model": {...}, "run": {...}, ...}``) and wins over file values.
     A previously written ``manifest.json`` is accepted directly (its
-    ``version`` / ``generated_files`` keys are ignored).
+    ``version`` / ``generated_files`` keys are ignored).  The experiment
+    must read every run key given and run on the model's lattice kind
+    (:data:`EXPERIMENTS`).
     """
     data: dict = {}
     if path is not None:
@@ -276,14 +290,21 @@ def load_config(
 
     _reject_unknown(merged, {"experiment", "model", "run", "output"}, "config")
     experiment = merged.get("experiment")
-    if experiment not in EXPERIMENT_NAMES:
+    if experiment not in EXPERIMENTS:
         raise ConfigError(
-            f"experiment: {experiment!r} is not one of {list(EXPERIMENT_NAMES)}"
+            f"experiment: {experiment!r} is not one of {list(EXPERIMENTS)}"
+        )
+    model = _parse_model(merged.get("model", {}))
+    kinds = EXPERIMENTS[experiment].kinds
+    if model.kind not in kinds:
+        allowed = [k.value for k in LatticeKind if k in kinds]
+        raise ConfigError(
+            f"model.kind: {experiment} runs on {allowed}, not {model.kind.value!r}"
         )
     return ExperimentConfig(
         experiment=experiment,
-        model=_parse_model(merged.get("model", {})),
-        run=_parse_run(merged.get("run", {})),
+        model=model,
+        run=_parse_run(merged.get("run", {}), experiment, model),
         output=_parse_output(merged.get("output", {})),
     )
 
@@ -298,47 +319,16 @@ def validate(path: str | Path | None = None, overrides: dict | None = None) -> l
 
 
 def list_experiments() -> list:
-    """Catalog of available experiments and what each one demonstrates."""
+    """Catalog of the experiments: what each demonstrates, reads and writes."""
     return [
         {
-            "name": "spectrum",
-            "demonstrates": "complex eigenvalues with residual certificates and "
-            "localization data for any supported lattice",
-            "outputs": ["eigenvalues table"],
-        },
-        {
-            "name": "ladder_scan",
-            "demonstrates": "equally spaced complex ladder families and conjugate "
-            "pairing in a tilted-chain spectrum",
-            "outputs": ["ladder report", "rung table"],
-        },
-        {
-            "name": "e0_vs_omega",
-            "demonstrates": "linearity of the reference energy's real part in the "
-            "tilt slope, and eigenfunction narrowing as the slope grows",
-            "outputs": ["scan table with linear fit"],
-        },
-        {
-            "name": "evolve1d",
-            "demonstrates": "single-particle Bloch oscillation under rate rescaling: "
-            "periodic at the matched growth rate, damped above it; also serializes "
-            "the long-time projected profile for 2D seeding",
-            "outputs": ["site probability table", "projected profile"],
-        },
-        {
-            "name": "evolve2d",
-            "demonstrates": "two-particle Bloch oscillation on the square-lattice "
-            "encoding: probability snapshots over one period and the fidelity "
-            "revival that identifies the pair period",
-            "outputs": ["fidelity table", "probability snapshots"],
-        },
-        {
-            "name": "pair_equivalence",
-            "demonstrates": "entrywise certification of the 2D pair lattices "
-            "against a second-quantized oracle, sector decomposition, and evolution "
-            "equivalence",
-            "outputs": ["equivalence report"],
-        },
+            "name": name,
+            "demonstrates": " ".join(e.runner.__doc__.split()),
+            "parameters": list(e.run_keys),
+            "kinds": [k.value for k in LatticeKind if k in e.kinds],
+            "outputs": list(e.outputs),
+        }
+        for name, e in EXPERIMENTS.items()
     ]
 
 
@@ -398,18 +388,14 @@ def _build_operator(model: LatticeSpec):
     return build_pair_lattice(model) if model.kind.is_pair else build_chain(model)
 
 
-def _unit_cell(kind: LatticeKind) -> int:
-    return 1 if kind is LatticeKind.UNIFORM_1D else 2
-
-
-def _resolved_times(run: RunConfig, omega: float, default_span: float) -> np.ndarray:
+def _resolved_times(run: tuple, default_span: float) -> np.ndarray:
     if run.times is not None:
         return np.asarray(run.times, dtype=float)
     t_max = default_span if run.t_max is None else float(run.t_max)
     return np.linspace(0.0, t_max, run.n_steps + 1)
 
 
-def _initial_state(run: RunConfig, dim: int) -> np.ndarray:
+def _initial_state(run: tuple, dim: int) -> np.ndarray:
     j0 = dim // 2 if run.j0 is None else int(run.j0)
     if run.initial_state == "gaussian":
         return gaussian_state(run.alpha, j0, dim)
@@ -426,6 +412,8 @@ def _initial_state(run: RunConfig, dim: int) -> np.ndarray:
 
 
 def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
+    """Complex eigenvalues with residual certificates and localization data
+    for any supported lattice."""
     h = _build_operator(cfg.model)
     spectrum = eigendecompose(h)
     is_chain = cfg.model.kind.is_chain
@@ -461,13 +449,11 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
 
 def _run_ladder_scan(cfg: ExperimentConfig, outdir: Path) -> tuple:
+    """Equally spaced complex ladder families and conjugate pairing in a
+    tilted-chain spectrum."""
     h = _build_operator(cfg.model)
     spectrum = eigendecompose(h)
-    spacing = cfg.run.expected_spacing
-    if spacing is None:
-        spacing = _unit_cell(cfg.model.kind) * cfg.model.omega
-    if spacing <= 0:
-        raise ConfigError("run.expected_spacing must resolve to a positive value")
+    spacing = _ladder_spacing(cfg.run.expected_spacing, cfg.model)
     report = detect_ladders(spectrum, spacing, cfg.run.tol)
     rows = []
     for fam_id, fam in enumerate(report.families):
@@ -498,12 +484,9 @@ def _run_ladder_scan(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
 
 def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
-    if not cfg.model.kind.is_chain:
-        raise ConfigError("e0_vs_omega runs on 1D chains")
-    grid = cfg.run.omega_grid
-    if grid is None:
-        grid = tuple(np.round(np.arange(0.2, 1.2 + 1e-9, 0.1), 10))
-    scan = scan_E0_vs_omega(cfg.model, grid, im_sign=cfg.run.im_sign)
+    """Linearity of the reference energy's real part in the tilt slope, and
+    eigenfunction narrowing as the slope grows."""
+    scan = scan_E0_vs_omega(cfg.model, cfg.run.omega_grid, im_sign=cfg.run.im_sign)
     rows = [
         [
             scan.omegas[i],
@@ -538,8 +521,9 @@ def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
 
 def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
-    if not cfg.model.kind.is_chain:
-        raise ConfigError("evolve1d runs on 1D chains; use evolve2d for pair lattices")
+    """Single-particle Bloch oscillation under rate rescaling: periodic at the
+    matched growth rate, damped above it; also serializes the long-time
+    projected profile for 2D seeding."""
     model = cfg.model
     h = build_chain(model)
     spectrum = eigendecompose(h)
@@ -549,11 +533,10 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
     period = math.pi / model.omega if model.omega > 0 else None
     default_span = 2 * period if period else 10.0
-    times = _resolved_times(cfg.run, model.omega, default_span)
+    times = _resolved_times(cfg.run, default_span)
     psi0 = _initial_state(cfg.run, model.n_sites)
     if cfg.run.project:
-        spacing = _unit_cell(model.kind) * model.omega
-        report = detect_ladders(spectrum, spacing, cfg.run.tol)
+        report = detect_ladders(spectrum, _ladder_spacing(None, model), cfg.run.tol)
         sign = 1.0 if cfg.run.im_sign == "+" else -1.0
         fams = [
             f
@@ -669,13 +652,9 @@ def _load_mu(from_run: str) -> dict:
 
 
 def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
-    if not cfg.model.kind.is_pair:
-        raise ConfigError("evolve2d needs a pair lattice model kind")
-    if cfg.run.from_run is None:
-        raise ConfigError(
-            "evolve2d requires run.from_run: a prior evolve1d run directory "
-            "providing the projected profile (never recomputed silently)"
-        )
+    """Two-particle Bloch oscillation on the square-lattice encoding:
+    probability snapshots over one period and the fidelity revival that
+    identifies the pair period."""
     payload = _load_mu(cfg.run.from_run)
     side = cfg.model.n_sites
     if payload["kind"] != LatticeKind.DIMER_1I.value:
@@ -709,7 +688,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "pi_over_omega": math.pi / omega,
     }
     default_span = 1.1 * candidates["pi_over_omega"]
-    times = _resolved_times(cfg.run, omega, default_span)
+    times = _resolved_times(cfg.run, default_span)
     snapshot_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
@@ -769,6 +748,9 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
 
 def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
+    """Entrywise certification of the 2D pair lattices against a
+    second-quantized oracle, sector decomposition, and evolution
+    equivalence."""
     omega = cfg.model.omega
     rng = np.random.default_rng(cfg.run.seed)
     per_side = []
@@ -776,9 +758,7 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         side = int(side)
         entry = {"side": side, "omega": omega}
         lattices = {
-            kind: build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=omega))
-            for kind in LatticeKind
-            if kind.is_pair
+            kind: build_pair_lattice(spec) for kind, spec in _pair_specs(side, omega).items()
         }
         oracles = {kind: oracle_pair_hamiltonian(kind, side, omega) for kind in lattices}
         for kind, built in lattices.items():
@@ -829,14 +809,25 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "ladder_scan": _run_ladder_scan,
-    "e0_vs_omega": _run_e0_vs_omega,
-    "evolve1d": _run_evolve1d,
-    "evolve2d": _run_evolve2d,
-    "pair_equivalence": _run_pair_equivalence,
+EXPERIMENTS = {
+    "spectrum": Experiment(_run_spectrum, (), LatticeKind, ("eigenvalues table",)),
+    "ladder_scan": Experiment(_run_ladder_scan, ("expected_spacing", "tol"), LatticeKind,
+                              ("ladder report", "rung table")),
+    "e0_vs_omega": Experiment(_run_e0_vs_omega, ("omega_grid", "im_sign"), _CHAINS,
+                              ("scan table with linear fit",)),
+    "evolve1d": Experiment(
+        _run_evolve1d,
+        ("times", "t_max", "n_steps", "lambda", "alpha", "j0", "initial_state",
+         "project", "im_sign", "t_late", "seed", "tol"),
+        _CHAINS,
+        ("site probability table", "projected profile"),
+    ),
+    "evolve2d": Experiment(_run_evolve2d, ("from_run", "times", "t_max", "n_steps"),
+                           _PAIRS, ("fidelity table", "probability snapshots")),
+    "pair_equivalence": Experiment(_run_pair_equivalence, ("sides", "seed"), LatticeKind,
+                                   ("equivalence report",)),
 }
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run(cfg: ExperimentConfig) -> dict:
@@ -847,7 +838,7 @@ def run(cfg: ExperimentConfig) -> dict:
     """
     outdir = Path(cfg.output.directory or f"runs/{cfg.experiment}")
     outdir.mkdir(parents=True, exist_ok=True)
-    files, checks = _RUNNERS[cfg.experiment](cfg, outdir)
+    files, checks = EXPERIMENTS[cfg.experiment].runner(cfg, outdir)
     checks_path = _write_json(outdir, "checks", checks)
     manifest = cfg.to_dict()
     manifest["version"] = __version__

@@ -296,11 +296,15 @@ def time_reversal_op() -> SymmetryOp:
     return SymmetryOp(kind="time_reversal", matrix=None, antiunitary=True)
 
 
+def _parity_2d_signs(side: int) -> np.ndarray:
+    """Diagonal of the electron pair parity: ``(-1)**(x//2 + y//2)``."""
+    x = np.arange(side) // 2
+    return np.where((x[:, None] + x[None, :]) % 2 == 0, 1.0, -1.0).ravel()
+
+
 def parity_2d_op(side: int) -> SymmetryOp:
     """Diagonal parity on the electron pair basis: ``(-1)**(x//2 + y//2)``."""
-    x = np.arange(side) // 2
-    signs = np.where((x[:, None] + x[None, :]) % 2 == 0, 1.0, -1.0).ravel()
-    return SymmetryOp(kind="parity_2d", matrix=np.diag(signs))
+    return SymmetryOp(kind="parity_2d", matrix=np.diag(_parity_2d_signs(side)))
 
 
 def compose(*factors: SymmetryOp) -> SymmetryOp:
@@ -366,7 +370,8 @@ def pt_commutator_deviation(h2d: OperatorMatrix) -> float:
     """Norm of the commutator of parity-times-conjugation with ``H``.
 
     For antiunitary ``PT``, ``[PT, H] v = (P conj(H) - H P) conj(v)``, so
-    the reported value is ``|| P conj(H) - H P ||``.
+    the reported value is ``|| P conj(H) - H P ||``; the diagonal ``P``
+    scales rows and columns.
     """
-    p = parity_2d_op(electron_side(h2d)).matrix
-    return float(np.linalg.norm(p @ np.conj(h2d.entries) - h2d.entries @ p))
+    p, h = _parity_2d_signs(electron_side(h2d)), h2d.entries
+    return float(np.linalg.norm(p[:, None] * np.conj(h) - h * p))

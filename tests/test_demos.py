@@ -17,6 +17,25 @@ def _value(stdout: str, prefix: str) -> float:
     return float(match.group(1))
 
 
+def _finds_the_two_conjugate_ladders(stdout: str) -> None:
+    assert "detected 2 ladder families" in stdout
+    assert "without tilt: 0 families" in stdout
+
+
+def _fits_a_straight_line(stdout: str) -> None:
+    match = re.search(r"^linear fit of Re E0: .* max residual (\S+)$", stdout,
+                      re.MULTILINE)
+    assert match, "no linear fit line"
+    assert float(match.group(1)) < 1e-2
+
+
+def _matched_rate_is_periodic(stdout: str) -> None:
+    pattern = r"\(matched\):\n\s+max interior \|P\(t \+ T\) - P\(t\)\| = (\S+)"
+    match = re.search(pattern, stdout)
+    assert match, "no matched-rate periodicity line"
+    assert float(match.group(1)) < 1e-6
+
+
 def _sectors_are_the_statistics_lattices(stdout: str) -> None:
     assert _value(stdout, "symmetric sector vs boson lattice:") < 1e-12
     assert _value(stdout, "antisymmetric sector vs fermion lattice:") < 1e-12
@@ -28,13 +47,17 @@ def _finds_the_pair_period(stdout: str) -> None:
     assert "empirical pair period: pi/w" in stdout
 
 
+_DEMOS = [
+    ("01_ladder_detection.py", _finds_the_two_conjugate_ladders),
+    ("02_reference_energy_scan.py", _fits_a_straight_line),
+    ("03_bloch_oscillation_1d.py", _matched_rate_is_periodic),
+    ("04_pair_lattice_oracle.py", _sectors_are_the_statistics_lattices),
+    ("05_pair_bloch_oscillation_2d.py", _finds_the_pair_period),
+]
+
+
 @pytest.mark.parametrize(
-    "script, check",
-    [
-        ("04_pair_lattice_oracle.py", _sectors_are_the_statistics_lattices),
-        ("05_pair_bloch_oscillation_2d.py", _finds_the_pair_period),
-    ],
-    ids=["04_pair_lattice_oracle", "05_pair_bloch_oscillation_2d"],
+    "script, check", _DEMOS, ids=[script.removesuffix(".py") for script, _ in _DEMOS]
 )
 def test_demo_runs(tmp_path, script, check):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

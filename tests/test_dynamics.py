@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from starkladder.dynamics import (
+    TimeSeries,
     build_pair_product_state,
     dirac_probability,
     evolve,
@@ -333,6 +334,17 @@ def test_fidelity_starts_at_one_and_stays_bounded(dimer60):
     f = fidelity(series)
     assert f[0] == pytest.approx(1.0)
     assert np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
+
+
+def test_fidelity_does_not_depend_on_memory_layout():
+    # same values in C and in column-major order: the curves must be equal
+    # bit for bit, or table bytes would hinge on how an engine laid out states
+    rng = np.random.default_rng(3)
+    states = rng.normal(size=(76, 820)) + 1j * rng.normal(size=(76, 820))
+    labels = tuple(range(820))
+    c_order = TimeSeries(np.arange(76.0), np.ascontiguousarray(states), labels)
+    f_order = TimeSeries(np.arange(76.0), np.asfortranarray(states), labels)
+    assert np.array_equal(fidelity(c_order), fidelity(f_order))
 
 
 def test_random_pair_state_has_no_revival():

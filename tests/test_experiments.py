@@ -5,6 +5,7 @@ import pytest
 
 from starkladder.cli import main
 from starkladder.experiments import (
+    EXPERIMENTS,
     ConfigError,
     list_experiments,
     load_config,
@@ -25,7 +26,7 @@ def _write(tmp_path, name, payload):
 
 
 def test_defaults_fill_every_field():
-    cfg = load_config(overrides={"experiment": "spectrum"})
+    cfg = load_config(overrides={"experiment": "evolve1d"})
     assert cfg.model.kind.value == "dimer_1i"
     assert cfg.model.n_sites == 60
     assert cfg.model.omega == 0.2
@@ -54,10 +55,21 @@ def test_flags_override_file_values(tmp_path):
         {"experiment": "spectrum", "model": {"n_sites": -2}},
         {"experiment": "spectrum", "model": {"kind": "triangle"}},
         {"experiment": "spectrum", "output": {"format": "yaml"}},
-        {"experiment": "spectrum", "run": {"im_sign": "?"}},
-        {"experiment": "spectrum", "run": {"initial_state": "plane"}},
-        {"experiment": "spectrum", "run": {"times": [1.0, 2.0]}},
+        {"experiment": "evolve1d", "run": {"im_sign": "?"}},
+        {"experiment": "evolve1d", "run": {"initial_state": "plane"}},
+        {"experiment": "evolve1d", "run": {"times": [1.0, 2.0]}},
         {"experiment": "spectrum", "model": {"j_even": {"re": 1}}},
+        {"experiment": "evolve1d", "model": {"kind": "pair_2d_electron"}},
+        {"experiment": "evolve2d", "model": {"kind": "dimer_1i"}},
+        # each of these passed validation and then failed the run
+        {"experiment": "e0_vs_omega", "run": {"omega_grid": [0.4, 0.2]}},
+        {"experiment": "pair_equivalence", "run": {"sides": [3]}},
+        {"experiment": "evolve1d", "model": {"n_sites": 40}, "run": {"j0": 99}},
+        {"experiment": "ladder_scan", "run": {"expected_spacing": -1}},
+        {"experiment": "evolve2d", "model": {"kind": "pair_2d_electron"}},
+        {"experiment": "evolve1d", "run": {"t_max": -1}},
+        {"experiment": "evolve1d", "run": {"t_late": -5}},
+        {"experiment": "evolve1d", "run": {"n_steps": 2.5}},
     ],
 )
 def test_bad_configs_rejected(tmp_path, payload):
@@ -85,6 +97,25 @@ def test_validate_reports_missing_file():
     assert validate("/nonexistent/конфиг.json")
 
 
+_UNDECLARED = [
+    (name, key)
+    for name in EXPERIMENTS
+    for key in sorted({k for e in EXPERIMENTS.values() for k in e.run_keys})
+    if key not in EXPERIMENTS[name].run_keys
+]
+
+
+@pytest.mark.parametrize("experiment, key", _UNDECLARED)
+def test_experiment_refuses_keys_it_does_not_read(tmp_path, experiment, key):
+    kind = min(EXPERIMENTS[experiment].kinds).value
+    payload = {"experiment": experiment, "model": {"kind": kind}, "run": {key: 1}}
+    path = _write(tmp_path, "cfg.json", payload)
+    readers = ", ".join(name for name, e in EXPERIMENTS.items() if key in e.run_keys)
+    with pytest.raises(ConfigError, match=rf"not '{key}' \(read by {readers}\)"):
+        load_config(path)
+    assert validate(path)
+
+
 def test_catalog_lists_every_experiment():
     catalog = list_experiments()
     assert len(catalog) >= 6
@@ -98,6 +129,9 @@ def test_catalog_lists_every_experiment():
         "pair_equivalence",
     }
     assert all(entry["demonstrates"] for entry in catalog)
+    params = {entry["name"]: entry["parameters"] for entry in catalog}
+    assert params["spectrum"] == []
+    assert params["pair_equivalence"] == ["sides", "seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +254,21 @@ def test_evolve1d_then_evolve2d_chain(tmp_path):
     }
     assert (tmp_path / "pair" / "fidelity.csv").exists()
     assert (tmp_path / "pair" / "snapshots.csv").exists()
+    manifest = json.loads((tmp_path / "pair" / "manifest.json").read_text())
+    assert manifest["run"] == {
+        "from_run": str(run1), "times": None, "t_max": None, "n_steps": 24
+    }
 
 
 def test_evolve2d_requires_seed_run(tmp_path):
-    cfg = load_config(
-        overrides={
-            "experiment": "evolve2d",
-            "model": {"kind": "pair_2d_electron", "n_sites": 8},
-            "output": {"directory": str(tmp_path)},
-        }
-    )
     with pytest.raises(ConfigError, match="from_run"):
-        run(cfg)
+        load_config(
+            overrides={
+                "experiment": "evolve2d",
+                "model": {"kind": "pair_2d_electron", "n_sites": 8},
+                "output": {"directory": str(tmp_path)},
+            }
+        )
 
 
 def test_evolve2d_refuses_mismatched_parameters(tmp_path):
@@ -345,6 +382,19 @@ def test_evolve1d_extracts_profile_at_slope_extremes(tmp_path, omega):
     assert checks["mu_extracted"] is True
 
 
+def test_evolve1d_random_state_follows_seed(tmp_path):
+    def table(seed, name):
+        run(load_config(overrides={
+            "experiment": "evolve1d",
+            "model": {"n_sites": 12},
+            "run": {"initial_state": "random", "seed": seed, "n_steps": 4},
+            "output": {"directory": str(tmp_path / name)},
+        }))
+        return (tmp_path / name / "probability.csv").read_bytes()
+
+    assert table(7, "a") == table(7, "b") != table(8, "c")
+
+
 def test_evolve1d_projected_periodicity(tmp_path):
     cfg = load_config(
         overrides={
@@ -375,6 +425,8 @@ def test_cli_config_error_exit_code(capsys):
     assert main(["spectrum", "--sites", "1"]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["validate", "--experiment", "spectrum", "--sites", "1"]) == 2
+    assert main(["spectrum", "--sites", "12", "--lambda", "5"]) == 2
+    assert "'lambda' (read by evolve1d)" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
