@@ -10,7 +10,6 @@ deterministic by the fixed eigenvector phase convention.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import namedtuple
@@ -89,6 +88,21 @@ def _ascending(values) -> bool:
     return len(values) > 0 and all(b > a for a, b in zip(values, values[1:]))
 
 
+def _real(value) -> bool:
+    """A finite real number; JSON ``true``/``false`` are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _reals(values) -> bool:
+    return isinstance(values, tuple) and all(_real(v) for v in values)
+
+
+def _count(value) -> bool:
+    """A non-negative integer."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _ladder_spacing(expected_spacing, model: LatticeSpec) -> float:
     """The given spacing, or the model's ladder step (unit cell times omega)."""
     if expected_spacing is not None:
@@ -107,29 +121,35 @@ def _pair_specs(side: int, omega: float) -> dict:
 # experiment's span, ``j0`` to the middle site, ``expected_spacing`` to the
 # model's ladder step.  ``project`` keeps only the detected im_sign family.
 _RUN_KEYS = {
-    "times": (None, lambda v, m: v is None or _ascending(v) and v[0] == 0,
-              "must start at 0 and ascend strictly"),
-    "t_max": (None, lambda v, m: v is None or v > 0, "must be positive"),
-    "n_steps": (64, lambda v, m: isinstance(v, int) and v >= 1, "must be an integer >= 1"),
-    "lambda": (None, None, ""),
-    "alpha": (0.3, lambda v, m: v > 0, "must be positive"),
-    "j0": (None, lambda v, m: v is None or 0 <= v < m.n_sites,
-           "must be a site of the chain, 0 <= j0 < n_sites"),
+    "times": (None, lambda v, m: v is None or _reals(v) and _ascending(v) and v[0] == 0,
+              "must be finite numbers that start at 0 and ascend strictly"),
+    "t_max": (None, lambda v, m: v is None or _real(v) and v > 0,
+              "must be a positive finite number"),
+    "n_steps": (64, lambda v, m: _count(v) and v >= 1, "must be an integer >= 1"),
+    "lambda": (None, lambda v, m: v is None or _real(v), "must be a finite number"),
+    "alpha": (0.3, lambda v, m: _real(v) and v > 0, "must be a positive finite number"),
+    "j0": (None, lambda v, m: v is None or _count(v) and v < m.n_sites,
+           "must be a site of the chain, an integer 0 <= j0 < n_sites"),
     "initial_state": ("gaussian", lambda v, m: v in ("gaussian", "site", "random"),
                       "must be gaussian, site or random"),
-    "project": (False, None, ""),
+    "project": (False, lambda v, m: isinstance(v, bool), "must be true or false"),
     "im_sign": ("+", lambda v, m: v in ("+", "-"), "must be '+' or '-'"),
-    "t_late": (None, lambda v, m: v is None or v > 0, "must be positive"),
-    "seed": (0, None, ""),
-    "expected_spacing": (None, lambda v, m: _ladder_spacing(v, m) > 0,
-                         "must resolve to a positive value"),
-    "tol": (DETECTION_TOL, lambda v, m: v > 0, "must be positive"),
+    "t_late": (None, lambda v, m: v is None or _real(v) and v > 0,
+               "must be a positive finite number"),
+    "seed": (0, lambda v, m: _count(v), "must be an integer >= 0"),
+    "expected_spacing": (None,
+                         lambda v, m: (v is None or _real(v)) and _ladder_spacing(v, m) > 0,
+                         "must be a finite number and resolve to a positive value"),
+    "tol": (DETECTION_TOL, lambda v, m: _real(v) and v > 0,
+            "must be a positive finite number"),
     "omega_grid": (tuple(np.round(np.arange(0.2, 1.2 + 1e-9, 0.1), 10)),
-                   lambda v, m: _ascending(v) and v[0] > 0,
-                   "must be positive and ascend strictly"),
-    "sides": ((4, 6, 8), lambda v, m: len(v) > 0 and all(_pair_specs(s, m.omega) for s in v),
-              "must not be empty"),
-    "from_run": (None, lambda v, m: v is not None, "is required: a prior evolve1d run "
+                   lambda v, m: _reals(v) and _ascending(v) and v[0] > 0,
+                   "must be finite numbers that are positive and ascend strictly"),
+    "sides": ((4, 6, 8),
+              lambda v, m: (_reals(v) and len(v) > 0
+                            and all(_pair_specs(s, m.omega) for s in v)),
+              "must be a non-empty list of sides"),
+    "from_run": (None, lambda v, m: isinstance(v, str), "is required: a prior evolve1d run "
                  "directory providing the projected profile (never recomputed silently)"),
 }
 
@@ -337,36 +357,50 @@ def list_experiments() -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# csv rows formatted per write: only one block's text is held in memory
+_ROWS_PER_WRITE = 1024
 
 
-def _json_cell(value):
-    if isinstance(value, str):
-        return value
-    return value.item() if hasattr(value, "item") else value
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect (quoted only
+    where it holds a comma, a quote or a line break)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_table(outdir: Path, name: str, meta: dict, columns, rows, fmt: str) -> Path:
+def _cells(col: np.ndarray) -> list:
+    """One column as text: ``repr`` of each float, ``str`` of each integer,
+    strings quoted as a csv field."""
+    if col.dtype.kind == "f":
+        return list(map(repr, col.tolist()))
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    return list(map(_csv_field, col.tolist()))
+
+
+def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -> Path:
+    """Write ``columns`` (header -> one value per row) as ``<name>.csv`` or
+    ``<name>.json``."""
     if fmt == "json":
         path = outdir / f"{name}.json"
+        cells = [np.asarray(col).tolist() for col in columns.values()]
         payload = {
             "meta": meta,
             "columns": list(columns),
-            "rows": [[_json_cell(v) for v in row] for row in rows],
+            "rows": [list(row) for row in zip(*cells)],
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
     path = outdir / f"{name}.csv"
+    cols = [np.asarray(col) for col in columns.values()]
     with path.open("w", newline="") as fh:
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        fh.write(",".join(map(_csv_field, columns)) + "\r\n")
+        for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
+            block = zip(*(_cells(col[start:start + _ROWS_PER_WRITE]) for col in cols))
+            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
     return path
 
 
@@ -416,26 +450,18 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
     for any supported lattice."""
     h = _build_operator(cfg.model)
     spectrum = eigendecompose(h)
-    is_chain = cfg.model.kind.is_chain
-    columns = ["index", "re", "im", "residual"]
-    if is_chain:
-        columns += ["center", "participation_ratio"]
-    rows = []
-    for k in range(spectrum.dim):
-        row = [
-            k,
-            spectrum.eigenvalues[k].real,
-            spectrum.eigenvalues[k].imag,
-            spectrum.residuals[k],
-        ]
-        if is_chain:
-            amps = spectrum.right_eigenvectors[:, k]
-            row += [localization_center(amps), participation_ratio(amps)]
-        rows.append(row)
+    columns = {
+        "index": np.arange(spectrum.dim),
+        "re": spectrum.eigenvalues.real,
+        "im": spectrum.eigenvalues.imag,
+        "residual": spectrum.residuals,
+    }
+    if cfg.model.kind.is_chain:
+        vectors = spectrum.right_eigenvectors.T
+        columns["center"] = [localization_center(v) for v in vectors]
+        columns["participation_ratio"] = [participation_ratio(v) for v in vectors]
     files = [
-        _write_table(
-            outdir, "eigenvalues", _model_meta(cfg), columns, rows, cfg.output.format
-        )
+        _write_table(outdir, "eigenvalues", _model_meta(cfg), columns, cfg.output.format)
     ]
     checks = {
         "dim": spectrum.dim,
@@ -448,6 +474,24 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
+def _bulk_spacing_deviation(spectrum, families, spacing: float) -> float | None:
+    """Largest ``|step - spacing|`` over consecutive rungs whose eigenvectors
+    are both centred inside the chain's interior window: the rungs near the
+    ends feel the truncation, the bulk ones do not."""
+    if not families:
+        return None
+    win = interior_slice(spectrum.dim)
+    vectors = spectrum.right_eigenvectors
+    devs = []
+    for fam in families:
+        idx = list(fam.member_indices)
+        centers = np.array([localization_center(vectors[:, i]) for i in idx])
+        inside = (centers >= win.start) & (centers <= win.stop - 1)
+        steps = np.abs(np.diff(spectrum.eigenvalues[idx].real) - spacing)
+        devs.extend(steps[inside[1:] & inside[:-1]].tolist())
+    return max(devs, default=None)
+
+
 def _run_ladder_scan(cfg: ExperimentConfig, outdir: Path) -> tuple:
     """Equally spaced complex ladder families and conjugate pairing in a
     tilted-chain spectrum."""
@@ -455,18 +499,21 @@ def _run_ladder_scan(cfg: ExperimentConfig, outdir: Path) -> tuple:
     spectrum = eigendecompose(h)
     spacing = _ladder_spacing(cfg.run.expected_spacing, cfg.model)
     report = detect_ladders(spectrum, spacing, cfg.run.tol)
-    rows = []
-    for fam_id, fam in enumerate(report.families):
-        for rung, idx in enumerate(fam.member_indices):
-            e = spectrum.eigenvalues[idx]
-            rows.append([fam_id, rung, idx, e.real, e.imag])
+    members = np.array([i for f in report.families for i in f.member_indices], dtype=int)
+    energies = spectrum.eigenvalues[members]
     files = [
         _write_table(
             outdir,
             "rungs",
             {**_model_meta(cfg), "expected_spacing": spacing, "tol": cfg.run.tol},
-            ["family", "rung", "index", "re", "im"],
-            rows,
+            {
+                "family": np.repeat(np.arange(len(report.families)),
+                                    [f.rung_count for f in report.families]),
+                "rung": [r for f in report.families for r in range(f.rung_count)],
+                "index": members,
+                "re": energies.real,
+                "im": energies.imag,
+            },
             cfg.output.format,
         ),
         _write_json(outdir, "ladder", report.to_dict()),
@@ -475,6 +522,10 @@ def _run_ladder_scan(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "n_families": len(report.families),
         "max_spacing_deviation": max(
             (f.max_spacing_deviation for f in report.families), default=None
+        ),
+        "max_bulk_spacing_deviation": (
+            _bulk_spacing_deviation(spectrum, report.families, spacing)
+            if cfg.model.kind.is_chain else None
         ),
         "max_pairing_deviation": report.max_pairing_deviation,
         "n_unassigned": len(report.unassigned),
@@ -487,23 +538,18 @@ def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
     """Linearity of the reference energy's real part in the tilt slope, and
     eigenfunction narrowing as the slope grows."""
     scan = scan_E0_vs_omega(cfg.model, cfg.run.omega_grid, im_sign=cfg.run.im_sign)
-    rows = [
-        [
-            scan.omegas[i],
-            scan.energies[i].real,
-            scan.energies[i].imag,
-            scan.centers[i],
-            scan.participation_ratios[i],
-        ]
-        for i in range(scan.omegas.size)
-    ]
     files = [
         _write_table(
             outdir,
             "scan",
             {"model": cfg.model.kind.value, "n_sites": cfg.model.n_sites},
-            ["omega", "re_e0", "im_e0", "center", "participation_ratio"],
-            rows,
+            {
+                "omega": scan.omegas,
+                "re_e0": scan.energies.real,
+                "im_e0": scan.energies.imag,
+                "center": scan.centers,
+                "participation_ratio": scan.participation_ratios,
+            },
             cfg.output.format,
         )
     ]
@@ -562,15 +608,12 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "projected": cfg.run.project,
         "alpha": cfg.run.alpha,
     }
-    rows = [
-        [t, site, probs[k, site]]
-        for k, t in enumerate(series.times)
-        for site in range(model.n_sites)
-    ]
-    files = [
-        _write_table(outdir, "probability", meta, ["t", "site", "value"], rows,
-                     cfg.output.format)
-    ]
+    columns = {
+        "t": np.repeat(series.times, model.n_sites),
+        "site": np.tile(np.arange(model.n_sites), series.times.size),
+        "value": probs.ravel(),
+    }
+    files = [_write_table(outdir, "probability", meta, columns, cfg.output.format)]
 
     checks = {
         "method": series.method,
@@ -713,25 +756,24 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
             outdir,
             "fidelity",
             meta,
-            ["t", "value"],
-            [[t, f] for t, f in zip(series.times, f_curve)],
+            {"t": series.times, "value": f_curve},
             cfg.output.format,
         )
     ]
     probs = dirac_probability(series, 0.0)
-    rows = []
-    for frac in snapshot_fracs:
-        k = int(np.argmin(np.abs(series.times - frac * t_pair)))
-        t = series.times[k]
-        for idx, (x, y) in enumerate(basis.labels):
-            rows.append([t, x, y, probs[k, idx]])
+    shots = [int(np.argmin(np.abs(series.times - frac * t_pair))) for frac in snapshot_fracs]
+    x, y = basis.layout[:2]
     files.append(
         _write_table(
             outdir,
             "snapshots",
             {**meta, "period": t_pair},
-            ["t", "x", "y", "value"],
-            rows,
+            {
+                "t": np.repeat(series.times[shots], basis.dim),
+                "x": np.tile(x, len(shots)),
+                "y": np.tile(y, len(shots)),
+                "value": probs[shots].ravel(),
+            },
             cfg.output.format,
         )
     )

@@ -252,10 +252,24 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
 
 
 def _degenerate_indices(values: np.ndarray, tol: float) -> set:
-    """Indices involved in any complex-plane cluster tighter than ``tol``."""
-    dist = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(dist, np.inf)
-    return {int(k) for k in np.flatnonzero((dist < tol).any(axis=1))}
+    """Indices involved in any complex-plane cluster tighter than ``tol``.
+
+    Compares each level of the real-part-sorted spectrum with its neighbour
+    ``d`` places on, for d = 1, 2, ... while some such pair differs in real
+    part by at most ``tol``.  The complex distance is rounded from that same
+    real difference, so it can be below ``tol`` only inside this window.
+    O(n) memory; O(n) time per offset.
+    """
+    order = np.argsort(values.real, kind="stable")
+    ranked = values[order]
+    hit = np.zeros(values.size, dtype=bool)
+    for d in range(1, values.size):
+        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= tol)
+        if near.size == 0:
+            break
+        close = near[np.abs(ranked[near + d] - ranked[near]) < tol]
+        hit[close] = hit[close + d] = True
+    return {int(k) for k in order[hit]}
 
 
 def detect_ladders(
@@ -272,6 +286,16 @@ def detect_ladders(
     rungs are discarded; their members are reported as unassigned.
     Ambiguous extensions (two candidates in tolerance, a near-degenerate
     cluster) terminate the chain and leave a diagnostic.
+
+    Chains are started from levels in order of real part, ties in ascending
+    index order.  Each parent or successor lookup binary-searches the
+    real-part-sorted spectrum for the levels whose real part is within
+    tolerance of the target and applies the complex distance test to those
+    alone; near-degenerate clusters are found among neighbours in the same
+    order.  Cost: O(n log n + rungs * window), where ``window`` is the
+    number of levels per lookup: a few, unless many levels share a real
+    part.  No n x n array is formed here; the conjugate pairing matches the
+    Im > 0 levels against the Im < 0 ones with a dense cost matrix.
     """
     if expected_spacing <= 0:
         raise ValueError("expected_spacing must be positive")
@@ -285,6 +309,17 @@ def detect_ladders(
     def local_tol(target: complex) -> float:
         return tol * max(1.0, abs(target))
 
+    order = np.argsort(values.real, kind="stable")
+    sorted_real = values.real[order]
+
+    def window(target: complex, half: float) -> list:
+        # widened by a few ulps, so that no level within ``half`` of the
+        # target in the complex plane falls outside through rounding
+        pad = half + 4 * np.finfo(float).eps * (abs(target.real) + half)
+        lo = np.searchsorted(sorted_real, target.real - pad, side="left")
+        hi = np.searchsorted(sorted_real, target.real + pad, side="right")
+        return order[lo:hi].tolist()
+
     degenerate = _degenerate_indices(values, tol)
     diagnostics = []
     if degenerate:
@@ -295,28 +330,28 @@ def detect_ladders(
 
     used: set = set()
     families = []
-    order = np.argsort(values.real, kind="stable")
-    for k in order:
-        k = int(k)
+    for k in order.tolist():
         if k in used or k in degenerate:
             continue
         below = values[k] - expected_spacing
+        lt = local_tol(below)
         has_parent = any(
-            abs(values[j] - below) <= local_tol(below)
-            for j in range(n)
+            abs(values[j] - below) <= lt
+            for j in window(below, lt)
             if j != k and j not in degenerate
         )
         if has_parent:
             continue
         chain = [k]
+        members = {k}
         current = values[k]
         while True:
             target = current + expected_spacing
             lt = local_tol(target)
             cands = [
                 j
-                for j in range(n)
-                if j not in used and j not in degenerate and j not in chain
+                for j in window(target, lt)
+                if j not in used and j not in degenerate and j not in members
                 and abs(values[j] - target) <= lt
             ]
             if not cands:
@@ -328,6 +363,7 @@ def detect_ladders(
                 )
                 break
             chain.append(cands[0])
+            members.add(cands[0])
             current = values[cands[0]]
         if len(chain) >= 3:
             member_vals = values[chain]

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+import starkladder.experiments as experiments
 from starkladder.cli import main
 from starkladder.experiments import (
     EXPERIMENTS,
@@ -77,6 +79,44 @@ def test_bad_configs_rejected(tmp_path, payload):
     with pytest.raises(ConfigError):
         load_config(path)
     assert validate(path)  # non-empty error list
+
+
+# (experiment, run key, JSON text of a value of the wrong type or not finite);
+# each loaded before run keys were checked for type and finiteness
+_BAD_RUN_VALUES = [
+    ("evolve1d", "times", "[0, 1e400]"),
+    ("evolve1d", "t_max", "1e400"),
+    ("evolve1d", "n_steps", "true"),
+    ("evolve1d", "lambda", '"x"'),
+    ("evolve1d", "alpha", "1e400"),
+    ("evolve1d", "j0", "2.5"),
+    ("evolve1d", "project", '"no"'),
+    ("evolve1d", "t_late", "Infinity"),
+    ("evolve1d", "seed", "1.5"),
+    ("evolve1d", "tol", "1e400"),
+    ("ladder_scan", "expected_spacing", "1e400"),
+    ("e0_vs_omega", "omega_grid", "[0.2, 1e400]"),
+    ("pair_equivalence", "sides", "[4, 1e400]"),
+    ("evolve2d", "from_run", "5"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, text", _BAD_RUN_VALUES, ids=[k for _, k, _ in _BAD_RUN_VALUES]
+)
+def test_run_key_type_and_finiteness(tmp_path, capsys, experiment, key, text):
+    kind = min(EXPERIMENTS[experiment].kinds).value
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        f'{{"experiment": "{experiment}", "model": {{"kind": "{kind}", "n_sites": 8}}, '
+        f'"run": {{"{key}": {text}}}}}'
+    )
+    errors = validate(path)
+    assert len(errors) == 1 and f"run.{key}" in errors[0]
+    command = experiment.replace("_", "-")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: run.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_complex_hopping_spellings(tmp_path):
@@ -194,6 +234,42 @@ def test_json_format_tables(tmp_path):
     assert len(payload["rows"]) == 12
 
 
+def _row_writer_table(path, meta, columns, rows, fmt):
+    """The row-at-a-time table writer that the column writer replaced."""
+    def cell(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    if fmt == "json":
+        rows = [[v if isinstance(v, str) else v.item() for v in row] for row in rows]
+        payload = {"meta": meta, "columns": list(columns), "rows": rows}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    with path.open("w", newline="") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key}={meta[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else cell(v) for v in row])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_row_writer(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(experiments, "_ROWS_PER_WRITE", 3)  # 7 rows in three blocks
+    columns = {
+        "k": np.arange(7),
+        "x": np.array([0.1 + 0.2, -0.0, np.nan, np.inf, 1e-300, 5e-324, -1.5]),
+        "label, quoted": ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad "],
+    }
+    meta = {"model": "dimer_1i", "omega": 0.2, "from_run": "runs/a,b"}
+    path = experiments._write_table(tmp_path, "table", meta, columns, fmt)
+    reference = tmp_path / f"reference.{fmt}"
+    _row_writer_table(reference, meta, list(columns), list(zip(*columns.values())), fmt)
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_ladder_scan_checks(tmp_path):
     cfg = load_config(
         overrides={
@@ -205,9 +281,22 @@ def test_ladder_scan_checks(tmp_path):
     checks = run(cfg)["checks"]
     assert checks["n_families"] == 2
     assert checks["max_spacing_deviation"] < 1e-6
+    assert 0 < checks["max_bulk_spacing_deviation"] <= checks["max_spacing_deviation"]
     assert checks["max_pairing_deviation"] < 1e-6
     ladder = json.loads((tmp_path / "ladder.json").read_text())
     assert len(ladder["families"]) == 2
+
+
+def test_ladder_scan_has_no_bulk_on_pair_lattices(tmp_path):
+    # a pair lattice has no chain interior to centre an eigenvector in
+    cfg = load_config(
+        overrides={
+            "experiment": "ladder_scan",
+            "model": {"kind": "pair_2d_boson", "n_sites": 6},
+            "output": {"directory": str(tmp_path)},
+        }
+    )
+    assert run(cfg)["checks"]["max_bulk_spacing_deviation"] is None
 
 
 def test_e0_scan_run(tmp_path):

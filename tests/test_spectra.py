@@ -12,7 +12,6 @@ from starkladder.lattices import (
     gauge_op,
 )
 from starkladder.spectra import (
-    ComplexSpectrum,
     EigendecompositionError,
     ReferenceSelectionError,
     conjugation_closure_deviation,
@@ -26,6 +25,8 @@ from starkladder.spectra import (
     spectrum_multiset_distance,
     verify_ladder_operator,
 )
+
+from ladder_reference import synthetic_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +161,9 @@ def test_conjugation_closure_pseudo_hermitian(dimer60):
     assert conjugation_closure_deviation(spectrum.eigenvalues) < 1e-8
 
 
-def _synthetic_spectrum(values):
-    values = np.asarray(values, dtype=complex)
-    n = values.size
-    return ComplexSpectrum(
-        eigenvalues=values,
-        right_eigenvectors=np.eye(n, dtype=complex),
-        residuals=np.zeros(n),
-        basis_labels=tuple(range(n)),
-    )
-
-
 def test_near_degenerate_cluster_is_excluded_with_diagnostic():
     values = [0.0, 0.4, 0.4 + 1e-9j, 0.8, 1.2]
-    report = detect_ladders(_synthetic_spectrum(values), 0.4, tol=1e-6)
+    report = detect_ladders(synthetic_spectrum(values), 0.4, tol=1e-6)
     assert any("degenerate" in d for d in report.diagnostics)
     assert len(report.families) == 0  # the cluster breaks the only chain
 
@@ -181,7 +171,7 @@ def test_near_degenerate_cluster_is_excluded_with_diagnostic():
 def test_ambiguous_rung_terminates_chain_with_diagnostic():
     # two candidates inside the target window but not degenerate together
     values = [0.0, 0.4 - 9e-7, 0.4 + 9e-7, 0.8, 1.2, 1.6]
-    report = detect_ladders(_synthetic_spectrum(values), 0.4, tol=1e-6)
+    report = detect_ladders(synthetic_spectrum(values), 0.4, tol=1e-6)
     assert any("ambiguous" in d for d in report.diagnostics)
 
 
