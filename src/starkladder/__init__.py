@@ -41,7 +41,6 @@ from .spectra import (  # noqa: F401
     eigendecompose,
     localization_center,
     participation_ratio,
-    rung_shift_weight,
     scan_E0_vs_omega,
     select_reference_state,
     spectrum_multiset_distance,

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattices import OperatorMatrix
+from .lattices import OperatorMatrix, gauge_op
 from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
 
 if TYPE_CHECKING:
@@ -281,8 +281,7 @@ def build_pair_product_state(mu: np.ndarray, pair_basis: "PairBasis") -> np.ndar
     """
     mu = np.asarray(mu, dtype=complex)
     side = mu.size
-    signs = np.where((np.arange(side) // 2) % 2 == 0, 1.0, -1.0)
-    psi = np.outer(mu, signs * np.conj(mu))
+    psi = np.outer(mu, gauge_op(side).signs * np.conj(mu))
 
     amps = pair_basis.restrict(psi)
     nrm = np.linalg.norm(amps)

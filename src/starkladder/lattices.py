@@ -184,12 +184,16 @@ class OperatorMatrix:
 class SymmetryOp:
     """A (possibly antiunitary) symmetry on a finite basis.
 
-    ``matrix`` is ``None`` for pure complex conjugation.  Composites store
-    their factors in operator-product order: ``factors[0]`` acts last.
+    A leaf shifts basis labels by ``shift`` and then scales by ``signs``
+    (``None``: all +1), conjugating where antiunitary:
+    ``(op v)[j] = signs[j] * v[j - shift]``, zero where ``j - shift`` falls
+    off the truncation.  Composites store their factors in operator-product
+    order: ``factors[0]`` acts last.
     """
 
     kind: str
-    matrix: np.ndarray | None = None
+    shift: int = 0
+    signs: np.ndarray | None = None
     antiunitary: bool = False
     factors: tuple["SymmetryOp", ...] = field(default=())
 
@@ -277,34 +281,36 @@ def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
 
 
 def translation_op(dim: int, n0: int) -> SymmetryOp:
-    """Shift of basis labels by ``n0``; a partial isometry on a truncation."""
-    t = np.zeros((dim, dim))
-    for j in range(dim):
-        if 0 <= j + n0 < dim:
-            t[j + n0, j] = 1.0
-    return SymmetryOp(kind=f"translate({n0})", matrix=t)
+    """Shift of basis labels by ``n0``; a partial isometry on any truncation."""
+    if dim < 1:
+        raise ValueError(f"translation needs dim >= 1, got {dim}")
+    return SymmetryOp(kind=f"translate({n0})", shift=int(n0))
+
+
+def _gauge_signs(dim: int) -> np.ndarray:
+    """The gauge's diagonal ``(-1)**(j // 2)``: +1, +1, -1, -1, ..."""
+    return np.where((np.arange(dim) // 2) % 2 == 0, 1.0, -1.0)
 
 
 def gauge_op(dim: int) -> SymmetryOp:
     """Diagonal +-1 gauge with sign ``(-1)**(j // 2)``."""
-    signs = np.where((np.arange(dim) // 2) % 2 == 0, 1.0, -1.0)
-    return SymmetryOp(kind="gauge", matrix=np.diag(signs))
+    return SymmetryOp(kind="gauge", signs=_gauge_signs(dim))
 
 
 def time_reversal_op() -> SymmetryOp:
     """Complex conjugation in the site basis."""
-    return SymmetryOp(kind="time_reversal", matrix=None, antiunitary=True)
+    return SymmetryOp(kind="time_reversal", antiunitary=True)
 
 
 def _parity_2d_signs(side: int) -> np.ndarray:
-    """Diagonal of the electron pair parity: ``(-1)**(x//2 + y//2)``."""
-    x = np.arange(side) // 2
-    return np.where((x[:, None] + x[None, :]) % 2 == 0, 1.0, -1.0).ravel()
+    """Diagonal of the electron pair parity: the gauge signs of both particles."""
+    signs = _gauge_signs(side)
+    return np.outer(signs, signs).ravel()
 
 
 def parity_2d_op(side: int) -> SymmetryOp:
     """Diagonal parity on the electron pair basis: ``(-1)**(x//2 + y//2)``."""
-    return SymmetryOp(kind="parity_2d", matrix=np.diag(_parity_2d_signs(side)))
+    return SymmetryOp(kind="parity_2d", signs=_parity_2d_signs(side))
 
 
 def compose(*factors: SymmetryOp) -> SymmetryOp:
@@ -313,21 +319,27 @@ def compose(*factors: SymmetryOp) -> SymmetryOp:
         raise ValueError("compose needs at least one factor")
     anti = sum(f.antiunitary for f in factors) % 2 == 1
     kind = " * ".join(f.kind for f in factors)
-    return SymmetryOp(kind=kind, matrix=None, antiunitary=anti, factors=tuple(factors))
+    return SymmetryOp(kind=kind, antiunitary=anti, factors=tuple(factors))
+
+
+def _shifted(vec: np.ndarray, shift: int) -> np.ndarray:
+    """New array with ``out[j + shift] = vec[j]`` where both lie in range."""
+    out = np.zeros_like(vec)
+    lo, keep = max(shift, 0), max(vec.shape[-1] - abs(shift), 0)
+    out[..., lo:lo + keep] = vec[..., lo - shift:lo - shift + keep]
+    return out
 
 
 def apply_symmetry(op: SymmetryOp, vec: np.ndarray) -> np.ndarray:
     """Apply a symmetry (conjugating where antiunitary) to a state vector."""
+    out = np.asarray(vec, dtype=complex)
     if op.factors:
-        out = np.asarray(vec, dtype=complex)
         for f in reversed(op.factors):
             out = apply_symmetry(f, out)
         return out
-    if op.matrix is None:
-        if not op.antiunitary:
-            raise ValueError(f"symmetry {op.kind!r} has no matrix part")
-        return np.conj(vec)
-    out = op.matrix @ np.asarray(vec, dtype=complex)
+    out = _shifted(out, op.shift)
+    if op.signs is not None:
+        out *= op.signs
     return np.conj(out) if op.antiunitary else out
 
 
@@ -350,20 +362,23 @@ def ramped_translation_deviation(
     """Interior-block norm of ``T_n0 H T_n0^-1 - (H - n0*omega)``.
 
     On the truncation the inverse is the adjoint of the shift (a partial
-    isometry), so the identity can only hold away from the edges.
+    isometry), so the identity can only hold away from the edges, where
+    ``(T_n0 H T_n0^-1)[i, j] = H[i - n0, j - n0]``.
     """
     n = h.dim
-    t = translation_op(n, n0).matrix
-    diff = t @ h.entries @ t.T - (h.entries - n0 * omega * np.eye(n))
     m = max(interior_margin(n) if margin is None else int(margin), abs(n0))
     w = interior_slice(n, m)
-    return float(np.linalg.norm(diff[w, w]))
+    k = np.arange(w.stop - w.start)
+    ramped = h.entries[w, w].copy()  # H - n0*omega on the window
+    ramped[k, k] -= n0 * omega
+    shifted = slice(w.start - n0, w.stop - n0)
+    return float(np.linalg.norm(h.entries[shifted, shifted] - ramped))
 
 
 def gauge_conjugation_deviation(h: OperatorMatrix) -> float:
     """Norm of ``g H g^-1 - H*`` (exact for the 1/i chain, even truncated)."""
-    g = gauge_op(h.dim).matrix
-    return float(np.linalg.norm(g @ h.entries @ g - np.conj(h.entries)))
+    g, entries = _gauge_signs(h.dim), h.entries
+    return float(np.linalg.norm(g[:, None] * entries * g - np.conj(entries)))
 
 
 def pt_commutator_deviation(h2d: OperatorMatrix) -> float:

@@ -22,7 +22,6 @@ from .lattices import (
     apply_symmetry,
     build_chain,
     interior_slice,
-    translation_op,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "participation_ratio",
     "conjugation_closure_deviation",
     "spectrum_multiset_distance",
-    "rung_shift_weight",
 ]
 
 RESIDUAL_TOL = 1e-9
@@ -427,21 +425,6 @@ def spectrum_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def rung_shift_weight(
-    spectrum: ComplexSpectrum, from_index: int, to_index: int, n0: int
-) -> float:
-    """Eigenbasis weight landing on ``to_index`` after translating a rung.
-
-    The eigenvector of ``from_index`` is shifted by ``n0`` sites,
-    re-expanded in the (non-orthogonal) right eigenbasis, and the squared
-    coefficient fraction on ``to_index`` is returned.
-    """
-    v = spectrum.right_eigenvectors[:, from_index]
-    coeffs = spectrum.coefficients(translation_op(spectrum.dim, n0).matrix @ v)
-    weights = np.abs(coeffs) ** 2
-    return float(weights[to_index] / weights.sum())
 
 
 def verify_ladder_operator(

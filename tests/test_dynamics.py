@@ -26,7 +26,6 @@ from starkladder.pairmap import pair_basis
 from starkladder.spectra import (
     detect_ladders,
     eigendecompose,
-    rung_shift_weight,
     select_reference_state,
 )
 
@@ -116,8 +115,6 @@ def test_defective_basis_refuses_expansion():
     spectrum = eigendecompose(h)
     with pytest.raises(ValueError, match="condition number"):
         family_projection(spectrum, [0], np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="condition number"):
-        rung_shift_weight(spectrum, 0, 1, n0=1)
 
 
 def test_basis_is_factored_once_per_spectrum(dimer60, monkeypatch):

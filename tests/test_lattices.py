@@ -180,24 +180,32 @@ def test_pair_label_order_is_lexicographic():
 
 
 def test_gauge_sign_pattern():
-    g = gauge_op(4).matrix
-    np.testing.assert_array_equal(np.diag(g), [1.0, 1.0, -1.0, -1.0])
+    g = gauge_op(6)
+    assert g.shift == 0
+    np.testing.assert_array_equal(g.signs, [1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 
 
 def test_translate_is_partial_isometry():
-    t = translation_op(4, 2).matrix
-    expected = np.zeros((4, 4))
-    expected[2, 0] = expected[3, 1] = 1.0
-    np.testing.assert_array_equal(t, expected)
-    assert not t[0].any() and not t[1].any()
+    t = translation_op(4, 2)
+    images = [apply_symmetry(t, e) for e in np.eye(4)]
+    # e0 -> e2, e1 -> e3; e2 and e3 are shifted off the truncation
+    np.testing.assert_array_equal(
+        images, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    )
+    back = translation_op(4, -2)
+    np.testing.assert_array_equal(apply_symmetry(back, images[0]), [1, 0, 0, 0])
 
 
 def test_parity_2d_floor_arithmetic():
-    p = parity_2d_op(6).matrix
+    p = parity_2d_op(6).signs
     label = 2 * 6 + 3  # (x, y) = (2, 3): (-1)**(1 + 1) = +1
-    assert p[label, label] == 1.0
+    assert p[label] == 1.0
     label = 1 * 6 + 2  # (1, 2): (-1)**(0 + 1) = -1
-    assert p[label, label] == -1.0
+    assert p[label] == -1.0
+    np.testing.assert_array_equal(
+        parity_2d_op(4).signs,
+        [1, 1, -1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, -1, 1, 1],
+    )
 
 
 def test_compose_tracks_antiunitarity():
@@ -207,12 +215,17 @@ def test_compose_tracks_antiunitarity():
 
 
 def test_apply_symmetry_order_and_conjugation():
-    vec = np.array([1.0, 1j, 0.0, 0.0])
+    vec = np.array([1.0, 1j, 2.0, 3j])
     t, g = time_reversal_op(), gauge_op(4)
     # compose(T, g): gauge first, then conjugation
     out = apply_symmetry(compose(t, g), vec)
-    np.testing.assert_allclose(out, np.conj(g.matrix @ vec))
-    np.testing.assert_allclose(apply_symmetry(t, vec), np.conj(vec))
+    np.testing.assert_array_equal(out, [1.0, -1j, -2.0, 3j])
+    np.testing.assert_array_equal(apply_symmetry(t, vec), [1.0, -1j, 2.0, -3j])
+    # translation and gauge do not commute: the factor order shows
+    vec = np.array([1.0, 2.0, 3.0, 4.0])
+    shift = translation_op(4, 1)
+    np.testing.assert_array_equal(apply_symmetry(compose(g, shift), vec), [0, 1, -2, -3])
+    np.testing.assert_array_equal(apply_symmetry(compose(shift, g), vec), [0, 1, 2, -3])
 
 
 def test_apply_symmetry_shift():
