@@ -1,8 +1,9 @@
 """Time evolution under non-Hermitian lattices and derived observables.
 
 Raw evolution is never renormalized: exponential growth or decay of the
-norm is the physics.  Observables that need taming carry an explicit
-rescaling rate ``lam``, reported alongside the data.
+norm is the physics.  Observables that need taming take an explicit
+rescaling rate ``lam`` as an argument (:func:`dirac_probability`), and
+the runs report it alongside the data.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class TimeSeries:
     times: np.ndarray
     states: np.ndarray  # (n_times, dim), raw (never renormalized)
     basis_labels: tuple
-    lam: float = 0.0  # rescaling rate documented with any derived probability
     method: str = "spectral"
 
     @property

@@ -37,6 +37,7 @@ from .lattices import (
     LatticeSpec,
     build_chain,
     build_pair_lattice,
+    in_window,
     interior_slice,
     pt_commutator_deviation,
 )
@@ -78,7 +79,7 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration."""
 
 
-_MODEL_KEYS = {"kind", "n_sites", "omega", "j_even", "j_odd", "origin_offset"}
+_MODEL_KEYS = ("kind", "n_sites", "omega", "j_even", "j_odd", "origin_offset")
 _MANIFEST_META_KEYS = {"version", "generated_files"}
 _CHAINS = [k for k in LatticeKind if k.is_chain]
 _PAIRS = [k for k in LatticeKind if k.is_pair]
@@ -156,12 +157,14 @@ _RUN_KEYS = {
 
 class Experiment(NamedTuple):
     """One experiment: its runner (whose docstring says what it demonstrates),
-    the run keys and lattice kinds that the runner reads, and its outputs."""
+    the run keys and lattice kinds that the runner reads, its outputs, and
+    the model keys it reads."""
 
     runner: Callable  # (cfg, outdir) -> (files, checks)
     run_keys: tuple
     kinds: Collection
     outputs: tuple
+    model_keys: tuple = _MODEL_KEYS
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ class ExperimentConfig:
         }
         return {
             "experiment": self.experiment,
-            "model": model,
+            "model": {k: model[k] for k in EXPERIMENTS[self.experiment].model_keys},
             "run": dict(zip(EXPERIMENTS[self.experiment].run_keys, self.run)),
             "output": {"directory": self.output.directory, "format": self.output.format},
         }
@@ -219,8 +222,12 @@ def _readers(key: str) -> str:
     return ", ".join(n for n, e in EXPERIMENTS.items() if key in e.run_keys) or "none"
 
 
-def _parse_model(section: dict) -> LatticeSpec:
-    _reject_unknown(section, _MODEL_KEYS, "model")
+def _parse_model(section: dict, experiment: str) -> LatticeSpec:
+    _reject_unknown(section, set(_MODEL_KEYS), "model")
+    declared = EXPERIMENTS[experiment].model_keys
+    unread = [key for key in _MODEL_KEYS if key in section and key not in declared]
+    if unread:
+        raise ConfigError(f"model: {experiment} reads {list(declared)}, not {unread}")
     kw = dict(section)
     try:
         kw["kind"] = LatticeKind(kw.get("kind", "dimer_1i"))
@@ -290,8 +297,8 @@ def load_config(
     (``{"model": {...}, "run": {...}, ...}``) and wins over file values.
     A previously written ``manifest.json`` is accepted directly (its
     ``version`` / ``generated_files`` keys are ignored).  The experiment
-    must read every run key given and run on the model's lattice kind
-    (:data:`EXPERIMENTS`).
+    must read every model and run key given and run on the model's lattice
+    kind (:data:`EXPERIMENTS`).
     """
     data: dict = {}
     if path is not None:
@@ -314,7 +321,7 @@ def load_config(
         raise ConfigError(
             f"experiment: {experiment!r} is not one of {list(EXPERIMENTS)}"
         )
-    model = _parse_model(merged.get("model", {}))
+    model = _parse_model(merged.get("model", {}), experiment)
     kinds = EXPERIMENTS[experiment].kinds
     if model.kind not in kinds:
         allowed = [k.value for k in LatticeKind if k in kinds]
@@ -457,9 +464,8 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "residual": spectrum.residuals,
     }
     if cfg.model.kind.is_chain:
-        vectors = spectrum.right_eigenvectors.T
-        columns["center"] = [localization_center(v) for v in vectors]
-        columns["participation_ratio"] = [participation_ratio(v) for v in vectors]
+        columns["center"] = localization_center(spectrum.right_eigenvectors)
+        columns["participation_ratio"] = participation_ratio(spectrum.right_eigenvectors)
     files = [
         _write_table(outdir, "eigenvalues", _model_meta(cfg), columns, cfg.output.format)
     ]
@@ -481,12 +487,10 @@ def _bulk_spacing_deviation(spectrum, families, spacing: float) -> float | None:
     if not families:
         return None
     win = interior_slice(spectrum.dim)
-    vectors = spectrum.right_eigenvectors
     devs = []
     for fam in families:
         idx = list(fam.member_indices)
-        centers = np.array([localization_center(vectors[:, i]) for i in idx])
-        inside = (centers >= win.start) & (centers <= win.stop - 1)
+        inside = in_window(localization_center(spectrum.right_eigenvectors[:, idx]), win)
         steps = np.abs(np.diff(spectrum.eigenvalues[idx].real) - spacing)
         devs.extend(steps[inside[1:] & inside[:-1]].tolist())
     return max(devs, default=None)
@@ -867,7 +871,7 @@ EXPERIMENTS = {
     "evolve2d": Experiment(_run_evolve2d, ("from_run", "times", "t_max", "n_steps"),
                            _PAIRS, ("fidelity table", "probability snapshots")),
     "pair_equivalence": Experiment(_run_pair_equivalence, ("sides", "seed"), LatticeKind,
-                                   ("equivalence report",)),
+                                   ("equivalence report",), model_keys=("omega",)),
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 

@@ -41,6 +41,7 @@ __all__ = [
     "apply_symmetry",
     "interior_slice",
     "interior_margin",
+    "in_window",
     "ramped_translation_deviation",
     "gauge_conjugation_deviation",
     "pt_commutator_deviation",
@@ -354,6 +355,12 @@ def interior_slice(n: int, margin: int | None = None) -> slice:
     if 2 * m >= n:
         raise ValueError(f"margin {m} leaves no interior for n = {n}")
     return slice(m, n - m)
+
+
+def in_window(positions, window: slice):
+    """Whether each position lies in ``[window.start, window.stop - 1]``."""
+    positions = np.asarray(positions)
+    return (positions >= window.start) & (positions <= window.stop - 1)
 
 
 def ramped_translation_deviation(

@@ -21,6 +21,7 @@ from .lattices import (
     SymmetryOp,
     apply_symmetry,
     build_chain,
+    in_window,
     interior_slice,
 )
 
@@ -195,20 +196,24 @@ class ScanResult:
         }
 
 
-def localization_center(amplitudes: np.ndarray) -> float:
-    """Site-index first moment of the Dirac weight |f_j|^2."""
+def localization_center(amplitudes: np.ndarray) -> float | np.ndarray:
+    """Site-index first moment of the Dirac weight |f_j|^2; one per column
+    of a matrix."""
     w = np.abs(np.asarray(amplitudes)) ** 2
-    total = w.sum()
-    if total == 0:
+    total = w.sum(axis=0)
+    if np.any(total == 0):
         raise ValueError("zero-norm state has no localization center")
-    return float(np.arange(w.size) @ w / total)
+    centers = np.arange(w.shape[0]) @ w / total
+    return float(centers) if w.ndim == 1 else centers
 
 
-def participation_ratio(amplitudes: np.ndarray) -> float:
-    """Inverse of the summed fourth power: number of sites a state occupies."""
+def participation_ratio(amplitudes: np.ndarray) -> float | np.ndarray:
+    """Inverse of the summed fourth power: number of sites a state occupies;
+    one per column of a matrix."""
     w = np.abs(np.asarray(amplitudes)) ** 2
-    w = w / w.sum()
-    return float(1.0 / np.sum(w**2))
+    w = w / w.sum(axis=0)
+    ratios = 1.0 / np.sum(w**2, axis=0)
+    return float(ratios) if w.ndim == 1 else ratios
 
 
 def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> ComplexSpectrum:
@@ -448,7 +453,7 @@ def verify_ladder_operator(
     w = w / nrm
     window = interior_slice(h.dim, margin)
     center = localization_center(w)
-    if not (window.start <= center <= window.stop - 1):
+    if not in_window(center, window):
         raise ReferenceSelectionError(
             f"transformed state centered at {center:.2f} leaves the interior "
             f"window [{window.start}, {window.stop})"
@@ -479,17 +484,14 @@ def select_reference_state(
     scale = max(1.0, float(np.max(np.abs(values))))
     spectrum_is_real = float(np.max(np.abs(values.imag))) < 1e-9 * scale
 
-    weights = np.abs(spectrum.right_eigenvectors) ** 2
-    centers = np.arange(dim) @ weights  # columns are unit norm
-
-    in_window = (centers >= win.start) & (centers <= win.stop - 1)
+    centers = localization_center(spectrum.right_eigenvectors)
     if spectrum_is_real:
         sign_ok = np.ones(dim, dtype=bool)
     elif im_sign == "+":
         sign_ok = values.imag > 1e-9 * scale
     else:
         sign_ok = values.imag < -1e-9 * scale
-    candidates = np.flatnonzero(in_window & sign_ok)
+    candidates = np.flatnonzero(in_window(centers, win) & sign_ok)
     if candidates.size == 0:
         raise ReferenceSelectionError(
             f"no eigenstate with Im sign '{im_sign}' centered inside "

@@ -22,6 +22,11 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
+def _read_part(experiment, model):
+    """The keys of ``model`` that ``experiment`` reads."""
+    return {k: v for k, v in model.items() if k in EXPERIMENTS[experiment].model_keys}
+
+
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -107,9 +112,9 @@ _BAD_RUN_VALUES = [
 def test_run_key_type_and_finiteness(tmp_path, capsys, experiment, key, text):
     kind = min(EXPERIMENTS[experiment].kinds).value
     path = tmp_path / "cfg.json"
+    model = json.dumps(_read_part(experiment, {"kind": kind, "n_sites": 8}))
     path.write_text(
-        f'{{"experiment": "{experiment}", "model": {{"kind": "{kind}", "n_sites": 8}}, '
-        f'"run": {{"{key}": {text}}}}}'
+        f'{{"experiment": "{experiment}", "model": {model}, "run": {{"{key}": {text}}}}}'
     )
     errors = validate(path)
     assert len(errors) == 1 and f"run.{key}" in errors[0]
@@ -148,12 +153,53 @@ _UNDECLARED = [
 @pytest.mark.parametrize("experiment, key", _UNDECLARED)
 def test_experiment_refuses_keys_it_does_not_read(tmp_path, experiment, key):
     kind = min(EXPERIMENTS[experiment].kinds).value
-    payload = {"experiment": experiment, "model": {"kind": kind}, "run": {key: 1}}
+    model = _read_part(experiment, {"kind": kind})
+    payload = {"experiment": experiment, "model": model, "run": {key: 1}}
     path = _write(tmp_path, "cfg.json", payload)
     readers = ", ".join(name for name, e in EXPERIMENTS.items() if key in e.run_keys)
     with pytest.raises(ConfigError, match=rf"not '{key}' \(read by {readers}\)"):
         load_config(path)
     assert validate(path)
+
+
+# (experiment, model key it does not read, a value the model would accept)
+_UNREAD_MODEL_KEYS = [
+    (name, key, value)
+    for name in EXPERIMENTS
+    for key, value in [("kind", "dimer_1i"), ("n_sites", 8), ("omega", 0.3),
+                       ("j_even", 1), ("j_odd", [0, 1]), ("origin_offset", 2)]
+    if key not in EXPERIMENTS[name].model_keys
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", _UNREAD_MODEL_KEYS)
+def test_experiment_refuses_model_keys_it_does_not_read(tmp_path, experiment, key, value):
+    path = _write(tmp_path, "cfg.json", {"experiment": experiment, "model": {key: value}})
+    with pytest.raises(ConfigError, match=rf"model: {experiment} reads .*not \['{key}'\]"):
+        load_config(path)
+    assert validate(path)
+
+
+def test_cli_pair_equivalence_refuses_unread_model_flags(tmp_path, capsys):
+    flags = ["--model", "pair_2d_boson", "--sites", "99"]
+    out = tmp_path / "out"
+    assert main(["pair-equivalence", *flags, "--out", str(out)]) == 2
+    assert "not ['kind', 'n_sites']" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--experiment", "pair_equivalence", *flags]) == 2
+
+
+def test_pair_equivalence_manifest_records_omega_only(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"experiment": "pair_equivalence",
+                                        "model": {"omega": 0.3}, "run": {"sides": [4]}})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["pair-equivalence", "--config", cfg, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["model"] == {"omega": 0.3}
+    assert main(["pair-equivalence", "--config", str(first / "manifest.json"),
+                 "--out", str(again)]) == 0
+    for name in ("equivalence.json", "checks.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_catalog_lists_every_experiment():
@@ -442,7 +488,7 @@ def test_pair_equivalence_run(tmp_path):
     cfg = load_config(
         overrides={
             "experiment": "pair_equivalence",
-            "model": {"kind": "pair_2d_electron", "n_sites": 8, "omega": 0.2},
+            "model": {"omega": 0.2},
             "run": {"sides": [4, 6]},
             "output": {"directory": str(tmp_path)},
         }

@@ -13,6 +13,7 @@ from starkladder.lattices import (
     compose,
     gauge_conjugation_deviation,
     gauge_op,
+    in_window,
     interior_margin,
     interior_slice,
     parity_2d_op,
@@ -274,6 +275,8 @@ def test_interior_window_defaults():
     assert interior_margin(60) == 10
     win = interior_slice(60)
     assert (win.start, win.stop) == (10, 50)
+    inside = in_window([9.99, 10.0, 49.0, 49.01], win)
+    np.testing.assert_array_equal(inside, [False, True, True, False])
     with pytest.raises(ValueError):
         interior_slice(4, margin=2)
 
