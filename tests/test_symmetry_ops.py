@@ -15,6 +15,7 @@ from starkladder.lattices import (
     compose,
     gauge_conjugation_deviation,
     gauge_op,
+    interior_margin,
     parity_2d_op,
     ramped_translation_deviation,
     time_reversal_op,
@@ -98,7 +99,7 @@ def _relative_gap(new: float, old: float) -> float:
     st.integers(0, 2**32 - 1),
 )
 def test_deviations_equal_dense_formulas_on_random_matrices(n, n0, margin, omega, seed):
-    m = max(-(-n // 6) if margin is None else margin, abs(n0))
+    m = max(interior_margin(n) if margin is None else margin, abs(n0))
     if 2 * m >= n:
         return  # no interior window on this truncation
     rng = np.random.default_rng(seed)
