@@ -60,7 +60,6 @@ from .dynamics import (  # noqa: F401
 )
 from .pairmap import (  # noqa: F401
     PairBasis,
-    PairEquivalenceReport,
     lift_1d_evolution,
     oracle_pair_hamiltonian,
     pair_basis,

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .experiments import (
-    EXPERIMENT_NAMES,
+    EXPERIMENTS,
     ConfigError,
     list_experiments,
     load_config,
@@ -68,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Wannier-Stark ladders, Bloch oscillations, pair dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENT_NAMES:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name.replace("_", "-"), help=f"run the {name} experiment")
         _add_common_flags(p)
     p = sub.add_parser("validate", help="check a config without running it")
-    p.add_argument("--experiment", choices=EXPERIMENT_NAMES)
+    p.add_argument("--experiment", choices=EXPERIMENTS)
     _add_common_flags(p)
     sub.add_parser("list", help="catalog of experiments")
     return parser

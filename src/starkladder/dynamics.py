@@ -234,7 +234,6 @@ def extract_projected_mu(
     series: TimeSeries,
     e0: complex,
     t_late: float | None = None,
-    min_suppression: float = PROJECTION_SUPPRESSION,
 ) -> np.ndarray:
     """Site profile left after evolution has projected out decaying modes.
 
@@ -247,7 +246,8 @@ def extract_projected_mu(
     ------
     ValueError
         If ``Im E0 <= 0`` (no projection mechanism for Hermitian spectra)
-        or if ``exp(2 Im E0 t_late)`` has not reached ``min_suppression``.
+        or if ``exp(2 Im E0 t_late)`` has not reached
+        ``PROJECTION_SUPPRESSION``.
     """
     im0 = float(np.imag(e0))
     if im0 <= 0:
@@ -256,10 +256,10 @@ def extract_projected_mu(
         )
     t = float(series.times[-1]) if t_late is None else float(t_late)
     suppression = math.exp(2.0 * im0 * t)
-    if suppression < min_suppression:
+    if suppression < PROJECTION_SUPPRESSION:
         raise ValueError(
             f"t_late = {t:g} suppresses the decaying sector only by "
-            f"{suppression:.3g} (< {min_suppression:.1g}); evolve longer"
+            f"{suppression:.3g} (< {PROJECTION_SUPPRESSION:.1g}); evolve longer"
         )
     state = series.state_at(t)
     mu = np.exp(1j * e0 * t) * state

@@ -71,7 +71,6 @@ __all__ = [
     "list_experiments",
     "run",
     "EXPERIMENTS",
-    "EXPERIMENT_NAMES",
 ]
 
 
@@ -157,8 +156,8 @@ _RUN_KEYS = {
 
 class Experiment(NamedTuple):
     """One experiment: its runner (whose docstring says what it demonstrates),
-    the run keys and lattice kinds that the runner reads, its outputs, and
-    the model keys it reads."""
+    the run keys it reads, the lattice kinds it runs on (or builds, when it
+    reads no ``kind``), its outputs, and the model keys it reads."""
 
     runner: Callable  # (cfg, outdir) -> (files, checks)
     run_keys: tuple
@@ -297,8 +296,8 @@ def load_config(
     (``{"model": {...}, "run": {...}, ...}``) and wins over file values.
     A previously written ``manifest.json`` is accepted directly (its
     ``version`` / ``generated_files`` keys are ignored).  The experiment
-    must read every model and run key given and run on the model's lattice
-    kind (:data:`EXPERIMENTS`).
+    must read every model and run key given and, if it reads ``kind``, run
+    on the model's lattice kind (:data:`EXPERIMENTS`).
     """
     data: dict = {}
     if path is not None:
@@ -323,7 +322,7 @@ def load_config(
         )
     model = _parse_model(merged.get("model", {}), experiment)
     kinds = EXPERIMENTS[experiment].kinds
-    if model.kind not in kinds:
+    if "kind" in EXPERIMENTS[experiment].model_keys and model.kind not in kinds:
         allowed = [k.value for k in LatticeKind if k in kinds]
         raise ConfigError(
             f"model.kind: {experiment} runs on {allowed}, not {model.kind.value!r}"
@@ -830,12 +829,12 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        report = lift_1d_evolution(
-            psi0, electron, oracles[LatticeKind.PAIR_2D_ELECTRON], times
+        direct = evolve(electron, psi0, times)
+        entry["evolution_distance"] = lift_1d_evolution(
+            direct, oracles[LatticeKind.PAIR_2D_ELECTRON]
         )
-        entry["evolution_distance"] = report.max_state_distance
         entry["sector_reassembled_distance"] = sector_reassembled_distance(
-            electron, psi0, times
+            direct, (h_sym, h_anti)
         )
         per_side.append(entry)
 
@@ -870,10 +869,9 @@ EXPERIMENTS = {
     ),
     "evolve2d": Experiment(_run_evolve2d, ("from_run", "times", "t_max", "n_steps"),
                            _PAIRS, ("fidelity table", "probability snapshots")),
-    "pair_equivalence": Experiment(_run_pair_equivalence, ("sides", "seed"), LatticeKind,
+    "pair_equivalence": Experiment(_run_pair_equivalence, ("sides", "seed"), _PAIRS,
                                    ("equivalence report",), model_keys=("omega",)),
 }
-EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run(cfg: ExperimentConfig) -> dict:

@@ -173,9 +173,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __array__(self, dtype=None) -> np.ndarray:
-        return self.entries if dtype is None else self.entries.astype(dtype)
-
     def label_index(self) -> dict:
         """Map basis label -> row index."""
         return {lab: i for i, lab in enumerate(self.basis_labels)}

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import TimeSeries, evolve
 from .lattices import (
     LatticeKind,
     OperatorMatrix,
@@ -26,7 +26,6 @@ from .lattices import (
 
 __all__ = [
     "PairBasis",
-    "PairEquivalenceReport",
     "pair_basis",
     "oracle_pair_hamiltonian",
     "sector_decompose",
@@ -175,22 +174,20 @@ def oracle_pair_hamiltonian(
 _SECTOR_KINDS = (LatticeKind.PAIR_2D_BOSON, LatticeKind.PAIR_2D_FERMION)
 
 
-def sector_decompose(
-    h_electron: OperatorMatrix, symmetry_tol: float = 1e-12
-) -> tuple[OperatorMatrix, OperatorMatrix]:
+def sector_decompose(h_electron: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Split the electron lattice into (symmetric, antisymmetric) sectors.
 
     Refuses (raising ``ValueError``) a matrix on any basis other than the
     electron pair basis, and one that is not reflection symmetric about
-    ``x == y``, which would indicate a builder bug rather than a property
-    of the model.  Each sector ``P H P^T`` is taken by index maps
-    (:meth:`PairBasis.restrict` on both index pairs), never by a dense
-    projector.
+    ``x == y`` to 1e-12 of its largest entry, which would indicate a
+    builder bug rather than a property of the model.  Each sector
+    ``P H P^T`` is taken by index maps (:meth:`PairBasis.restrict` on both
+    index pairs), never by a dense projector.
     """
     side = electron_side(h_electron)
     h4 = h_electron.entries.reshape(side, side, side, side)
     asym = float(np.linalg.norm(h4 - h4.transpose(1, 0, 3, 2)))  # (x, y) -> (y, x)
-    if asym > symmetry_tol * max(1.0, float(np.abs(h_electron.entries).max())):
+    if asym > 1e-12 * max(1.0, float(np.abs(h_electron.entries).max())):
         raise ValueError(
             f"electron lattice is not reflection symmetric (deviation {asym:.3e}); "
             "refusing to decompose"
@@ -205,73 +202,43 @@ def sector_decompose(
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class PairEquivalenceReport:
-    """Deviations between the hand-built lattice and the oracle."""
-
-    matrix_deviation: float
-    max_state_distance: float
-    times: tuple
-    distances: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix_deviation": self.matrix_deviation,
-            "max_state_distance": self.max_state_distance,
-            "times": list(self.times),
-            "distances": list(self.distances),
-        }
-
-
 def _normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(
         np.linalg.norm(a / np.linalg.norm(a) - b / np.linalg.norm(b))
     )
 
 
-def lift_1d_evolution(
-    psi0: np.ndarray, built: OperatorMatrix, oracle: OperatorMatrix, times
-) -> PairEquivalenceReport:
-    """Evolve one pair state under the built 2D lattice and under the oracle.
+def lift_1d_evolution(direct: TimeSeries, oracle: OperatorMatrix) -> float:
+    """Largest normalized distance between a built-lattice evolution and
+    the oracle's.
 
-    The two matrices are supposed to be equal, so this certifies basis
-    ordering and plumbing end to end; the report carries the normalized
-    state distance at every sampled time.
+    ``direct`` is the evolution under the hand-built lattice; the oracle is
+    evolved from the same initial state at the same times.  The two
+    matrices are supposed to be equal, so this certifies basis ordering and
+    plumbing end to end.  A basis-label mismatch raises ``ValueError``.
     """
-    if built.basis_labels != oracle.basis_labels:
+    if direct.basis_labels != oracle.basis_labels:
         raise ValueError("basis ordering mismatch between builder and oracle")
-    series_a = evolve(built, psi0, times)
-    series_b = evolve(oracle, psi0, times)
-    distances = tuple(
-        _normalized_distance(sa, sb)
-        for sa, sb in zip(series_a.states, series_b.states)
-    )
-    return PairEquivalenceReport(
-        matrix_deviation=float(np.abs(built.entries - oracle.entries).max()),
-        max_state_distance=max(distances),
-        times=tuple(float(t) for t in series_a.times),
-        distances=distances,
-    )
+    series = evolve(oracle, direct.initial_state, direct.times)
+    return max(_normalized_distance(a, b) for a, b in zip(direct.states, series.states))
 
 
-def sector_reassembled_distance(
-    h_electron: OperatorMatrix, psi0: np.ndarray, times
-) -> float:
+def sector_reassembled_distance(direct: TimeSeries, sectors: tuple) -> float:
     """Full-lattice evolution versus sector-wise evolution, reassembled.
 
+    ``direct`` is the evolution under the electron lattice and ``sectors``
+    its (symmetric, antisymmetric) parts from :func:`sector_decompose`.
     Restricts the initial state to both swap sectors, evolves each under
     its sector matrix, embeds the results back into the full lattice, and
     returns the maximum normalized distance to the direct evolution.
     """
-    sectors = sector_decompose(h_electron)
-    side = math.isqrt(h_electron.dim)
-    direct = evolve(h_electron, psi0, times)
-    amps = np.asarray(psi0, dtype=complex).reshape(side, side)
+    side = math.isqrt(len(direct.basis_labels))
+    amps = direct.initial_state.reshape(side, side)
     rebuilt = np.zeros_like(direct.states)
     for kind, sector in zip(_SECTOR_KINDS, sectors):
         basis = pair_basis(kind, side)
         comp = basis.restrict(amps)
         if np.linalg.norm(comp) > 0:
-            series = evolve(sector, comp, times)
+            series = evolve(sector, comp, direct.times)
             rebuilt += basis.embed(series.states).reshape(-1, side * side)
     return max(_normalized_distance(d, r) for d, r in zip(direct.states, rebuilt))

@@ -73,7 +73,6 @@ class ComplexSpectrum:
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     residuals: np.ndarray
-    basis_labels: tuple
 
     @property
     def dim(self) -> int:
@@ -182,19 +181,6 @@ class ScanResult:
     max_fit_residual: float | None
     failures: tuple = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omegas.tolist(),
-            "re_e0": np.real(self.energies).tolist(),
-            "im_e0": np.imag(self.energies).tolist(),
-            "center": self.centers.tolist(),
-            "participation_ratio": self.participation_ratios.tolist(),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_fit_residual": self.max_fit_residual,
-            "failures": [list(f) for f in self.failures],
-        }
-
 
 def localization_center(amplitudes: np.ndarray) -> float | np.ndarray:
     """Site-index first moment of the Dirac weight |f_j|^2; one per column
@@ -244,7 +230,7 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     vectors = vectors * (np.abs(phases) / phases)[None, :]
 
     residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
-    spectrum = ComplexSpectrum(values, vectors, residuals, h.basis_labels)
+    spectrum = ComplexSpectrum(values, vectors, residuals)
     if not np.all(residuals < residual_tol):
         raise EigendecompositionError(
             f"residual certificate failed: max residual {residuals.max():.3e} "
@@ -474,7 +460,10 @@ def select_reference_state(
     Among eigenstates whose Dirac-weight center lies inside ``window``
     (default: the interior window) and whose imaginary part has the
     requested sign, returns the one centered nearest the lattice
-    midpoint.  For a numerically real spectrum ``im_sign`` is ignored.
+    midpoint.  Centers within ``1e-9 * max(1, midpoint)`` of the nearest
+    one count as tied, and the lowest spectrum index among them wins, so
+    rounding noise in the centers never decides.  For a numerically real
+    spectrum ``im_sign`` is ignored.
     """
     if im_sign not in ("+", "-"):
         raise ValueError("im_sign must be '+' or '-'")
@@ -499,7 +488,9 @@ def select_reference_state(
             "slope - increase n_sites"
         )
     midpoint = (dim - 1) / 2.0
-    best = int(candidates[np.argmin(np.abs(centers[candidates] - midpoint))])
+    offsets = np.abs(centers[candidates] - midpoint)
+    tied = offsets <= offsets.min() + 1e-9 * max(1.0, midpoint)
+    best = int(candidates[np.argmax(tied)])
     amps = spectrum.right_eigenvectors[:, best]
     return ReferenceState(
         energy=complex(values[best]),
@@ -514,13 +505,12 @@ def scan_E0_vs_omega(
     spec_template,
     omega_grid,
     im_sign: str = "+",
-    window: slice | None = None,
 ) -> ScanResult:
     """Reference energy across a grid of slopes, with a linearity fit.
 
     Each grid point rebuilds the chain, diagonalizes it, and selects the
-    reference state; selection failures are recorded per point rather than
-    aborting the scan.  The least-squares fit is of ``Re E0`` against
+    reference state in the interior window; selection failures are
+    recorded per point rather than aborting the scan.  The least-squares fit is of ``Re E0`` against
     ``omega``; with fewer than two valid points it is flagged undefined
     (``None``).
     """
@@ -537,7 +527,7 @@ def scan_E0_vs_omega(
     for i, omega in enumerate(omegas):
         try:
             h = build_chain(spec_template.with_omega(float(omega)))
-            ref = select_reference_state(eigendecompose(h), window=window, im_sign=im_sign)
+            ref = select_reference_state(eigendecompose(h), im_sign=im_sign)
         except (ReferenceSelectionError, EigendecompositionError) as exc:
             failures.append((float(omega), str(exc)))
             continue

@@ -24,7 +24,6 @@ def synthetic_spectrum(values) -> ComplexSpectrum:
         eigenvalues=values,
         right_eigenvectors=np.eye(n, dtype=complex),
         residuals=np.zeros(n),
-        basis_labels=tuple(range(n)),
     )
 
 

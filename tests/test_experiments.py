@@ -1,10 +1,13 @@
+import collections
 import csv
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import starkladder.experiments as experiments
+import starkladder.pairmap as pairmap
 from starkladder.cli import main
 from starkladder.experiments import (
     EXPERIMENTS,
@@ -14,6 +17,7 @@ from starkladder.experiments import (
     run,
     validate,
 )
+from starkladder.lattices import LatticeKind
 
 
 def _write(tmp_path, name, payload):
@@ -218,6 +222,10 @@ def test_catalog_lists_every_experiment():
     params = {entry["name"]: entry["parameters"] for entry in catalog}
     assert params["spectrum"] == []
     assert params["pair_equivalence"] == ["sides", "seed"]
+    kinds = {entry["name"]: entry["kinds"] for entry in catalog}
+    assert kinds["pair_equivalence"] == ["pair_2d_electron", "pair_2d_fermion",
+                                         "pair_2d_boson"]
+    assert kinds["spectrum"] == [k.value for k in LatticeKind]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +507,28 @@ def test_pair_equivalence_run(tmp_path):
     assert checks["max_spectra_merge_deviation"] < 1e-9
     assert checks["max_evolution_distance"] < 1e-8
     assert checks["max_pt_commutator"] < 1e-12
+
+
+def test_pair_equivalence_evolves_and_splits_each_lattice_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted("eig", scipy.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    split = counted("sector_decompose", pairmap.sector_decompose)
+    for module in (experiments, pairmap):
+        monkeypatch.setattr(module, "sector_decompose", split)
+    cfg = load_config(overrides={"experiment": "pair_equivalence",
+                                 "run": {"sides": [4, 6, 8]},
+                                 "output": {"directory": str(tmp_path)}})
+    run(cfg)
+    # per side: electron, its oracle and the two sectors; three spectra merged
+    assert calls == {"eig": 12, "eigvals": 9, "sector_decompose": 3}
 
 
 @pytest.mark.parametrize("omega", [0.0, 1.2])

@@ -99,7 +99,7 @@ def test_detection_allocates_no_square_array():
     rungs = np.arange(n // 2) * 0.4
     values = np.concatenate([rungs, rungs + 0.2]).astype(complex)
     # only the levels are read; an identity eigenbasis would itself be n x n
-    spectrum = ComplexSpectrum(values, np.empty((n, 0)), np.zeros(n), ())
+    spectrum = ComplexSpectrum(values, np.empty((n, 0)), np.zeros(n))
     tracemalloc.start()
     try:
         report = detect_ladders(spectrum, 0.4, 1e-6)

@@ -293,8 +293,3 @@ def test_operator_matrix_validation():
         OperatorMatrix(np.full((2, 2), np.nan), (0, 1))
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros((2, 2)), (0, 1, 2))
-
-
-def test_operator_matrix_array_protocol():
-    h = build_chain(LatticeSpec(kind=LatticeKind.UNIFORM_1D, n_sites=3, omega=0.0))
-    assert np.asarray(h).shape == (3, 3)

@@ -223,12 +223,13 @@ def test_lift_evolution_certifies_plumbing():
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 4.0, 5)
     oracle = oracle_pair_hamiltonian(LatticeKind.PAIR_2D_ELECTRON, side, OMEGA)
-    report = lift_1d_evolution(psi0, _electron(side), oracle, times)
-    assert report.distances[0] == 0.0
-    assert report.max_state_distance < 1e-8
-    assert report.matrix_deviation < 1e-12
-    payload = report.to_dict()
-    assert payload["times"] == list(times) and len(payload["distances"]) == 5
+    direct = evolve(_electron(side), psi0, times)
+    assert lift_1d_evolution(direct, oracle) < 1e-8
+    # t = 0 is the initial snapshot on both sides, exactly
+    assert lift_1d_evolution(evolve(_electron(side), psi0, [0.0]), oracle) == 0.0
+    shuffled = OperatorMatrix(oracle.entries, oracle.basis_labels[::-1])
+    with pytest.raises(ValueError, match="basis ordering mismatch"):
+        lift_1d_evolution(direct, shuffled)
 
 
 def test_sector_evolution_reassembles():
@@ -237,7 +238,9 @@ def test_sector_evolution_reassembles():
     psi0 = rng.normal(size=side**2) + 1j * rng.normal(size=side**2)
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 4.0, 5)
-    assert sector_reassembled_distance(_electron(side), psi0, times) < 1e-8
+    electron = _electron(side)
+    direct = evolve(electron, psi0, times)
+    assert sector_reassembled_distance(direct, sector_decompose(electron)) < 1e-8
 
 
 def test_pure_sector_state_stays_in_sector():

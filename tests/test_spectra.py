@@ -226,6 +226,22 @@ def test_hermitian_reference_ignores_im_sign(uniform80):
     assert abs(ref.localization_center - 39.5) < 1.0
 
 
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        # centers 1.0000000000000213 (index 41) and ...284 (index 39) from the
+        # midpoint differ only by rounding: the lower index wins
+        (LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=81, omega=0.35,
+                     j_even=0.8 + 0.6j), 39),
+        # an exact tie
+        (LatticeSpec(kind=LatticeKind.UNIFORM_1D, n_sites=40, omega=0.8), 19),
+    ],
+)
+def test_reference_ties_go_to_lowest_index(spec, expected):
+    ref = select_reference_state(eigendecompose(build_chain(spec)), im_sign="+")
+    assert ref.index == expected
+
+
 def test_selection_fails_outside_window(dimer60):
     _, _, spectrum = dimer60
     with pytest.raises(ReferenceSelectionError):
