@@ -13,6 +13,7 @@ from .lattices import (  # noqa: F401
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    PairBasis,
     SymmetryOp,
     apply_symmetry,
     build_chain,
@@ -22,6 +23,7 @@ from .lattices import (  # noqa: F401
     gauge_op,
     interior_margin,
     interior_slice,
+    pair_basis,
     parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
@@ -59,10 +61,8 @@ from .dynamics import (  # noqa: F401
     site_state,
 )
 from .pairmap import (  # noqa: F401
-    PairBasis,
     lift_1d_evolution,
     oracle_pair_hamiltonian,
-    pair_basis,
     sector_decompose,
     sector_reassembled_distance,
 )

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattices import OperatorMatrix, gauge_op
+from .lattices import OperatorMatrix, PairBasis, gauge_op
 from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
-
-if TYPE_CHECKING:
-    from .pairmap import PairBasis
 
 __all__ = [
     "TimeSeries",
@@ -130,7 +126,7 @@ def evolve(
 def evolve_pair(
     chain: OperatorMatrix,
     phi0: np.ndarray,
-    basis: "PairBasis",
+    basis: PairBasis,
     times,
 ) -> TimeSeries:
     """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
@@ -143,7 +139,7 @@ def evolve_pair(
     O(L^3) per sample from the chain's spectrum, never an ``L^2 x L^2``
     matrix.  Fermion and boson states are embedded as (anti)symmetric
     amplitude matrices and restricted back to ``basis.labels``
-    (:meth:`starkladder.pairmap.PairBasis.embed` and ``restrict``).
+    (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
 
     ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
     ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
@@ -269,7 +265,7 @@ def extract_projected_mu(
     return mu / nrm
 
 
-def build_pair_product_state(mu: np.ndarray, pair_basis: "PairBasis") -> np.ndarray:
+def build_pair_product_state(mu: np.ndarray, pair_basis: PairBasis) -> np.ndarray:
     """Two-particle product state from a 1D profile, in a pair basis.
 
     The underlying amplitudes are ``psi(x, y) = mu(x) * (-1)**(y // 2) *

@@ -39,12 +39,12 @@ from .lattices import (
     build_pair_lattice,
     in_window,
     interior_slice,
+    pair_basis,
     pt_commutator_deviation,
 )
 from .pairmap import (
     lift_1d_evolution,
     oracle_pair_hamiltonian,
-    pair_basis,
     sector_decompose,
     sector_reassembled_distance,
 )
@@ -297,7 +297,8 @@ def load_config(
     A previously written ``manifest.json`` is accepted directly (its
     ``version`` / ``generated_files`` keys are ignored).  The experiment
     must read every model and run key given and, if it reads ``kind``, run
-    on the model's lattice kind (:data:`EXPERIMENTS`).
+    on the model's lattice kind (:data:`EXPERIMENTS`); ``evolve2d`` needs
+    ``omega > 0``.
     """
     data: dict = {}
     if path is not None:
@@ -326,6 +327,11 @@ def load_config(
         allowed = [k.value for k in LatticeKind if k in kinds]
         raise ConfigError(
             f"model.kind: {experiment} runs on {allowed}, not {model.kind.value!r}"
+        )
+    if experiment == "evolve2d" and model.omega <= 0:
+        raise ConfigError(
+            "model.omega: evolve2d needs omega > 0, its pair periods being "
+            f"pi / (2 omega) and pi / omega (got {model.omega!r})"
         )
     return ExperimentConfig(
         experiment=experiment,
@@ -849,6 +855,7 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         ),
         "max_spectra_merge_deviation": worst("spectra_merge_deviation"),
         "max_evolution_distance": worst("evolution_distance"),
+        "max_sector_reassembled_distance": worst("sector_reassembled_distance"),
         "max_pt_commutator": worst("pt_commutator"),
     }
     return files, checks

@@ -1,10 +1,10 @@
 """Finite matrix representations of tilted tight-binding lattices.
 
 Builds open-boundary truncations of 1D dimerized chains (uniform, J/J*
-alternation, 1/i alternation) under a linear on-site ramp, the 2D square
-lattices that encode two-particle problems on those chains, and the
-symmetry operators (translation, gauge, time reversal, 2D parity) used to
-certify ladder structure.
+alternation, 1/i alternation) under a linear on-site ramp, the pair bases
+and 2D square lattices that encode two-particle problems on those chains,
+and the symmetry operators (translation, gauge, time reversal, 2D parity)
+used to certify ladder structure.
 
 Conventions
 -----------
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,10 @@ __all__ = [
     "LatticeKind",
     "LatticeSpec",
     "OperatorMatrix",
+    "PairBasis",
     "SymmetryOp",
     "build_chain",
+    "pair_basis",
     "build_pair_lattice",
     "translation_op",
     "gauge_op",
@@ -173,10 +176,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def label_index(self) -> dict:
-        """Map basis label -> row index."""
-        return {lab: i for i, lab in enumerate(self.basis_labels)}
-
 
 @dataclass(frozen=True)
 class SymmetryOp:
@@ -222,28 +221,82 @@ def build_chain(spec: LatticeSpec) -> OperatorMatrix:
     return OperatorMatrix(h, tuple(int(j) for j in sites))
 
 
-def pair_labels(kind: LatticeKind, side: int) -> tuple:
-    """Lexicographic (x, y) basis labels for a pair lattice."""
+@dataclass(frozen=True)
+class PairBasis:
+    """Ordered two-particle basis on a side-``L`` chain."""
+
+    kind: LatticeKind
+    side: int
+    labels: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def layout(self) -> tuple:
+        """Where each amplitude sits in the ``side x side`` amplitude matrix.
+
+        Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at
+        the mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``
+        (1/sqrt(2) off the diagonal, 1/2 twice on it), so ``restrict`` maps
+        onto the swap sector with orthonormal rows and ``embed`` is its
+        transpose.  The electron basis is the identity map (``parity`` 0).
+        """
+        xy = np.asarray(self.labels, dtype=int).T
+        xy.flags.writeable = False  # cached: every caller shares these arrays
+        x, y = xy
+        if self.kind is LatticeKind.PAIR_2D_ELECTRON:
+            return x, y, 0.0, 1.0
+        parity = 1.0 if self.kind is LatticeKind.PAIR_2D_BOSON else -1.0
+        weight = np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
+        weight.flags.writeable = False
+        return x, y, parity, weight
+
+    def embed(self, amps: np.ndarray) -> np.ndarray:
+        """Amplitude matrices ``[..., L, L]`` of states ``amps[..., dim]``."""
+        x, y, parity, weight = self.layout
+        amps = np.asarray(amps)
+        psi = np.zeros(amps.shape[:-1] + (self.side, self.side), dtype=complex)
+        psi[..., x, y] = weight * amps
+        if parity:
+            psi[..., y, x] += parity * weight * amps
+        return psi
+
+    def restrict(self, psi: np.ndarray) -> np.ndarray:
+        """Amplitudes in this basis of amplitude matrices ``psi[..., L, L]``."""
+        x, y, parity, weight = self.layout
+        if not parity:
+            return psi[..., x, y]
+        return weight * (psi[..., x, y] + parity * psi[..., y, x])
+
+
+def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
+    """Lexicographic ``(x, y)`` pair basis: the full square for electrons,
+    ``x > y`` for fermions, ``x >= y`` for bosons."""
+    kind = LatticeKind(kind)
     if kind is LatticeKind.PAIR_2D_ELECTRON:
-        return tuple((x, y) for x in range(side) for y in range(side))
-    if kind is LatticeKind.PAIR_2D_FERMION:
-        return tuple((x, y) for x in range(side) for y in range(x))
-    if kind is LatticeKind.PAIR_2D_BOSON:
-        return tuple((x, y) for x in range(side) for y in range(x + 1))
-    raise ValueError(f"not a pair kind: {kind!r}")
+        labels = tuple((x, y) for x in range(side) for y in range(side))
+    elif kind is LatticeKind.PAIR_2D_FERMION:
+        labels = tuple((x, y) for x in range(side) for y in range(x))
+    elif kind is LatticeKind.PAIR_2D_BOSON:
+        labels = tuple((x, y) for x in range(side) for y in range(x + 1))
+    else:
+        raise ValueError(f"not a pair kind: {kind!r}")
+    return PairBasis(kind=kind, side=side, labels=labels)
 
 
-def electron_side(h: OperatorMatrix) -> int:
-    """Side ``L`` of an electron pair lattice; ``ValueError`` for any other basis.
+def electron_side(labels: tuple) -> int:
+    """Side ``L`` of the electron pair basis ``labels``; ``ValueError`` for any
+    other basis.
 
     The size alone cannot tell: the fermion lattice at ``L = 9`` and the
     boson lattice at ``L = 8`` both have dimension 36 = 6 x 6.
     """
-    side = math.isqrt(h.dim)
-    if h.basis_labels != pair_labels(LatticeKind.PAIR_2D_ELECTRON, side):
-        labels = h.basis_labels
+    side = math.isqrt(len(labels))
+    if labels != pair_basis(LatticeKind.PAIR_2D_ELECTRON, side).labels:
         raise ValueError(
-            f"not an electron pair lattice: its {h.dim} basis labels "
+            f"not an electron pair lattice: its {len(labels)} basis labels "
             f"({labels[0]!r} ... {labels[-1]!r}) are not the full L x L square "
             "of (x, y) pairs"
         )
@@ -254,28 +307,25 @@ def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
     """2D square-lattice matrix encoding a two-particle chain problem.
 
     The electron lattice is the full ``L x L`` grid with the 1/i-dimer bond
-    pattern along both axes and potential ``omega * ((x - o) + (y - o))``.
-    The fermion lattice is its restriction to the strict lower triangle
-    ``x > y``; the boson lattice keeps ``x >= y`` and scales each bond with
-    exactly one endpoint on the diagonal ``x == y`` by sqrt(2).
+    pattern along both axes and potential ``omega * ((x - o) + (y - o))``:
+    the Kronecker sum ``H1 x 1 + 1 x H1`` of the chain ``H1``.  Every kind
+    takes that sum's entries on its own basis,
+    ``H[k, l] = H1[x_k, x_l] [y_k == y_l] + [x_k == x_l] H1[y_k, y_l]``, so
+    the fermion lattice (``x > y``) and the boson lattice (``x >= y``) are
+    never cut out of the full ``L^2 x L^2`` matrix.  The boson lattice
+    scales each bond with exactly one endpoint on the diagonal ``x == y``
+    by sqrt(2).
     """
     if not spec.kind.is_pair:
         raise ValueError(f"build_pair_lattice needs a 2D kind, got {spec.kind.value}")
-    side = spec.n_sites
-    chain = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
-    eye = np.eye(side)
-    electron = np.kron(chain, eye) + np.kron(eye, chain)
-    if spec.kind is LatticeKind.PAIR_2D_ELECTRON:
-        return OperatorMatrix(electron, pair_labels(spec.kind, side))
-
-    labels = pair_labels(spec.kind, side)
-    flat = np.array([x * side + y for x, y in labels])
-    h = electron[np.ix_(flat, flat)]
+    basis = pair_basis(spec.kind, spec.n_sites)
+    h1 = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
+    x, y = basis.layout[:2]
+    h = h1[np.ix_(x, x)] * (y[:, None] == y) + (x[:, None] == x) * h1[np.ix_(y, y)]
     if spec.kind is LatticeKind.PAIR_2D_BOSON:
-        on_diag = np.array([x == y for x, y in labels])
-        touches = on_diag[:, None] ^ on_diag[None, :]
-        h = np.where(touches, math.sqrt(2.0) * h, h)
-    return OperatorMatrix(h, labels)
+        on_diag = x == y
+        h = np.where(on_diag[:, None] ^ on_diag, math.sqrt(2.0) * h, h)
+    return OperatorMatrix(h, basis.labels)
 
 
 def translation_op(dim: int, n0: int) -> SymmetryOp:
@@ -392,5 +442,5 @@ def pt_commutator_deviation(h2d: OperatorMatrix) -> float:
     the reported value is ``|| P conj(H) - H P ||``; the diagonal ``P``
     scales rows and columns.
     """
-    p, h = _parity_2d_signs(electron_side(h2d)), h2d.entries
+    p, h = _parity_2d_signs(electron_side(h2d.basis_labels)), h2d.entries
     return float(np.linalg.norm(p[:, None] * np.conj(h) - h * p))

@@ -11,86 +11,18 @@ transcribed lattice couplings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .dynamics import TimeSeries, evolve
-from .lattices import (
-    LatticeKind,
-    OperatorMatrix,
-    electron_side,
-    pair_labels,
-)
+from .lattices import LatticeKind, OperatorMatrix, electron_side, pair_basis
 
 __all__ = [
-    "PairBasis",
-    "pair_basis",
     "oracle_pair_hamiltonian",
     "sector_decompose",
     "lift_1d_evolution",
     "sector_reassembled_distance",
 ]
-
-
-@dataclass(frozen=True)
-class PairBasis:
-    """Ordered two-particle basis on a side-``L`` chain."""
-
-    kind: LatticeKind
-    side: int
-    labels: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def label_index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    @cached_property
-    def layout(self) -> tuple:
-        """Where each amplitude sits in the ``side x side`` amplitude matrix.
-
-        Amplitude ``k`` enters at ``(x[k], y[k])`` with ``weight[k]`` and at
-        the mirrored entry ``(y[k], x[k])`` with ``parity * weight[k]``
-        (1/sqrt(2) off the diagonal, 1/2 twice on it), so ``restrict`` maps
-        onto the swap sector with orthonormal rows and ``embed`` is its
-        transpose.  The electron basis is the identity map (``parity`` 0).
-        """
-        xy = np.asarray(self.labels, dtype=int).T
-        xy.flags.writeable = False  # cached: every caller shares these arrays
-        x, y = xy
-        if self.kind is LatticeKind.PAIR_2D_ELECTRON:
-            return x, y, 0.0, 1.0
-        parity = 1.0 if self.kind is LatticeKind.PAIR_2D_BOSON else -1.0
-        weight = np.where(x == y, 0.5, 1.0 / math.sqrt(2.0))
-        weight.flags.writeable = False
-        return x, y, parity, weight
-
-    def embed(self, amps: np.ndarray) -> np.ndarray:
-        """Amplitude matrices ``[..., L, L]`` of states ``amps[..., dim]``."""
-        x, y, parity, weight = self.layout
-        amps = np.asarray(amps)
-        psi = np.zeros(amps.shape[:-1] + (self.side, self.side), dtype=complex)
-        psi[..., x, y] = weight * amps
-        if parity:
-            psi[..., y, x] += parity * weight * amps
-        return psi
-
-    def restrict(self, psi: np.ndarray) -> np.ndarray:
-        """Amplitudes in this basis of amplitude matrices ``psi[..., L, L]``."""
-        x, y, parity, weight = self.layout
-        if not parity:
-            return psi[..., x, y]
-        return weight * (psi[..., x, y] + parity * psi[..., y, x])
-
-
-def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
-    """Lexicographic pair basis for the given statistics."""
-    kind = LatticeKind(kind)
-    return PairBasis(kind=kind, side=side, labels=pair_labels(kind, side))
 
 
 def _bond_amp(b: int) -> complex:
@@ -122,7 +54,7 @@ def oracle_pair_hamiltonian(
         raise ValueError("pair lattices need side >= 4")
     offset = side // 2 if origin_offset is None else int(origin_offset)
     basis = pair_basis(kind, side)
-    index = basis.label_index()
+    index = {lab: i for i, lab in enumerate(basis.labels)}
     dim = basis.dim
     h = np.zeros((dim, dim), dtype=complex)
 
@@ -184,7 +116,7 @@ def sector_decompose(h_electron: OperatorMatrix) -> tuple[OperatorMatrix, Operat
     ``P H P^T`` is taken by index maps (:meth:`PairBasis.restrict` on both
     index pairs), never by a dense projector.
     """
-    side = electron_side(h_electron)
+    side = electron_side(h_electron.basis_labels)
     h4 = h_electron.entries.reshape(side, side, side, side)
     asym = float(np.linalg.norm(h4 - h4.transpose(1, 0, 3, 2)))  # (x, y) -> (y, x)
     if asym > 1e-12 * max(1.0, float(np.abs(h_electron.entries).max())):
@@ -230,9 +162,11 @@ def sector_reassembled_distance(direct: TimeSeries, sectors: tuple) -> float:
     its (symmetric, antisymmetric) parts from :func:`sector_decompose`.
     Restricts the initial state to both swap sectors, evolves each under
     its sector matrix, embeds the results back into the full lattice, and
-    returns the maximum normalized distance to the direct evolution.
+    returns the maximum normalized distance to the direct evolution.  A
+    series on any basis other than the electron pair basis raises
+    ``ValueError``.
     """
-    side = math.isqrt(len(direct.basis_labels))
+    side = electron_side(direct.basis_labels)
     amps = direct.initial_state.reshape(side, side)
     rebuilt = np.zeros_like(direct.states)
     for kind, sector in zip(_SECTOR_KINDS, sectors):

@@ -506,6 +506,7 @@ def test_pair_equivalence_run(tmp_path):
     assert checks["max_sector_deviation"] < 1e-12
     assert checks["max_spectra_merge_deviation"] < 1e-9
     assert checks["max_evolution_distance"] < 1e-8
+    assert checks["max_sector_reassembled_distance"] < 1e-8
     assert checks["max_pt_commutator"] < 1e-12
 
 
@@ -660,6 +661,21 @@ def test_cli_bad_seed_file_is_config_error(tmp_path, capsys, text, message):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("omega", ["0", "-0.2"])
+def test_cli_evolve2d_refuses_nonpositive_omega(tmp_path, capsys, omega):
+    seed = tmp_path / "seed"
+    seed.mkdir()
+    (seed / "mu.json").write_text(json.dumps({**_SEED, "omega": float(omega)}))
+    flags = ["--model", "pair_2d_electron", "--sites", "8", "--omega", omega,
+             "--from-run", str(seed)]
+    assert main(["validate", "--experiment", "evolve2d", *flags]) == 2
+    assert "model.omega" in capsys.readouterr().err
+    assert main(["evolve2d", *flags, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "model.omega" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_spectrum(tmp_path, capsys):

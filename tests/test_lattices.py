@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from starkladder.lattices import (
     time_reversal_op,
     translation_op,
 )
+
+from sector_reference import reference_pair_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def test_ramped_translation_holds_for_any_tilt(n, omega):
 def test_electron_bond_pattern():
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_ELECTRON, n_sites=6, omega=0.0)
     h = build_pair_lattice(spec)
-    idx = h.label_index()
+    idx = {lab: i for i, lab in enumerate(h.basis_labels)}
     for y in range(6):
         assert h.entries[idx[(0, y)], idx[(1, y)]] == 1.0  # even x-bond
         assert h.entries[idx[(1, y)], idx[(2, y)]] == 1j  # odd x-bond
@@ -141,7 +145,7 @@ def test_electron_diagonal_potential():
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_ELECTRON, n_sites=4, omega=0.3,
                        origin_offset=0)
     h = build_pair_lattice(spec)
-    idx = h.label_index()
+    idx = {lab: i for i, lab in enumerate(h.basis_labels)}
     for x in range(4):
         for y in range(4):
             assert h.entries[idx[(x, y)], idx[(x, y)]] == pytest.approx(0.3 * (x + y))
@@ -150,7 +154,7 @@ def test_electron_diagonal_potential():
 def test_boson_sqrt2_on_diagonal_touching_bonds():
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_BOSON, n_sites=8, omega=0.0)
     h = build_pair_lattice(spec)
-    idx = h.label_index()
+    idx = {lab: i for i, lab in enumerate(h.basis_labels)}
     root2 = np.sqrt(2.0)
     assert h.entries[idx[(3, 2)], idx[(2, 2)]] == pytest.approx(root2)  # even x-bond
     assert h.entries[idx[(4, 4)], idx[(4, 3)]] == pytest.approx(root2 * 1j)  # odd y-bond
@@ -161,6 +165,29 @@ def test_boson_sqrt2_on_diagonal_touching_bonds():
 def test_fermion_dimension_counts_strict_pairs():
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=6, omega=0.1)
     assert build_pair_lattice(spec).dim == 15
+
+
+@pytest.mark.parametrize("offset", [None, 0, 3])
+@pytest.mark.parametrize("kind", [k for k in LatticeKind if k.is_pair])
+@pytest.mark.parametrize("side", [4, 5, 7, 8, 12, 40])
+def test_pair_lattice_equals_kronecker_reference_bitwise(side, kind, offset):
+    spec = LatticeSpec(kind=kind, n_sites=side, omega=0.37, origin_offset=offset)
+    h = build_pair_lattice(spec)
+    entries, labels = reference_pair_lattice(spec)
+    assert h.basis_labels == labels
+    assert h.entries.tobytes() == entries.tobytes()
+
+
+def test_sector_build_never_forms_the_electron_lattice():
+    # the 1600 x 1600 complex electron matrix alone takes 41 MB
+    spec = LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=40, omega=0.2)
+    tracemalloc.start()
+    try:
+        build_pair_lattice(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_pair_lattice_rejects_small_side():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import starkladder.lattices
+import starkladder.pairmap
 from starkladder.dynamics import evolve
 from starkladder.lattices import (
     LatticeKind,
@@ -52,6 +54,10 @@ def test_basis_regions_and_sizes():
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
+
+
+def test_pairmap_pair_basis_is_the_lattice_one():
+    assert starkladder.pairmap.pair_basis is starkladder.lattices.pair_basis
 
 
 def test_oracle_electron_diagonal_is_summed_potential():
@@ -118,7 +124,7 @@ def test_sector_dimensions_partition_the_square():
 
 def test_electron_lattice_is_reflection_symmetric():
     h = _electron(8)
-    index = h.label_index()
+    index = {lab: i for i, lab in enumerate(h.basis_labels)}
     swap = [index[(y, x)] for x, y in h.basis_labels]
     assert np.array_equal(h.entries[np.ix_(swap, swap)], h.entries)
 
@@ -241,6 +247,18 @@ def test_sector_evolution_reassembles():
     electron = _electron(side)
     direct = evolve(electron, psi0, times)
     assert sector_reassembled_distance(direct, sector_decompose(electron)) < 1e-8
+
+
+def test_sector_reassembly_refuses_a_square_sized_sector_series():
+    # dimension 36 = 6 x 6: only the basis labels tell it is not an electron series
+    fermion = build_pair_lattice(
+        LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=9, omega=OMEGA)
+    )
+    assert fermion.dim == 36
+    psi0 = np.full(fermion.dim, 1.0 / 6.0, dtype=complex)
+    direct = evolve(fermion, psi0, np.linspace(0.0, 4.0, 5))
+    with pytest.raises(ValueError, match="not an electron pair lattice"):
+        sector_reassembled_distance(direct, sector_decompose(_electron(6)))
 
 
 def test_pure_sector_state_stays_in_sector():
