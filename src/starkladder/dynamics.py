@@ -128,6 +128,7 @@ def evolve_pair(
     phi0: np.ndarray,
     basis: PairBasis,
     times,
+    spectrum: ComplexSpectrum | None = None,
 ) -> TimeSeries:
     """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
 
@@ -141,6 +142,7 @@ def evolve_pair(
     amplitude matrices and restricted back to ``basis.labels``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
 
+    ``spectrum`` is the chain's, computed here when not given.
     ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
     ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
     :func:`evolve` does; ``TimeSeries.method`` records which path ran.
@@ -151,7 +153,8 @@ def evolve_pair(
         raise ValueError(
             f"chain of {chain.dim} sites does not match pair side {basis.side}"
         )
-    spectrum = eigendecompose(chain)
+    if spectrum is None:
+        spectrum = eigendecompose(chain)
     psi0 = basis.embed(phi0)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:

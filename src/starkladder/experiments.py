@@ -575,6 +575,15 @@ def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
+def _basis_health(solver: str, condition: float) -> dict:
+    """Which eigensolver route ran, and the 2-norm condition number of the
+    eigenbasis the evolution expanded in (None if infinite)."""
+    return {
+        "eigensolver": solver,
+        "eigenvector_condition": condition if math.isfinite(condition) else None,
+    }
+
+
 def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     """Single-particle Bloch oscillation under rate rescaling: periodic at the
     matched growth rate, damped above it; also serializes the long-time
@@ -626,6 +635,7 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
     checks = {
         "method": series.method,
+        **_basis_health(spectrum.solver, spectrum.condition),
         "lambda": lam,
         "e0": [ref.energy.real, ref.energy.imag],
         "reference_center": ref.localization_center,
@@ -745,7 +755,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    series = evolve_pair(chain, phi0, basis, times)
+    spectrum = eigendecompose(chain)
+    series = evolve_pair(chain, phi0, basis, times, spectrum=spectrum)
     f_curve = fidelity(series)
 
     fid_at = {}
@@ -788,6 +799,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     )
     checks = {
         "method": series.method,
+        # the pair basis is V x V, whose condition number is kappa(V)^2
+        **_basis_health(spectrum.solver, spectrum.condition**2),
         "pair_period_candidates": {k: float(v) for k, v in candidates.items()},
         "fidelity_at_candidates": fid_at,
         "matched_candidate": matched,

@@ -9,11 +9,14 @@ reference eigenstate.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
@@ -34,6 +37,7 @@ __all__ = [
     "EigendecompositionError",
     "ReferenceSelectionError",
     "eigendecompose",
+    "leading_amplitude_index",
     "detect_ladders",
     "verify_ladder_operator",
     "select_reference_state",
@@ -47,6 +51,20 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 DETECTION_TOL = 1e-6
 CONDITION_LIMIT = 1e12
+# ``D^-1 V^T V - 1`` on the probes, relative: above it V^T V is not diagonal
+GRAM_TOL = 1e-8
+# ``||V c - psi|| / ||psi||`` the transpose route must meet, per column
+RECONSTRUCTION_TOL = 1e-12
+# power iteration for ||V|| and ||V^-1||: stop below this relative gain
+NORM_TOL = 1e-5
+NORM_MAX_STEPS = 500
+# inverse-iteration shift off each eigenvalue, in ulps of the matrix scale
+INVERSE_ITERATION_SHIFT = 2.0
+# largest eigenvalue condition number ``1 / |v^T v|`` (unit v) the
+# tridiagonal route keeps; above it the dense route reruns
+EIGENVALUE_CONDITION_LIMIT = 1e4
+# seed of the fixed start and probe vectors
+_SEED = 20240607
 
 
 class EigendecompositionError(RuntimeError):
@@ -62,33 +80,83 @@ class ComplexSpectrum:
     """Right eigenpairs of a non-normal matrix, residual-certified.
 
     Eigenvalues are sorted by real part (ties: imaginary part ascending);
-    ``right_eigenvectors[:, k]`` is unit-norm with its largest-magnitude
-    amplitude made real positive, so the decomposition is deterministic.
+    ``right_eigenvectors[:, k]`` is unit-norm with its leading amplitude
+    (:func:`leading_amplitude_index`) made real positive, so the
+    decomposition is deterministic.  ``solver`` names the route that
+    produced the eigenvectors: ``"tridiagonal"`` or ``"dense"``.
 
     The eigenvector matrix ``V`` is the (non-orthogonal) basis of every
-    expansion: its condition number and LU factorization are computed on
-    first use and kept for the lifetime of the spectrum.
+    expansion.  Every matrix the package builds is complex symmetric, so
+    for distinct eigenvalues ``V^T V = D`` is diagonal and
+    ``V^-1 = D^-1 V^T``; where two seeded probes find ``V^T V`` not
+    diagonal (degenerate levels, a matrix that is not symmetric) an LU
+    factorization of ``V`` takes its place.  Either is set up on first use
+    and kept for the lifetime of the spectrum.
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray
     residuals: np.ndarray
+    solver: str = "dense"
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
     @cached_property
-    def condition(self) -> float:
-        """2-norm condition number of ``V``; huge near an exceptional point."""
-        return float(np.linalg.cond(self.right_eigenvectors))
+    def _gram_diagonal(self) -> np.ndarray | None:
+        """``d = diag(V^T V)`` if two seeded probes show ``V^T V = D``, else None."""
+        v = self.right_eigenvectors
+        d = np.einsum("ij,ij->j", v, v)
+        probes = _start_vectors(self.dim, 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            off = (v.T @ (v @ probes)) / d[:, None] - probes
+            gap = np.linalg.norm(off)
+        return d if gap <= GRAM_TOL * np.linalg.norm(probes) else None
 
     @cached_property
     def _lu(self) -> tuple:
-        return scipy.linalg.lu_factor(self.right_eigenvectors)
+        with warnings.catch_warnings():  # a singular V is reported by ``condition``
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.lu_factor(self.right_eigenvectors)
+
+    @cached_property
+    def condition(self) -> float:
+        """2-norm condition number ``kappa_2(V)``; huge near an exceptional point.
+
+        Estimated as ``||V|| ||V^-1||``, each norm by power iteration on
+        ``A^H A`` (:func:`_norm_estimate`), with ``V^-1`` applied as
+        ``D^-1 V^T`` where ``V^T V`` is diagonal and through the LU factors
+        otherwise.  Both factors are lower bounds; no SVD is formed.  A
+        singular ``V`` gives ``inf``.
+        """
+        v = self.right_eigenvectors
+        d = self._gram_diagonal
+        if d is not None:
+            inverse = lambda x: (v.T @ x) / d  # noqa: E731
+            inverse_h = lambda y: np.conj(v @ (np.conj(y) / d))  # noqa: E731
+        else:
+            lu = self._lu
+            if not np.all(np.diagonal(lu[0])):
+                return math.inf
+            inverse = lambda x: scipy.linalg.lu_solve(lu, x, check_finite=False)  # noqa: E731
+            inverse_h = lambda y: scipy.linalg.lu_solve(  # noqa: E731
+                lu, y, trans=2, check_finite=False
+            )
+        with np.errstate(all="ignore"):  # a near-singular V may overflow
+            kappa = _norm_estimate(
+                lambda x: v @ x, lambda y: np.conj(v.T @ np.conj(y)), self.dim
+            ) * _norm_estimate(inverse, inverse_h, self.dim)
+        return kappa if math.isfinite(kappa) else math.inf
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Expansion coefficients ``c`` of ``psi = V c``.
+        """Expansion coefficients ``c`` of ``psi = V c``; ``psi`` a vector or
+        a matrix whose columns are expanded.
+
+        ``c = D^-1 V^T psi`` plus one refinement step with the exact
+        residual, kept if every column reconstructs ``psi`` to
+        ``RECONSTRUCTION_TOL``; otherwise, and when ``V^T V`` is not
+        diagonal, the LU solve.
 
         Raises
         ------
@@ -101,7 +169,44 @@ class ComplexSpectrum:
                 f"eigenvector condition number {self.condition:.2e} exceeds "
                 f"{CONDITION_LIMIT:.0e}; the eigenbasis is numerically defective"
             )
-        return scipy.linalg.lu_solve(self._lu, np.asarray(psi, dtype=complex))
+        psi = np.asarray(psi, dtype=complex)
+        d = self._gram_diagonal
+        if d is not None:
+            v = self.right_eigenvectors
+            weights = d if psi.ndim == 1 else d[:, None]
+            c = (v.T @ psi) / weights
+            c += (v.T @ (psi - v @ c)) / weights
+            miss = np.linalg.norm(v @ c - psi, axis=0)
+            if np.all(miss <= RECONSTRUCTION_TOL * np.linalg.norm(psi, axis=0)):
+                return c
+        return scipy.linalg.lu_solve(self._lu, psi)
+
+
+def _start_vectors(n: int, count: int) -> np.ndarray:
+    """``count`` fixed pseudo-random complex columns of length ``n``."""
+    rng = np.random.default_rng(_SEED)
+    return rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
+
+
+def _norm_estimate(apply, apply_h, n: int) -> float:
+    """Lower bound on ``||A||_2`` by power iteration on ``A^H A``.
+
+    ``apply`` and ``apply_h`` multiply by ``A`` and ``A^H``.  Stops once a
+    step raises the estimate by less than ``NORM_TOL`` relative, or after
+    ``NORM_MAX_STEPS`` steps.
+    """
+    x = _start_vectors(n, 1)[:, 0]
+    x /= np.linalg.norm(x)
+    estimate = 0.0
+    for _ in range(NORM_MAX_STEPS):
+        y = apply(x)
+        gain = np.linalg.norm(y)
+        if not gain > estimate * (1.0 + NORM_TOL):
+            return max(gain, estimate)
+        estimate = gain
+        x = apply_h(y)
+        x /= np.linalg.norm(x)
+    return estimate
 
 
 @dataclass(frozen=True)
@@ -202,8 +307,137 @@ def participation_ratio(amplitudes: np.ndarray) -> float | np.ndarray:
     return float(ratios) if w.ndim == 1 else ratios
 
 
+def leading_amplitude_index(vectors: np.ndarray) -> np.ndarray:
+    """Row of each column's phase reference: the first amplitude whose
+    magnitude is within ``1e-9`` (relative) of the column maximum.
+
+    Eigenvectors of the dimer chains often carry two amplitudes of equal
+    magnitude; the tolerance keeps rounding noise from choosing between
+    them, as in :func:`select_reference_state`.
+    """
+    mags = np.abs(vectors)
+    return np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
+
+
+def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """Scale each column, in place, to unit norm with its leading amplitude
+    real positive."""
+    vectors /= np.linalg.norm(vectors, axis=0)
+    lead = vectors[leading_amplitude_index(vectors), np.arange(vectors.shape[1])]
+    vectors *= np.abs(lead) / lead
+    return vectors
+
+
+def _tridiagonal_bands(entries: np.ndarray) -> tuple | None:
+    """``(diagonal, off_diagonal)`` of an irreducible complex-symmetric
+    tridiagonal matrix: equal off-diagonals, all nonzero, nothing outside
+    the three diagonals.  None for any other matrix."""
+    off = np.diagonal(entries, 1)
+    if not (np.all(off != 0) and np.array_equal(off, np.diagonal(entries, -1))):
+        return None
+    diag = np.diagonal(entries)
+    if np.count_nonzero(entries) != np.count_nonzero(diag) + 2 * off.size:
+        return None
+    return diag.copy(), off.copy()
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
+    """Eigenvectors of the tridiagonal matrix at the given eigenvalues.
+
+    Inverse iteration per eigenvalue with LAPACK ``zgtsv`` (partial
+    pivoting), the shift ``INVERSE_ITERATION_SHIFT`` ulps of the matrix
+    scale off the eigenvalue.  One solve from a fixed start vector locates
+    the eigenvector's largest amplitude; two sweeps then start from the
+    unit vector there.  Started from a vector spread over every site, the
+    result keeps a floor of the other modes (about 1e-30 at n = 1000);
+    from the unit vector, amplitudes far from it decay as the eigenvector
+    does.  Columns come back unnormalized.  O(n) per solve, O(n^2) in all.
+    None if a factorization meets an exactly zero pivot.
+    """
+    n = diag.size
+    start = _start_vectors(n, 1)
+    scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max())
+    nudge = INVERSE_ITERATION_SHIFT * np.finfo(float).eps * scale * (1 + 1j)
+    vectors = np.empty((n, n), dtype=complex)
+    for k, value in enumerate(values):
+        shifted = diag - (value + nudge)
+        _, _, _, x, info = zgtsv(off, shifted, off, start)
+        if info != 0:
+            return None
+        unit = np.zeros((n, 1), dtype=complex)
+        unit[np.argmax(np.abs(x))] = 1.0
+        x = unit
+        for _ in range(2):
+            _, _, _, x, info = zgtsv(off, shifted, off, x / np.linalg.norm(x))
+            if info != 0:
+                return None
+        vectors[:, k] = x[:, 0]
+    return vectors
+
+
+def _tridiagonal_residuals(diag, off, values, vectors, block: int = 64) -> np.ndarray:
+    """``||T v_k - E_k v_k||`` from the three diagonals of ``T``, a block of
+    columns at a time, so that no n x n temporary is formed."""
+    residuals = np.empty(values.size)
+    for lo in range(0, values.size, block):
+        v = vectors[:, lo:lo + block]
+        r = v * (diag[:, None] - values[None, lo:lo + block])
+        r[:-1] += off[:, None] * v[1:]
+        r[1:] += off[:, None] * v[:-1]
+        residuals[lo:lo + block] = np.linalg.norm(r, axis=0)
+    return residuals
+
+
+def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | None:
+    """Eigenvalues from one ``eigvals``, eigenvectors by inverse iteration.
+
+    None if ``eigvals`` or inverse iteration breaks down, if ``V^T V`` is
+    not diagonal (the columns are no basis the transpose route can
+    invert), or if some unit eigenvector is within
+    ``1 / EIGENVALUE_CONDITION_LIMIT`` of self-orthogonal,
+    ``|v^T v| -> 0``: that is the approach to an exceptional point, where
+    the eigenvalues are ill-conditioned and ``eigvals`` and ``eig`` may
+    disagree beyond 1e-10.
+    """
+    try:
+        values = np.linalg.eigvals(entries)
+    except np.linalg.LinAlgError:  # pragma: no cover - backend dependent
+        return None
+    values = values[np.lexsort((values.imag, values.real))]
+    vectors = _inverse_iteration(diag, off, values)
+    if vectors is None:
+        return None
+    _fix_phases(vectors)
+    residuals = _tridiagonal_residuals(diag, off, values, vectors)
+    spectrum = ComplexSpectrum(values, vectors, residuals, solver="tridiagonal")
+    d = spectrum._gram_diagonal
+    if d is None or np.abs(d).min() < 1.0 / EIGENVALUE_CONDITION_LIMIT:
+        return None
+    return spectrum
+
+
+def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
+    """Eigenpairs from ``scipy.linalg.eig``; residuals from the full matrix."""
+    try:
+        values, vectors = scipy.linalg.eig(entries)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
+        raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    vectors = _fix_phases(vectors[:, order])
+    residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
+    return ComplexSpectrum(values, vectors, residuals)
+
+
 def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> ComplexSpectrum:
     """Full right eigendecomposition with a residual certificate.
+
+    An irreducible complex-symmetric tridiagonal matrix (every chain) takes
+    the tridiagonal route: one ``eigvals`` and O(n^2) inverse iteration.
+    If any of its columns fails the certificate, or the route rejects its
+    own result (:func:`_tridiagonal_spectrum`), the dense
+    ``scipy.linalg.eig`` route reruns and is certified instead; exceptional
+    points need it.  Every other matrix takes the dense route directly.
 
     Raises
     ------
@@ -215,22 +449,13 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     entries = h.entries
     if entries.shape[0] < 2:
         raise ValueError("eigendecompose needs dim >= 2")
-    try:
-        values, vectors = scipy.linalg.eig(entries)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
-        raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
-
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    lead = np.argmax(np.abs(vectors), axis=0)
-    phases = vectors[lead, np.arange(vectors.shape[1])]
-    vectors = vectors * (np.abs(phases) / phases)[None, :]
-
-    residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
-    spectrum = ComplexSpectrum(values, vectors, residuals)
+    bands = _tridiagonal_bands(entries)
+    if bands is not None:
+        spectrum = _tridiagonal_spectrum(entries, *bands)
+        if spectrum is not None and np.all(spectrum.residuals < residual_tol):
+            return spectrum
+    spectrum = _dense_spectrum(entries)
+    residuals = spectrum.residuals
     if not np.all(residuals < residual_tol):
         raise EigendecompositionError(
             f"residual certificate failed: max residual {residuals.max():.3e} "

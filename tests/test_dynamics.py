@@ -1,4 +1,4 @@
-import dataclasses
+import collections
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    build_chain,
     build_pair_lattice,
     interior_slice,
 )
@@ -117,10 +118,9 @@ def test_defective_basis_refuses_expansion():
         family_projection(spectrum, [0], np.array([0.0, 1.0]))
 
 
-def test_basis_is_factored_once_per_spectrum(dimer60, monkeypatch):
-    _, h, cached = dimer60
-    spectrum = dataclasses.replace(cached)  # fresh instance, nothing cached yet
-    calls = {"lu_factor": 0, "cond": 0}
+def _count_kernels(monkeypatch) -> collections.Counter:
+    """Count the dense kernels the spectral basis could call."""
+    calls = collections.Counter()
 
     def counted(module, name):
         original = getattr(module, name)
@@ -131,13 +131,37 @@ def test_basis_is_factored_once_per_spectrum(dimer60, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(scipy.linalg, "eig")
     counted(scipy.linalg, "lu_factor")
     counted(np.linalg, "cond")
-    psi0 = gaussian_state(0.3, 30, 60)
+    return calls
+
+
+def _expand_three_times(h, spectrum):
+    psi0 = gaussian_state(0.3, h.dim // 2, h.dim)
     evolve(h, psi0, [0.0, 1.0], spectrum=spectrum)
     evolve(h, psi0, [0.0, 2.0], spectrum=spectrum)
     family_projection(spectrum, [0, 1], psi0)
-    assert calls == {"lu_factor": 1, "cond": 1}
+
+
+def test_chain_basis_needs_no_dense_kernel(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=OMEGA))
+    spectrum = eigendecompose(h)
+    _expand_three_times(h, spectrum)
+    assert spectrum.solver == "tridiagonal"
+    assert calls == {}  # no eig, no cond, no lu_factor
+
+
+def test_general_basis_is_factored_once_per_spectrum(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    rng = np.random.default_rng(3)
+    entries = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = OperatorMatrix(entries, tuple(range(8)))  # not symmetric: V^T V is full
+    spectrum = eigendecompose(h)
+    _expand_three_times(h, spectrum)
+    assert spectrum.solver == "dense"
+    assert calls == {"eig": 1, "lu_factor": 1}
 
 
 def test_times_and_state_validation(dimer60):

@@ -395,6 +395,12 @@ def test_evolve1d_then_evolve2d_chain(tmp_path):
         "pi_over_2omega",
         "pi_over_omega",
     }
+    # the chain's basis, and the pair basis V x V built on it
+    assert checks1["eigensolver"] == checks2["eigensolver"] == "tridiagonal"
+    assert 1.0 <= checks1["eigenvector_condition"] < 1e3
+    assert checks2["eigenvector_condition"] == pytest.approx(
+        checks1["eigenvector_condition"] ** 2, rel=1e-12
+    )
     assert (tmp_path / "pair" / "fidelity.csv").exists()
     assert (tmp_path / "pair" / "snapshots.csv").exists()
     manifest = json.loads((tmp_path / "pair" / "manifest.json").read_text())

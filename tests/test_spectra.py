@@ -18,6 +18,7 @@ from starkladder.spectra import (
     conjugation_closure_deviation,
     detect_ladders,
     eigendecompose,
+    leading_amplitude_index,
     localization_center,
     participation_ratio,
     scan_E0_vs_omega,
@@ -63,9 +64,15 @@ def test_decomposition_is_deterministic(dimer60):
 
 def test_phase_convention_leading_amplitude_real(dimer60):
     _, _, spectrum = dimer60
-    lead = np.argmax(np.abs(spectrum.right_eigenvectors), axis=0)
+    lead = leading_amplitude_index(spectrum.right_eigenvectors)
     vals = spectrum.right_eigenvectors[lead, np.arange(spectrum.dim)]
     assert np.all(np.abs(vals.imag) < 1e-12) and np.all(vals.real > 0)
+
+
+def test_leading_amplitude_ties_go_to_first_index():
+    # magnitudes equal up to rounding: the first index wins, not the rounding
+    vectors = np.array([[0.6, 0.1], [0.6 * (1 + 1e-13), 0.2], [0.1, 0.2 * (1 - 2e-9)]])
+    np.testing.assert_array_equal(leading_amplitude_index(vectors), [0, 1])
 
 
 def test_reference_energy_growth_rate(dimer60):
