@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import zgees, zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
@@ -53,7 +53,8 @@ DETECTION_TOL = 1e-6
 CONDITION_LIMIT = 1e12
 # ``D^-1 V^T V - 1`` on the probes, relative: above it V^T V is not diagonal
 GRAM_TOL = 1e-8
-# ``||V c - psi|| / ||psi||`` the transpose route must meet, per column
+# backward error ``||V c - psi|| / (||V|| ||c||)`` the transpose route must
+# meet, per column
 RECONSTRUCTION_TOL = 1e-12
 # power iteration for ||V|| and ||V^-1||: stop below this relative gain
 NORM_TOL = 1e-5
@@ -83,7 +84,9 @@ class ComplexSpectrum:
     ``right_eigenvectors[:, k]`` is unit-norm with its leading amplitude
     (:func:`leading_amplitude_index`) made real positive, so the
     decomposition is deterministic.  ``solver`` names the route that
-    produced the eigenvectors: ``"tridiagonal"`` or ``"dense"``.
+    produced the eigenvectors: ``"tridiagonal"`` (one ``zgees`` without
+    Schur vectors, then inverse iteration) or ``"dense"``
+    (``scipy.linalg.eig``).
 
     The eigenvector matrix ``V`` is the (non-orthogonal) basis of every
     expansion.  Every matrix the package builds is complex symmetric, so
@@ -121,6 +124,12 @@ class ComplexSpectrum:
             return scipy.linalg.lu_factor(self.right_eigenvectors)
 
     @cached_property
+    def _norm(self) -> float:
+        """``||V||_2`` by power iteration (:func:`_norm_estimate`), a lower bound."""
+        v = self.right_eigenvectors
+        return _norm_estimate(lambda x: v @ x, lambda y: np.conj(v.T @ np.conj(y)), self.dim)
+
+    @cached_property
     def condition(self) -> float:
         """2-norm condition number ``kappa_2(V)``; huge near an exceptional point.
 
@@ -144,9 +153,7 @@ class ComplexSpectrum:
                 lu, y, trans=2, check_finite=False
             )
         with np.errstate(all="ignore"):  # a near-singular V may overflow
-            kappa = _norm_estimate(
-                lambda x: v @ x, lambda y: np.conj(v.T @ np.conj(y)), self.dim
-            ) * _norm_estimate(inverse, inverse_h, self.dim)
+            kappa = self._norm * _norm_estimate(inverse, inverse_h, self.dim)
         return kappa if math.isfinite(kappa) else math.inf
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
@@ -154,9 +161,10 @@ class ComplexSpectrum:
         a matrix whose columns are expanded.
 
         ``c = D^-1 V^T psi`` plus one refinement step with the exact
-        residual, kept if every column reconstructs ``psi`` to
-        ``RECONSTRUCTION_TOL``; otherwise, and when ``V^T V`` is not
-        diagonal, the LU solve.
+        residual, kept if every column's backward error is small,
+        ``||V c - psi|| <= RECONSTRUCTION_TOL ||V|| ||c||`` (the standard
+        an LU solve meets); otherwise, and when ``V^T V`` is not diagonal,
+        the LU solve.
 
         Raises
         ------
@@ -177,7 +185,7 @@ class ComplexSpectrum:
             c = (v.T @ psi) / weights
             c += (v.T @ (psi - v @ c)) / weights
             miss = np.linalg.norm(v @ c - psi, axis=0)
-            if np.all(miss <= RECONSTRUCTION_TOL * np.linalg.norm(psi, axis=0)):
+            if np.all(miss <= RECONSTRUCTION_TOL * self._norm * np.linalg.norm(c, axis=0)):
                 return c
         return scipy.linalg.lu_solve(self._lu, psi)
 
@@ -388,20 +396,37 @@ def _tridiagonal_residuals(diag, off, values, vectors, block: int = 64) -> np.nd
     return residuals
 
 
-def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | None:
-    """Eigenvalues from one ``eigvals``, eigenvectors by inverse iteration.
+def _schur_eigenvalues(entries: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues from the diagonal of the complex Schur form: LAPACK
+    ``zgees`` without Schur vectors.  None if the QR iteration fails.
 
-    None if ``eigvals`` or inverse iteration breaks down, if ``V^T V`` is
+    The workspace is held at 3n.  With it the Hessenberg reduction inside
+    ``zgees`` runs unblocked, and on a tridiagonal matrix, which is already
+    Hessenberg, its reflectors have zero tails that LAPACK skips: O(n^2).
+    From about 8n on it runs blocked, in O(n^3), as it does in ``eigvals``,
+    which gives ``zgeev`` its optimal workspace: 2 to 9 times slower for
+    n >= 1000, with the same QR iteration after it.
+    """
+    _, _, values, _, _, info = zgees(
+        lambda _: None, entries, compute_v=0, lwork=3 * entries.shape[0]
+    )
+    return values if info == 0 else None
+
+
+def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | None:
+    """Eigenvalues from one ``zgees`` without Schur vectors
+    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration.
+
+    None if ``zgees`` or inverse iteration breaks down, if ``V^T V`` is
     not diagonal (the columns are no basis the transpose route can
     invert), or if some unit eigenvector is within
     ``1 / EIGENVALUE_CONDITION_LIMIT`` of self-orthogonal,
     ``|v^T v| -> 0``: that is the approach to an exceptional point, where
-    the eigenvalues are ill-conditioned and ``eigvals`` and ``eig`` may
+    the eigenvalues are ill-conditioned and ``zgees`` and ``eig`` may
     disagree beyond 1e-10.
     """
-    try:
-        values = np.linalg.eigvals(entries)
-    except np.linalg.LinAlgError:  # pragma: no cover - backend dependent
+    values = _schur_eigenvalues(entries)
+    if values is None:
         return None
     values = values[np.lexsort((values.imag, values.real))]
     vectors = _inverse_iteration(diag, off, values)
@@ -433,7 +458,8 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     """Full right eigendecomposition with a residual certificate.
 
     An irreducible complex-symmetric tridiagonal matrix (every chain) takes
-    the tridiagonal route: one ``eigvals`` and O(n^2) inverse iteration.
+    the tridiagonal route: one ``zgees`` without Schur vectors and O(n^2)
+    inverse iteration.
     If any of its columns fails the certificate, or the route rejects its
     own result (:func:`_tridiagonal_spectrum`), the dense
     ``scipy.linalg.eig`` route reruns and is certified instead; exceptional
@@ -508,8 +534,9 @@ def detect_ladders(
     alone; near-degenerate clusters are found among neighbours in the same
     order.  Cost: O(n log n + rungs * window), where ``window`` is the
     number of levels per lookup: a few, unless many levels share a real
-    part.  No n x n array is formed here; the conjugate pairing matches the
-    Im > 0 levels against the Im < 0 ones with a dense cost matrix.
+    part.  No n x n array is formed, unless the conjugate pairing
+    (:func:`_conjugate_pairing`) finds no unambiguous nearest-neighbour
+    matching and falls back to the assignment on a dense cost matrix.
     """
     if expected_spacing <= 0:
         raise ValueError("expected_spacing must be positive")
@@ -527,11 +554,7 @@ def detect_ladders(
     sorted_real = values.real[order]
 
     def window(target: complex, half: float) -> list:
-        # widened by a few ulps, so that no level within ``half`` of the
-        # target in the complex plane falls outside through rounding
-        pad = half + 4 * np.finfo(float).eps * (abs(target.real) + half)
-        lo = np.searchsorted(sorted_real, target.real - pad, side="left")
-        hi = np.searchsorted(sorted_real, target.real + pad, side="right")
+        lo, hi = _window_bounds(sorted_real, target.real, half)
         return order[lo:hi].tolist()
 
     degenerate = _degenerate_indices(values, tol)
@@ -607,18 +630,74 @@ def detect_ladders(
     )
 
 
+def _window_bounds(sorted_real: np.ndarray, center, half):
+    """``(lo, hi)`` such that ``sorted_real[lo:hi]`` holds every level within
+    ``half`` of ``center``; ``center`` and ``half`` scalars or arrays.
+
+    Widened by a few ulps, so that no level within ``half`` of a target in
+    the complex plane falls outside through rounding.
+    """
+    pad = half + 4 * np.finfo(float).eps * (np.abs(center) + half)
+    return (
+        np.searchsorted(sorted_real, center - pad, side="left"),
+        np.searchsorted(sorted_real, center + pad, side="right"),
+    )
+
+
+def _nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the point nearest each query in the complex plane, or -1
+    where two points tie for nearest.
+
+    The points bracketing a query's real part bound its nearest distance;
+    the ``searchsorted`` window of that half-width then holds every point
+    as near, and at least one of them.  Windows of one point need no
+    distance comparison.  O(n) memory.
+    """
+    order = np.argsort(points.real, kind="stable")
+    sorted_real = points.real[order]
+    at = np.searchsorted(sorted_real, queries.real)
+    left = order[np.maximum(at - 1, 0)]
+    right = order[np.minimum(at, points.size - 1)]
+    bound = np.minimum(np.abs(points[left] - queries), np.abs(points[right] - queries))
+    lo, hi = _window_bounds(sorted_real, queries.real, bound)
+    nearest = order[lo]
+    for k in np.flatnonzero(hi - lo > 1):
+        near = order[lo[k]:hi[k]]
+        dist = np.abs(points[near] - queries[k])
+        best = np.argmin(dist)
+        nearest[k] = near[best] if np.count_nonzero(dist == dist[best]) == 1 else -1
+    return nearest
+
+
 def _conjugate_pairing(values: np.ndarray, tol: float) -> tuple:
-    """Match Im>0 levels against Im<0 levels minimizing |E+ - conj(E-)|."""
+    """Match Im>0 levels against Im<0 levels minimizing the summed
+    ``|E+ - conj(E-)|``; pairs in ascending order of the Im>0 index.
+
+    Each Im>0 level is paired with its nearest conj(Im<0) level when that
+    one's nearest Im>0 level is it in turn, both without ties.  If these
+    mutual pairs cover the smaller side, every level there sits at its own
+    minimum distance, so they are the unique optimal assignment, the one
+    ``linear_sum_assignment`` returns.  Otherwise the assignment runs on
+    the dense cost matrix.
+    """
     scale = max(1.0, float(np.max(np.abs(values))))
     cut = tol * scale
     plus = np.flatnonzero(values.imag > cut)
     minus = np.flatnonzero(values.imag < -cut)
     if plus.size == 0 or minus.size == 0:
         return ()
-    cost = np.abs(values[plus][:, None] - np.conj(values[minus])[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    upper = values[plus]
+    mirrored = np.conj(values[minus])
+    forward = _nearest(mirrored, upper)
+    backward = _nearest(upper, mirrored)
+    rows = np.flatnonzero((forward >= 0) & (backward[forward] == np.arange(plus.size)))
+    cols = forward[rows]
+    if rows.size < min(plus.size, minus.size):
+        cost = np.abs(upper[:, None] - mirrored[None, :])
+        rows, cols = linear_sum_assignment(cost)
+    deviations = np.abs(upper[rows] - mirrored[cols])
     return tuple(
-        (int(plus[r]), int(minus[c]), float(cost[r, c])) for r, c in zip(rows, cols)
+        (int(plus[r]), int(minus[c]), float(d)) for r, c, d in zip(rows, cols, deviations)
     )
 
 

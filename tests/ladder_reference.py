@@ -1,19 +1,16 @@
 """The greedy ladder detector written as a full scan over every level.
 
 An independent reference for ``spectra.detect_ladders``: each rung lookup
-tests all n levels, and the near-degenerate clusters come from the dense
-n x n distance matrix.  O(n^2) per rung, so keep n small.  Also builds the
+tests all n levels, the near-degenerate clusters come from the dense
+n x n distance matrix, and the conjugate pairing is the optimal assignment
+on the dense cost matrix.  O(n^2) per rung, so keep n small.  Also builds the
 synthetic spectra (given levels, identity eigenbasis) that both are fed.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from starkladder.spectra import (
-    ComplexSpectrum,
-    LadderFamily,
-    LadderReport,
-    _conjugate_pairing,
-)
+from starkladder.spectra import ComplexSpectrum, LadderFamily, LadderReport
 
 
 def synthetic_spectrum(values) -> ComplexSpectrum:
@@ -32,6 +29,22 @@ def reference_degenerate_indices(values: np.ndarray, tol: float) -> set:
     dist = np.abs(values[:, None] - values[None, :])
     np.fill_diagonal(dist, np.inf)
     return {int(k) for k in np.flatnonzero((dist < tol).any(axis=1))}
+
+
+def reference_conjugate_pairing(values: np.ndarray, tol: float) -> tuple:
+    """Optimal assignment of Im>0 levels to Im<0 levels on the dense
+    ``|E+ - conj(E-)|`` cost matrix."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    cut = tol * scale
+    plus = np.flatnonzero(values.imag > cut)
+    minus = np.flatnonzero(values.imag < -cut)
+    if plus.size == 0 or minus.size == 0:
+        return ()
+    cost = np.abs(values[plus][:, None] - np.conj(values[minus])[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return tuple(
+        (int(plus[r]), int(minus[c]), float(cost[r, c])) for r, c in zip(rows, cols)
+    )
 
 
 def reference_detect_ladders(spectrum, expected_spacing: float, tol: float) -> LadderReport:
@@ -109,7 +122,7 @@ def reference_detect_ladders(spectrum, expected_spacing: float, tol: float) -> L
 
     families.sort(key=lambda f: (-f.rung_count, f.reference_energy.real))
     unassigned = tuple(sorted(set(range(n)) - used))
-    pairing = _conjugate_pairing(values, tol)
+    pairing = reference_conjugate_pairing(values, tol)
     return LadderReport(
         expected_spacing=float(expected_spacing),
         tol=float(tol),

@@ -134,6 +134,7 @@ def _count_kernels(monkeypatch) -> collections.Counter:
     counted(scipy.linalg, "eig")
     counted(scipy.linalg, "lu_factor")
     counted(np.linalg, "cond")
+    counted(np.linalg, "eigvals")
     return calls
 
 
@@ -150,7 +151,7 @@ def test_chain_basis_needs_no_dense_kernel(monkeypatch):
     spectrum = eigendecompose(h)
     _expand_three_times(h, spectrum)
     assert spectrum.solver == "tridiagonal"
-    assert calls == {}  # no eig, no cond, no lu_factor
+    assert calls == {}  # no eig, no eigvals, no cond, no lu_factor
 
 
 def test_general_basis_is_factored_once_per_spectrum(monkeypatch):

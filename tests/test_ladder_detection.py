@@ -5,20 +5,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starkladder.experiments as experiments
+import starkladder.spectra as spectra
 from starkladder.experiments import load_config, run
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
 from starkladder.spectra import (
     ComplexSpectrum,
+    _conjugate_pairing,
     _degenerate_indices,
     detect_ladders,
     eigendecompose,
 )
 
 from ladder_reference import (
+    reference_conjugate_pairing,
     reference_degenerate_indices,
     reference_detect_ladders,
     synthetic_spectrum,
@@ -110,6 +113,50 @@ def test_detection_allocates_no_square_array():
     assert peak < 50e6
 
 
+@st.composite
+def _conjugate_levels(draw):
+    """Conjugate pairs, some broken by noise, plus unpaired, repeated and
+    real-part-tied levels, shuffled."""
+    upper = draw(st.lists(
+        st.complex_numbers(max_magnitude=5.0).filter(lambda z: z.imag > 1e-3),
+        min_size=1, max_size=25,
+    ))
+    if draw(st.booleans()):  # levels on a coarse grid: ties in real part and distance
+        upper = [complex(round(z.real, 1), round(z.imag, 1) or 0.1) for z in upper]
+    noise = draw(st.sampled_from([0.0, 1e-14, 1e-3, 0.5]))
+    lower = [z.conjugate() + noise * complex(draw(_UNIT), draw(_UNIT)) for z in upper]
+    extra = draw(st.lists(st.complex_numbers(max_magnitude=5.0), max_size=4))
+    values = upper + lower[:draw(st.integers(0, len(lower)))] + extra
+    order = draw(st.permutations(range(len(values))))
+    return np.array([values[k] for k in order], dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conjugate_levels())
+# one Im>0 level exactly halfway between two conj(Im<0) levels: the nearest
+# neighbour is a tie, which the assignment breaks by index
+@example(np.array([1 + 1j, 1.5 - 1j, 0.5 - 1j]))
+def test_conjugate_pairing_equals_assignment(values):
+    # pairs, their order and their deviations, bit for bit
+    assert _conjugate_pairing(values, 1e-6) == reference_conjugate_pairing(values, 1e-6)
+
+
+def test_conjugate_pairing_allocates_no_square_array():
+    # two conjugate 3000-rung ladders: the dense cost matrix peaked at 217 MB
+    n = 6000
+    rungs = np.arange(n // 2) * 0.4 + 0.764j
+    values = np.concatenate([rungs, np.conj(rungs)])
+    spectrum = ComplexSpectrum(values, np.empty((n, 0)), np.zeros(n))
+    tracemalloc.start()
+    try:
+        report = detect_ladders(spectrum, 0.4, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.conjugate_pairing == tuple((k, k + n // 2, 0.0) for k in range(n // 2))
+    assert peak < 10e6
+
+
 @pytest.fixture(scope="module")
 def chain1000():
     spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
@@ -120,21 +167,37 @@ def _ladder_scan(tmp_path, monkeypatch, spectrum, name):
     monkeypatch.setattr(experiments, "eigendecompose", lambda h: spectrum)
     cfg = load_config(overrides={
         "experiment": "ladder_scan",
-        "model": {"kind": "dimer_1i", "n_sites": 1000, "omega": 0.2},
+        "model": {"kind": "dimer_1i", "n_sites": spectrum.dim, "omega": 0.2},
         "output": {"directory": str(tmp_path / name)},
     })
     return run(cfg)["checks"]
 
 
-def test_long_chain_tables_equal_reference(tmp_path, monkeypatch, chain1000):
-    checks = _ladder_scan(tmp_path, monkeypatch, chain1000, "fast")
+def _no_assignment(cost):
+    raise AssertionError("the chain's conjugate pairs are unambiguous")
+
+
+def _assert_tables_equal_reference(tmp_path, monkeypatch, spectrum):
+    # the sorted-window detector and the nearest-neighbour pairing, with no
+    # assignment, write the reference detector's tables byte for byte
+    monkeypatch.setattr(spectra, "linear_sum_assignment", _no_assignment)
+    checks = _ladder_scan(tmp_path, monkeypatch, spectrum, "fast")
+    monkeypatch.undo()
     monkeypatch.setattr(experiments, "detect_ladders", reference_detect_ladders)
-    reference = _ladder_scan(tmp_path, monkeypatch, chain1000, "reference")
+    reference = _ladder_scan(tmp_path, monkeypatch, spectrum, "reference")
     for name in ("rungs.csv", "ladder.json", "checks.json"):
         assert (tmp_path / "fast" / name).read_bytes() == (
             tmp_path / "reference" / name
         ).read_bytes()
     assert checks == reference
+
+
+def test_long_chain_tables_equal_reference(tmp_path, monkeypatch, chain1000):
+    _assert_tables_equal_reference(tmp_path, monkeypatch, chain1000)
+
+
+def test_short_chain_tables_equal_reference(tmp_path, monkeypatch, dimer60):
+    _assert_tables_equal_reference(tmp_path, monkeypatch, dimer60[2])
 
 
 def test_bulk_rungs_keep_the_spacing(tmp_path, monkeypatch, chain1000):
