@@ -102,7 +102,8 @@ def evolve(
     precision at arbitrary ``t``.  A near-defective eigenvector matrix
     (``spectrum.condition`` above ``CONDITION_LIMIT``) falls back to an
     adaptive fourth-order integrator; ``TimeSeries.method`` records which
-    path ran.
+    path ran.  A basis below that limit whose transpose inverse misses its
+    backward error raises ``ValueError`` (:meth:`ComplexSpectrum.coefficients`).
     """
     times = _check_times(times)
     psi0 = _check_state(psi0, h.dim)
@@ -145,7 +146,8 @@ def evolve_pair(
     ``spectrum`` is the chain's, computed here when not given.
     ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
     ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
-    :func:`evolve` does; ``TimeSeries.method`` records which path ran.
+    :func:`evolve` does, with the same ``ValueError`` below it;
+    ``TimeSeries.method`` records which path ran.
     """
     times = _check_times(times)
     phi0 = _check_state(phi0, basis.dim)
@@ -220,7 +222,8 @@ def family_projection(
     """Component of ``psi`` inside the span of the given eigenvectors.
 
     Expansion runs over the full (non-orthogonal) right eigenbasis;
-    coefficients outside ``member_indices`` are zeroed.
+    coefficients outside ``member_indices`` are zeroed.  Raises
+    ``ValueError`` where :meth:`ComplexSpectrum.coefficients` refuses.
     """
     coeffs = spectrum.coefficients(psi)
     keep = np.zeros(spectrum.dim, dtype=complex)

@@ -10,7 +10,6 @@ reference eigenstate.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -62,7 +61,8 @@ NORM_MAX_STEPS = 500
 # inverse-iteration shift off each eigenvalue, in ulps of the matrix scale
 INVERSE_ITERATION_SHIFT = 2.0
 # largest eigenvalue condition number ``1 / |v^T v|`` (unit v) the
-# tridiagonal route keeps; above it the dense route reruns
+# tridiagonal route keeps; a dense-route cluster whose Gram matrix
+# ``V_c^T V_c`` has an eigenvalue below its inverse is an exceptional point
 EIGENVALUE_CONDITION_LIMIT = 1e4
 # seed of the fixed start and probe vectors
 _SEED = 20240607
@@ -78,23 +78,17 @@ class ReferenceSelectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComplexSpectrum:
-    """Right eigenpairs of a non-normal matrix, residual-certified.
+    """Right eigenpairs of a complex symmetric matrix, residual-certified.
 
-    Eigenvalues are sorted by real part (ties: imaginary part ascending);
-    ``right_eigenvectors[:, k]`` is unit-norm with its leading amplitude
-    (:func:`leading_amplitude_index`) made real positive, so the
-    decomposition is deterministic.  ``solver`` names the route that
-    produced the eigenvectors: ``"tridiagonal"`` (one ``zgees`` without
-    Schur vectors, then inverse iteration) or ``"dense"``
-    (``scipy.linalg.eig``).
+    Eigenvalues are in :func:`_level_order`; ``right_eigenvectors[:, k]`` is
+    unit-norm with its leading amplitude (:func:`leading_amplitude_index`)
+    real positive, so the decomposition is deterministic.  ``solver`` names
+    the route of :func:`eigendecompose`: ``"tridiagonal"`` or ``"dense"``.
 
-    The eigenvector matrix ``V`` is the (non-orthogonal) basis of every
-    expansion.  Every matrix the package builds is complex symmetric, so
-    for distinct eigenvalues ``V^T V = D`` is diagonal and
-    ``V^-1 = D^-1 V^T``; where two seeded probes find ``V^T V`` not
-    diagonal (degenerate levels, a matrix that is not symmetric) an LU
-    factorization of ``V`` takes its place.  Either is set up on first use
-    and kept for the lifetime of the spectrum.
+    ``V^T V = D`` is diagonal, so ``V^-1 = D^-1 V^T`` is the one inverse of
+    every expansion and of the condition number.  Where two seeded probes
+    find ``V^T V`` not diagonal, ``V`` has a self-orthogonal direction (an
+    exceptional point) and ``condition`` is ``inf``.
     """
 
     eigenvalues: np.ndarray
@@ -118,12 +112,6 @@ class ComplexSpectrum:
         return d if gap <= GRAM_TOL * np.linalg.norm(probes) else None
 
     @cached_property
-    def _lu(self) -> tuple:
-        with warnings.catch_warnings():  # a singular V is reported by ``condition``
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.lu_factor(self.right_eigenvectors)
-
-    @cached_property
     def _norm(self) -> float:
         """``||V||_2`` by power iteration (:func:`_norm_estimate`), a lower bound."""
         v = self.right_eigenvectors
@@ -131,29 +119,21 @@ class ComplexSpectrum:
 
     @cached_property
     def condition(self) -> float:
-        """2-norm condition number ``kappa_2(V)``; huge near an exceptional point.
+        """2-norm condition number ``kappa_2(V)``; ``inf`` at an exceptional point.
 
         Estimated as ``||V|| ||V^-1||``, each norm by power iteration on
-        ``A^H A`` (:func:`_norm_estimate`), with ``V^-1`` applied as
-        ``D^-1 V^T`` where ``V^T V`` is diagonal and through the LU factors
-        otherwise.  Both factors are lower bounds; no SVD is formed.  A
-        singular ``V`` gives ``inf``.
+        ``A^H A`` (:func:`_norm_estimate`), with ``V^-1 = D^-1 V^T``.  Both
+        factors are lower bounds; no SVD is formed.  ``inf`` where
+        ``V^T V`` is not diagonal: ``V`` has a self-orthogonal direction.
         """
-        v = self.right_eigenvectors
         d = self._gram_diagonal
-        if d is not None:
-            inverse = lambda x: (v.T @ x) / d  # noqa: E731
-            inverse_h = lambda y: np.conj(v @ (np.conj(y) / d))  # noqa: E731
-        else:
-            lu = self._lu
-            if not np.all(np.diagonal(lu[0])):
-                return math.inf
-            inverse = lambda x: scipy.linalg.lu_solve(lu, x, check_finite=False)  # noqa: E731
-            inverse_h = lambda y: scipy.linalg.lu_solve(  # noqa: E731
-                lu, y, trans=2, check_finite=False
-            )
+        if d is None:
+            return math.inf
+        v = self.right_eigenvectors
         with np.errstate(all="ignore"):  # a near-singular V may overflow
-            kappa = self._norm * _norm_estimate(inverse, inverse_h, self.dim)
+            kappa = self._norm * _norm_estimate(
+                lambda x: (v.T @ x) / d, lambda y: np.conj(v @ (np.conj(y) / d)), self.dim
+            )
         return kappa if math.isfinite(kappa) else math.inf
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
@@ -162,15 +142,14 @@ class ComplexSpectrum:
 
         ``c = D^-1 V^T psi`` plus one refinement step with the exact
         residual, kept if every column's backward error is small,
-        ``||V c - psi|| <= RECONSTRUCTION_TOL ||V|| ||c||`` (the standard
-        an LU solve meets); otherwise, and when ``V^T V`` is not diagonal,
-        the LU solve.
+        ``||V c - psi|| <= RECONSTRUCTION_TOL ||V|| ||c||``.
 
         Raises
         ------
         ValueError
-            If the condition number of ``V`` exceeds ``CONDITION_LIMIT``:
-            the coefficients would be dominated by rounding error.
+            If ``condition`` exceeds ``CONDITION_LIMIT`` (rounding would
+            dominate the coefficients), or some column misses the backward
+            error: ``V^T V`` is not diagonal off the probes.
         """
         if self.condition > CONDITION_LIMIT:
             raise ValueError(
@@ -179,15 +158,18 @@ class ComplexSpectrum:
             )
         psi = np.asarray(psi, dtype=complex)
         d = self._gram_diagonal
-        if d is not None:
-            v = self.right_eigenvectors
-            weights = d if psi.ndim == 1 else d[:, None]
-            c = (v.T @ psi) / weights
-            c += (v.T @ (psi - v @ c)) / weights
-            miss = np.linalg.norm(v @ c - psi, axis=0)
-            if np.all(miss <= RECONSTRUCTION_TOL * self._norm * np.linalg.norm(c, axis=0)):
-                return c
-        return scipy.linalg.lu_solve(self._lu, psi)
+        v = self.right_eigenvectors
+        weights = d if psi.ndim == 1 else d[:, None]
+        c = (v.T @ psi) / weights
+        c += (v.T @ (psi - v @ c)) / weights
+        miss = np.linalg.norm(v @ c - psi, axis=0)
+        bound = RECONSTRUCTION_TOL * self._norm * np.linalg.norm(c, axis=0)
+        if not np.all(miss <= bound):
+            raise ValueError(
+                "the transpose inverse D^-1 V^T reconstructs psi with a backward "
+                f"error above {RECONSTRUCTION_TOL:.0e}: V^T V is not diagonal"
+            )
+        return c
 
 
 def _start_vectors(n: int, count: int) -> np.ndarray:
@@ -336,12 +318,25 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _level_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort levels by real part, ties by imaginary part
+    ascending.  Neighbours in real part within ``1e-9 * max(1, max|E|)``
+    count as tied, so rounding never orders the conjugate pairs of the
+    dimer chains, whose real parts are equal in exact arithmetic.
+    """
+    by_real = np.argsort(values.real, kind="stable")
+    steps = np.diff(values.real[by_real])
+    tie = 1e-9 * max(1.0, float(np.abs(values).max()))
+    group = np.concatenate(([0], np.cumsum(steps > tie)))
+    return by_real[np.lexsort((values.imag[by_real], group))]
+
+
 def _tridiagonal_bands(entries: np.ndarray) -> tuple | None:
-    """``(diagonal, off_diagonal)`` of an irreducible complex-symmetric
-    tridiagonal matrix: equal off-diagonals, all nonzero, nothing outside
-    the three diagonals.  None for any other matrix."""
+    """``(diagonal, off_diagonal)`` of an irreducible tridiagonal matrix,
+    complex symmetric as :func:`eigendecompose` checks: off-diagonals all
+    nonzero, nothing outside the three diagonals.  None for any other."""
     off = np.diagonal(entries, 1)
-    if not (np.all(off != 0) and np.array_equal(off, np.diagonal(entries, -1))):
+    if not np.all(off != 0):
         return None
     diag = np.diagonal(entries)
     if np.count_nonzero(entries) != np.count_nonzero(diag) + 2 * off.size:
@@ -428,7 +423,7 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     values = _schur_eigenvalues(entries)
     if values is None:
         return None
-    values = values[np.lexsort((values.imag, values.real))]
+    values = values[_level_order(values)]
     vectors = _inverse_iteration(diag, off, values)
     if vectors is None:
         return None
@@ -441,16 +436,50 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     return spectrum
 
 
+def _c_orthonormalize(vectors: np.ndarray, cluster: np.ndarray) -> bool:
+    """Replace a cluster's columns, in place, by ``V_c G^-1/2`` with
+    ``G = V_c^T V_c`` (no conjugation) from the k x k eigendecomposition of
+    ``G``, rescaled by :func:`_fix_phases`: ``V_c^T V_c`` becomes diagonal.
+    This symmetric form keeps ``kappa_2`` near that of ``eig``'s columns,
+    where Gram-Schmidt inflates it.  False, with the columns left as they
+    are, if ``G`` has an eigenvalue below ``1 / EIGENVALUE_CONDITION_LIMIT``:
+    an exceptional point.
+    """
+    block = vectors[:, cluster]
+    lam, w = np.linalg.eig(block.T @ block)
+    if np.abs(lam).min() < 1.0 / EIGENVALUE_CONDITION_LIMIT:
+        return False
+    vectors[:, cluster] = _fix_phases(block @ ((w / np.sqrt(lam)) @ np.linalg.inv(w)))
+    return True
+
+
 def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
-    """Eigenpairs from ``scipy.linalg.eig``; residuals from the full matrix."""
+    """Eigenpairs from ``scipy.linalg.eig``; residuals from the full matrix.
+
+    ``eig`` returns an arbitrary basis of each degenerate subspace.  Levels
+    whose disks of radius ``reach = ||r|| / (GRAM_TOL |v^T v|)`` overlap,
+    close enough for rounding to tilt their eigenvectors off c-orthogonality
+    beyond what the Gram probes allow, are grouped (:func:`_clusters`); each
+    group is c-orthonormalized (:func:`_c_orthonormalize`) and its
+    residuals are taken again.
+    """
     try:
         values, vectors = scipy.linalg.eig(entries)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
+    order = _level_order(values)
     values = values[order]
     vectors = _fix_phases(vectors[:, order])
     residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
+    self_overlap = np.abs(np.einsum("ij,ij->j", vectors, vectors))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmax reads 0/0, a self-orthogonal eigenvector with no residual, as 0
+        reach = np.fmax(residuals / (GRAM_TOL * self_overlap), 0.0)
+    changed = [c for c in _clusters(values, reach) if _c_orthonormalize(vectors, c)]
+    if changed:  # one product for every changed column
+        cols = np.concatenate(changed)
+        block = vectors[:, cols]
+        residuals[cols] = np.linalg.norm(entries @ block - block * values[cols], axis=0)
     return ComplexSpectrum(values, vectors, residuals)
 
 
@@ -461,12 +490,15 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     the tridiagonal route: one ``zgees`` without Schur vectors and O(n^2)
     inverse iteration.
     If any of its columns fails the certificate, or the route rejects its
-    own result (:func:`_tridiagonal_spectrum`), the dense
-    ``scipy.linalg.eig`` route reruns and is certified instead; exceptional
+    own result (:func:`_tridiagonal_spectrum`), the dense route
+    (:func:`_dense_spectrum`) reruns and is certified instead; exceptional
     points need it.  Every other matrix takes the dense route directly.
 
     Raises
     ------
+    ValueError
+        If the matrix is not complex symmetric, ``H^T = H``: the transpose
+        inverse ``V^-1 = D^-1 V^T`` rests on it.
     EigendecompositionError
         If the solver fails or any ``||H v - E v|| / ||v||`` exceeds
         ``residual_tol``; the message carries the eigenvector-matrix
@@ -475,6 +507,8 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     entries = h.entries
     if entries.shape[0] < 2:
         raise ValueError("eigendecompose needs dim >= 2")
+    if not np.array_equal(entries, entries.T):
+        raise ValueError("matrix is not complex symmetric (H^T != H)")
     bands = _tridiagonal_bands(entries)
     if bands is not None:
         spectrum = _tridiagonal_spectrum(entries, *bands)
@@ -491,25 +525,42 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     return spectrum
 
 
-def _degenerate_indices(values: np.ndarray, tol: float) -> set:
-    """Indices involved in any complex-plane cluster tighter than ``tol``.
+def _clusters(values: np.ndarray, reach) -> list:
+    """Ascending index arrays of the groups of two or more levels joined,
+    directly or in a chain, by overlapping disks,
+    ``|E_i - E_j| < reach_i + reach_j``; ``reach`` one radius per level or
+    one for all.
 
     Compares each level of the real-part-sorted spectrum with its neighbour
-    ``d`` places on, for d = 1, 2, ... while some such pair differs in real
-    part by at most ``tol``.  The complex distance is rounded from that same
-    real difference, so it can be below ``tol`` only inside this window.
-    O(n) memory; O(n) time per offset.
+    ``d`` places on, d = 1, 2, ... while some such real gap is at most the
+    first radius plus the largest: no overlap lies beyond.  O(n) memory.
     """
     order = np.argsort(values.real, kind="stable")
     ranked = values[order]
-    hit = np.zeros(values.size, dtype=bool)
+    radius = np.broadcast_to(reach, values.shape)[order]
+    widest = radius.max()
+    first, second = [], []
     for d in range(1, values.size):
-        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= tol)
+        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= radius[:-d] + widest)
         if near.size == 0:
             break
-        close = near[np.abs(ranked[near + d] - ranked[near]) < tol]
-        hit[close] = hit[close + d] = True
-    return {int(k) for k in order[hit]}
+        close = near[np.abs(ranked[near + d] - ranked[near]) < radius[near] + radius[near + d]]
+        first.append(close)
+        second.append(close + d)
+    if not first:
+        return []
+    first, second = np.concatenate(first), np.concatenate(second)
+    # every level takes the smallest label in its group: spread labels along
+    # the overlaps, each jumping to its label's label, until all overlaps agree
+    label = np.arange(values.size)
+    while np.any(label[first] != label[second]):
+        low = np.minimum(label[first], label[second])
+        np.minimum.at(label, first, low)
+        np.minimum.at(label, second, low)
+        label = label[label]
+    by_label = np.argsort(label, kind="stable")
+    groups = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
+    return [np.sort(order[g]) for g in groups if g.size > 1]
 
 
 def detect_ladders(
@@ -525,16 +576,19 @@ def detect_ladders(
     spacing and the agreement of imaginary parts).  Chains shorter than 3
     rungs are discarded; their members are reported as unassigned.
     Ambiguous extensions (two candidates in tolerance, a near-degenerate
-    cluster) terminate the chain and leave a diagnostic.
+    cluster) terminate the chain and leave a diagnostic.  The diagnostic of
+    the excluded clusters judges the whole spectrum: with ``V^T V``
+    diagonal they are degeneracies; otherwise an exceptional point lies
+    somewhere in the spectrum.
 
     Chains are started from levels in order of real part, ties in ascending
     index order.  Each parent or successor lookup binary-searches the
     real-part-sorted spectrum for the levels whose real part is within
     tolerance of the target and applies the complex distance test to those
-    alone; near-degenerate clusters are found among neighbours in the same
-    order.  Cost: O(n log n + rungs * window), where ``window`` is the
-    number of levels per lookup: a few, unless many levels share a real
-    part.  No n x n array is formed, unless the conjugate pairing
+    alone; near-degenerate clusters (:func:`_clusters`) are found among
+    neighbours in the same order.  Cost: O(n log n + rungs * window),
+    where ``window`` is the number of levels per lookup: a few, unless many
+    levels share a real part.  No n x n array is formed, unless the conjugate pairing
     (:func:`_conjugate_pairing`) finds no unambiguous nearest-neighbour
     matching and falls back to the assignment on a dense cost matrix.
     """
@@ -557,12 +611,18 @@ def detect_ladders(
         lo, hi = _window_bounds(sorted_real, target.real, half)
         return order[lo:hi].tolist()
 
-    degenerate = _degenerate_indices(values, tol)
+    degenerate = {int(k) for cluster in _clusters(values, tol / 2) for k in cluster}
     diagnostics = []
     if degenerate:
+        cause = (
+            "the spectrum has a c-orthogonal eigenbasis, so these are degeneracies"
+            if spectrum._gram_diagonal is not None
+            else "the spectrum's eigenbasis has a self-orthogonal direction "
+            "(an exceptional point), not necessarily among these levels"
+        )
         diagnostics.append(
             f"excluded {len(degenerate)} levels in near-degenerate clusters "
-            f"(tol {tol:.1e}); possible exceptional points"
+            f"(tol {tol:.1e}); {cause}"
         )
 
     used: set = set()
@@ -669,17 +729,27 @@ def _nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return nearest
 
 
+def _match(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(rows, cols)``, rows ascending: ``a[rows]`` matched to ``b[cols]``
+    with the least summed distance.
+
+    Pairs mutual nearest neighbours, both without ties.  If they cover the
+    smaller side, each level there sits at its own minimum distance, so
+    they are the unique optimal assignment, the one ``linear_sum_assignment``
+    returns; otherwise that runs on the dense cost matrix.
+    """
+    forward = _nearest(b, a)
+    backward = _nearest(a, b)
+    rows = np.flatnonzero((forward >= 0) & (backward[forward] == np.arange(a.size)))
+    if rows.size < min(a.size, b.size):
+        return linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return rows, forward[rows]
+
+
 def _conjugate_pairing(values: np.ndarray, tol: float) -> tuple:
     """Match Im>0 levels against Im<0 levels minimizing the summed
-    ``|E+ - conj(E-)|``; pairs in ascending order of the Im>0 index.
-
-    Each Im>0 level is paired with its nearest conj(Im<0) level when that
-    one's nearest Im>0 level is it in turn, both without ties.  If these
-    mutual pairs cover the smaller side, every level there sits at its own
-    minimum distance, so they are the unique optimal assignment, the one
-    ``linear_sum_assignment`` returns.  Otherwise the assignment runs on
-    the dense cost matrix.
-    """
+    ``|E+ - conj(E-)|`` (:func:`_match`); pairs in ascending order of the
+    Im>0 index."""
     scale = max(1.0, float(np.max(np.abs(values))))
     cut = tol * scale
     plus = np.flatnonzero(values.imag > cut)
@@ -688,13 +758,7 @@ def _conjugate_pairing(values: np.ndarray, tol: float) -> tuple:
         return ()
     upper = values[plus]
     mirrored = np.conj(values[minus])
-    forward = _nearest(mirrored, upper)
-    backward = _nearest(upper, mirrored)
-    rows = np.flatnonzero((forward >= 0) & (backward[forward] == np.arange(plus.size)))
-    cols = forward[rows]
-    if rows.size < min(plus.size, minus.size):
-        cost = np.abs(upper[:, None] - mirrored[None, :])
-        rows, cols = linear_sum_assignment(cost)
+    rows, cols = _match(upper, mirrored)
     deviations = np.abs(upper[rows] - mirrored[cols])
     return tuple(
         (int(plus[r]), int(minus[c]), float(d)) for r, c, d in zip(rows, cols, deviations)
@@ -708,18 +772,16 @@ def conjugation_closure_deviation(eigenvalues: np.ndarray) -> float:
 
 
 def spectrum_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max matched distance between two eigenvalue multisets.
-
-    Uses optimal assignment; sorting by (Re, Im) would misorder conjugate
-    pairs whose real parts tie within rounding noise.
+    """Max matched distance between two eigenvalue multisets, matched with
+    the least summed distance (:func:`_match`); sorting by (Re, Im) would
+    misorder conjugate pairs whose real parts tie within rounding noise.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.size != b.size:
         raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    rows, cols = _match(a, b)
+    return float(np.abs(a[rows] - b[cols]).max())
 
 
 def verify_ladder_operator(

@@ -2,9 +2,10 @@
 
 An independent reference for ``spectra.detect_ladders``: each rung lookup
 tests all n levels, the near-degenerate clusters come from the dense
-n x n distance matrix, and the conjugate pairing is the optimal assignment
-on the dense cost matrix.  O(n^2) per rung, so keep n small.  Also builds the
-synthetic spectra (given levels, identity eigenbasis) that both are fed.
+n x n distance matrix, and the conjugate pairing and the multiset distance
+are the optimal assignment on the dense cost matrix.  O(n^2) per rung, so
+keep n small.  Also builds the synthetic spectra (given levels, identity
+eigenbasis) that both are fed.
 """
 
 import numpy as np
@@ -47,6 +48,13 @@ def reference_conjugate_pairing(values: np.ndarray, tol: float) -> tuple:
     )
 
 
+def reference_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max matched distance of the optimal assignment on the dense cost matrix."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
 def reference_detect_ladders(spectrum, expected_spacing: float, tol: float) -> LadderReport:
     """Greedy arithmetic-progression clustering of a complex spectrum."""
     if expected_spacing <= 0:
@@ -64,9 +72,18 @@ def reference_detect_ladders(spectrum, expected_spacing: float, tol: float) -> L
     degenerate = reference_degenerate_indices(values, tol)
     diagnostics = []
     if degenerate:
+        # judged on the whole spectrum: V^T V diagonal means degeneracies
+        vectors = spectrum.right_eigenvectors
+        gram = vectors.T @ vectors
+        cause = (
+            "the spectrum has a c-orthogonal eigenbasis, so these are degeneracies"
+            if np.allclose(gram, np.diag(np.diag(gram)), rtol=0, atol=1e-8)
+            else "the spectrum's eigenbasis has a self-orthogonal direction "
+            "(an exceptional point), not necessarily among these levels"
+        )
         diagnostics.append(
             f"excluded {len(degenerate)} levels in near-degenerate clusters "
-            f"(tol {tol:.1e}); possible exceptional points"
+            f"(tol {tol:.1e}); {cause}"
         )
 
     used: set = set()

@@ -2,9 +2,10 @@
 
 An independent reference for the tridiagonal route of
 ``spectra.eigendecompose`` and for ``ComplexSpectrum``: eigenpairs from
-``scipy.linalg.eig`` with the residuals taken against the full matrix, the
-condition number from ``np.linalg.cond`` (an SVD) and the expansion
-coefficients from an LU solve.  O(n^3), so keep n small.
+``scipy.linalg.eig`` in the level order written out as a loop, with the
+residuals taken against the full matrix, the condition number from
+``np.linalg.cond`` (an SVD) and the expansion coefficients from an LU
+solve.  O(n^3), so keep n small.
 """
 
 import numpy as np
@@ -13,11 +14,28 @@ import scipy.linalg
 from starkladder.spectra import leading_amplitude_index
 
 
+def reference_level_order(values: np.ndarray) -> np.ndarray:
+    """Indices of the levels by real part, ties by imaginary part ascending.
+
+    Walks the levels by real part and starts a new tie group wherever the
+    real part steps by more than ``1e-9 * max(1, max|E|)``; each group is
+    then sorted by imaginary part.
+    """
+    tie = 1e-9 * max(1.0, float(np.abs(values).max()))
+    groups = []
+    for k in sorted(range(values.size), key=lambda k: values[k].real):
+        if groups and values[k].real - values[groups[-1][-1]].real <= tie:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return np.array([k for g in groups for k in sorted(g, key=lambda k: values[k].imag)])
+
+
 def dense_eigenpairs(entries: np.ndarray) -> tuple:
-    """``(values, vectors, residuals)`` sorted by (Re, Im), unit-norm columns
-    with the leading amplitude real positive."""
+    """``(values, vectors, residuals)`` in :func:`reference_level_order`,
+    unit-norm columns with the leading amplitude real positive."""
     values, vectors = scipy.linalg.eig(entries)
-    order = np.lexsort((values.imag, values.real))
+    order = reference_level_order(values)
     values, vectors = values[order], vectors[:, order]
     vectors = vectors / np.linalg.norm(vectors, axis=0)
     lead = vectors[leading_amplitude_index(vectors), np.arange(vectors.shape[1])]

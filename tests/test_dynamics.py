@@ -103,17 +103,21 @@ def test_propagator_consistency(dimer60):
     assert np.linalg.norm(direct - chained) / np.linalg.norm(direct) < 1e-8
 
 
+# complex symmetric and nilpotent (H^2 = 0): an exceptional point, whose one
+# eigenvector (1, i) is self-orthogonal
+DEFECTIVE = OperatorMatrix(np.array([[1, 1j], [1j, -1]]), (0, 1))
+
+
 def test_integrator_fallback_on_defective_matrix():
-    h = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), (0, 1))
-    series = evolve(h, np.array([0.0, 1.0]), [0.0, 0.5, 1.0])
+    series = evolve(DEFECTIVE, np.array([0.0, 1.0]), [0.0, 0.5, 1.0])
     assert series.method.startswith("integrator")
     # exact: exp(-iHt) = I - iHt for a nilpotent H
-    np.testing.assert_allclose(series.states[2], [-1j, 1.0], atol=1e-8)
+    np.testing.assert_allclose(series.states[2], [1.0, 1.0 + 1j], atol=1e-8)
 
 
 def test_defective_basis_refuses_expansion():
-    h = OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), (0, 1))
-    spectrum = eigendecompose(h)
+    spectrum = eigendecompose(DEFECTIVE)
+    assert spectrum.condition == np.inf
     with pytest.raises(ValueError, match="condition number"):
         family_projection(spectrum, [0], np.array([0.0, 1.0]))
 
@@ -154,15 +158,15 @@ def test_chain_basis_needs_no_dense_kernel(monkeypatch):
     assert calls == {}  # no eig, no eigvals, no cond, no lu_factor
 
 
-def test_general_basis_is_factored_once_per_spectrum(monkeypatch):
+def test_non_symmetric_matrix_is_refused(monkeypatch):
+    # V^T V is full for a matrix that is not complex symmetric: no transpose
+    # inverse exists, so no eigensolver runs
     calls = _count_kernels(monkeypatch)
     rng = np.random.default_rng(3)
     entries = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = OperatorMatrix(entries, tuple(range(8)))  # not symmetric: V^T V is full
-    spectrum = eigendecompose(h)
-    _expand_three_times(h, spectrum)
-    assert spectrum.solver == "dense"
-    assert calls == {"eig": 1, "lu_factor": 1}
+    with pytest.raises(ValueError, match="not complex symmetric"):
+        eigendecompose(OperatorMatrix(entries, tuple(range(8))))
+    assert calls == {}
 
 
 def test_times_and_state_validation(dimer60):

@@ -11,19 +11,22 @@ from hypothesis import strategies as st
 import starkladder.experiments as experiments
 import starkladder.spectra as spectra
 from starkladder.experiments import load_config, run
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
+from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
 from starkladder.spectra import (
     ComplexSpectrum,
+    _clusters,
     _conjugate_pairing,
-    _degenerate_indices,
+    conjugation_closure_deviation,
     detect_ladders,
     eigendecompose,
+    spectrum_multiset_distance,
 )
 
 from ladder_reference import (
     reference_conjugate_pairing,
     reference_degenerate_indices,
     reference_detect_ladders,
+    reference_multiset_distance,
     synthetic_spectrum,
 )
 
@@ -77,9 +80,8 @@ def test_detector_equals_reference(case):
         detect_ladders(spectrum, spacing, tol).to_dict()
         == reference_detect_ladders(spectrum, spacing, tol).to_dict()
     )
-    assert _degenerate_indices(spectrum.eigenvalues, tol) == reference_degenerate_indices(
-        spectrum.eigenvalues, tol
-    )
+    clustered = {int(k) for cluster in _clusters(spectrum.eigenvalues, tol / 2) for k in cluster}
+    assert clustered == reference_degenerate_indices(spectrum.eigenvalues, tol)
 
 
 def test_rung_beyond_the_rounded_window_edge_is_found():
@@ -155,6 +157,47 @@ def test_conjugate_pairing_allocates_no_square_array():
         tracemalloc.stop()
     assert report.conjugate_pairing == tuple((k, k + n // 2, 0.0) for k in range(n // 2))
     assert peak < 10e6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_conjugate_levels(), _spectra().map(lambda case: case[0].eigenvalues)))
+@example(np.array([1 + 1j, 1.5 - 1j, 0.5 - 1j]))
+def test_multiset_distance_equals_assignment(values):
+    # the examples take both the matching and the dense fallback (6 in 10)
+    assert conjugation_closure_deviation(values) == reference_multiset_distance(
+        values, np.conj(values)
+    )
+    shuffled = np.random.default_rng(values.size).permutation(values) + 1e-9
+    assert spectrum_multiset_distance(values, shuffled) == reference_multiset_distance(
+        values, shuffled
+    )
+
+
+def test_multiset_distance_allocates_no_square_array():
+    # a conjugate ladder of 3000 levels: the dense cost matrix peaked at 216 MB
+    rungs = np.arange(1500) * 0.4 + 0.764j
+    values = np.concatenate([rungs, np.conj(rungs)])
+    tracemalloc.start()
+    try:
+        deviation = conjugation_closure_deviation(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deviation == 0.0
+    assert peak < 10e6
+
+
+def test_excluded_clusters_name_their_cause():
+    # the pair lattice's degeneracies have a c-orthogonal basis; the dimer_1i
+    # chain at omega = 0, n = 3 is an exceptional point (its three levels lie
+    # within 1e-5 of 0)
+    pair = LatticeSpec(kind=LatticeKind.PAIR_2D_ELECTRON, n_sites=6, omega=0.2)
+    report = detect_ladders(eigendecompose(build_pair_lattice(pair)), 0.4)
+    assert any("c-orthogonal eigenbasis" in d for d in report.diagnostics)
+    chain = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=3, omega=0.0)
+    report = detect_ladders(eigendecompose(build_chain(chain)), 0.4, tol=1e-4)
+    assert any("self-orthogonal direction" in d for d in report.diagnostics)
+    assert not any("c-orthogonal" in d for d in report.diagnostics)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ Each module of ``src/starkladder`` may import only modules earlier in
 ``LAYERS`` (and ``__version__`` from the package), so no import cycle can
 form and no module needs a ``TYPE_CHECKING`` block to name a type from a
 layer above.  The package ``__init__`` re-exports every layer and is exempt.
+No module names an LU kernel or the SVD condition number either.
 """
 
 import ast
@@ -55,5 +56,30 @@ def test_no_module_has_a_type_checking_block():
         for name, tree in _trees().items()
         for node in ast.walk(tree)
         if getattr(node, "id", getattr(node, "attr", None)) == "TYPE_CHECKING"
+    ]
+    assert found == []
+
+
+# every eigenbasis is inverted by its transpose, ``D^-1 V^T``, and kappa_2 is
+# a power-iteration estimate, never an SVD
+def _banned(node: ast.AST) -> str | None:
+    """The kernel an import or a (dotted) name refers to, if it is banned."""
+    if isinstance(node, ast.alias):
+        named = node.name
+    elif isinstance(node, (ast.Name, ast.Attribute)):
+        named = ast.unparse(node)
+    else:
+        return None
+    if named.rsplit(".", 1)[-1] in ("lu_factor", "lu_solve") or named.endswith("linalg.cond"):
+        return named
+    return None
+
+
+def test_source_names_no_lu_or_svd_condition():
+    found = [
+        f"{name}: {banned}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if (banned := _banned(node)) is not None
     ]
     assert found == []

@@ -15,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starkladder.spectra as spectra
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
+from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
+from starkladder.pairmap import sector_decompose
 from starkladder.spectra import (
     CONDITION_LIMIT,
+    GRAM_TOL,
     ComplexSpectrum,
     RESIDUAL_TOL,
     _start_vectors,
@@ -25,7 +27,12 @@ from starkladder.spectra import (
     spectrum_multiset_distance,
 )
 
-from spectral_reference import dense_condition, dense_eigenpairs, lu_coefficients
+from spectral_reference import (
+    dense_condition,
+    dense_eigenpairs,
+    lu_coefficients,
+    reference_level_order,
+)
 
 CHAIN_KINDS = [LatticeKind.UNIFORM_1D, LatticeKind.DIMER_JJSTAR, LatticeKind.DIMER_1I]
 
@@ -46,6 +53,8 @@ def _chains(draw):
 # exceptional points, certified only through the dense fallback (at n = 3 an EP3)
 @example(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=3, omega=0.0))
 @example(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=7, omega=0.0))
+# an EP whose SVD kappa, 6e10, is below CONDITION_LIMIT: inf all the same
+@example(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=51, omega=0.0))
 @example(LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=200, omega=0.05, j_even=0.8 + 0.6j))
 def test_chain_spectrum_matches_dense_reference(spec):
     h = build_chain(spec)
@@ -57,6 +66,14 @@ def test_chain_spectrum_matches_dense_reference(spec):
     assert spectrum_multiset_distance(spectrum.eigenvalues, values) <= 1e-10 * scale
 
     kappa = dense_condition(vectors)
+    # an eigenvector within GRAM_TOL of self-orthogonal (dimer_1i n = 3, 7 and
+    # 51 at omega = 0, SVD kappa 4e10 to 6e10; dimer_jjstar n = 157, 8e9): an
+    # exceptional point, which no transpose inverse expands in, although the
+    # SVD reads kappa below the limit
+    overlap = np.abs(np.einsum("ij,ij->j", vectors, vectors)).min()
+    assert (spectrum.condition == np.inf) == (overlap < GRAM_TOL)
+    if overlap < GRAM_TOL:
+        return
     assert (spectrum.condition > CONDITION_LIMIT) == (kappa > CONDITION_LIMIT)
     if kappa > CONDITION_LIMIT:
         # the SVD's smallest singular value is only good to eps * kappa
@@ -257,10 +274,10 @@ def test_ill_conditioned_chain_keeps_the_transpose_route(monkeypatch):
     assert miss <= 1e-9 * np.linalg.norm(psi)
 
 
-def test_missed_reconstruction_falls_back_to_lu(monkeypatch):
+def test_missed_reconstruction_is_refused():
     # V^T V = 1 + S with S symmetric, zero on the diagonal and blind to both
     # Gram probes: the probes find V^T V diagonal, but the refined transpose
-    # route misses psi by ~||S||^2 ||psi||, so the LU solve takes over
+    # route misses psi by ~||S||^2 ||psi||, and no second route takes over
     n = 6
     probes = _start_vectors(n, 2)
     above = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -275,11 +292,8 @@ def test_missed_reconstruction_falls_back_to_lu(monkeypatch):
     s *= 0.5 / np.linalg.norm(s, 2)
     spectrum = _basis(scipy.linalg.sqrtm(np.eye(n) + s))  # complex symmetric root
     assert spectrum._gram_diagonal is not None
-    calls = _counted_lu(monkeypatch)
-    psi = np.ones(n, dtype=complex)
-    c = spectrum.coefficients(psi)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(c, lu_coefficients(spectrum.right_eigenvectors, psi))
+    with pytest.raises(ValueError, match="backward error"):
+        spectrum.coefficients(np.ones(n, dtype=complex))
 
 
 def test_exceptional_point_falls_back_to_dense_route():
@@ -300,3 +314,59 @@ def test_long_chain_decomposition_stays_below_40_mb():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+PAIR_KINDS = [LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION, LatticeKind.PAIR_2D_BOSON]
+
+
+@pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 24])
+def test_pair_lattice_bases_are_c_orthogonal(side):
+    # the Kronecker-sum lattices are exactly degenerate, e_i + e_j = e_k + e_l:
+    # every cluster is c-orthonormalized, so V^T V is diagonal, and the
+    # symmetric form keeps kappa_2 near that of eig's basis (L = 24 guards
+    # against a basis that inflates it)
+    lattices = [
+        build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=0.2))
+        for kind in PAIR_KINDS
+    ]
+    for h in [*lattices, *sector_decompose(lattices[0])]:
+        spectrum = eigendecompose(h)
+        assert spectrum.solver == "dense"
+        assert spectrum.residuals.max() < RESIDUAL_TOL
+        assert spectrum._gram_diagonal is not None
+        v = spectrum.right_eigenvectors
+        gram = v.T @ v
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= GRAM_TOL
+        _, vectors = scipy.linalg.eig(h.entries)
+        kappa = dense_condition(vectors / np.linalg.norm(vectors, axis=0))
+        assert spectrum.condition <= 1.5 * kappa
+
+
+def test_level_order_ties_real_parts_within_1e_9():
+    # max|E| = 5, so real parts within 5e-9 are tied and go by imaginary part
+    values = np.array([
+        1.0 + 2.0j, 1.0 - 1.0j,  # equal real parts, imaginary part descending
+        -2.0 - 0.5j, -2.0 + 0.5j,  # equal real parts, imaginary part ascending
+        3.0 + 1.0j, 3.0 + 4e-9 - 1.0j,  # a step just below the tie: tied
+        4.0 + 1.0j, 4.0 + 6e-9 - 1.0j,  # a step just above it: not tied
+        -5.0 + 0.0j,
+    ])
+    expected = [8, 2, 3, 1, 0, 5, 4, 6, 7]
+    np.testing.assert_array_equal(spectra._level_order(values), expected)
+    np.testing.assert_array_equal(reference_level_order(values), expected)
+
+
+def test_level_order_ignores_rounding_of_tied_real_parts():
+    # the conjugate pairs of dimer_1i have equal real parts in exact
+    # arithmetic; numpy's and SciPy's LAPACK builds move them by ~1e-13
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=200, omega=0.2))
+    np.testing.assert_array_equal(
+        reference_level_order(eigendecompose(h).eigenvalues), np.arange(200)
+    )
+    values = scipy.linalg.eigvals(h.entries)
+    values = values[reference_level_order(values)]
+    rng = np.random.default_rng(13)
+    moved = values + 1e-13 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+    # sorting by the raw real part reorders them; the tie rule does not
+    assert not np.array_equal(np.lexsort((moved.imag, moved.real)), np.arange(200))
+    np.testing.assert_array_equal(spectra._level_order(moved), np.arange(200))
