@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattices import OperatorMatrix, PairBasis, gauge_op
-from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
+from .spectra import CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose
 
 __all__ = [
     "TimeSeries",
@@ -71,6 +71,18 @@ def _check_state(psi0: np.ndarray, dim: int) -> np.ndarray:
     return psi0
 
 
+def _own_spectrum(h: OperatorMatrix, spectrum: ComplexSpectrum | None) -> ComplexSpectrum:
+    """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
+    dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
+    if spectrum is None:
+        return eigendecompose(h)
+    v, e = spectrum.right_eigenvectors[:, 0], spectrum.eigenvalues[0]
+    tol = max(RESIDUAL_TOL, 2.0 * spectrum.residuals.max())
+    if spectrum.dim != h.dim or not np.linalg.norm(h.entries @ v - e * v) < tol:
+        raise ValueError(f"the spectrum (dimension {spectrum.dim}) belongs to another matrix")
+    return spectrum
+
+
 def _integrate(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Adaptive fourth-order integration of ``dy/dt = rhs(t, y)``; rows per time."""
     from scipy.integrate import solve_ivp
@@ -103,12 +115,12 @@ def evolve(
     (``spectrum.condition`` above ``CONDITION_LIMIT``) falls back to an
     adaptive fourth-order integrator; ``TimeSeries.method`` records which
     path ran.  A basis below that limit whose transpose inverse misses its
-    backward error raises ``ValueError`` (:meth:`ComplexSpectrum.coefficients`).
+    backward error raises ``ValueError`` (:meth:`ComplexSpectrum.coefficients`),
+    as does a ``spectrum`` of another matrix (:func:`_own_spectrum`).
     """
     times = _check_times(times)
     psi0 = _check_state(psi0, h.dim)
-    if spectrum is None:
-        spectrum = eigendecompose(h)
+    spectrum = _own_spectrum(h, spectrum)
     if spectrum.condition <= CONDITION_LIMIT:
         coeffs = spectrum.coefficients(psi0)
         phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
@@ -143,7 +155,7 @@ def evolve_pair(
     amplitude matrices and restricted back to ``basis.labels``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
 
-    ``spectrum`` is the chain's, computed here when not given.
+    ``spectrum`` is the chain's, computed here when not given (:func:`_own_spectrum`).
     ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
     ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
     :func:`evolve` does, with the same ``ValueError`` below it;
@@ -155,8 +167,7 @@ def evolve_pair(
         raise ValueError(
             f"chain of {chain.dim} sites does not match pair side {basis.side}"
         )
-    if spectrum is None:
-        spectrum = eigendecompose(chain)
+    spectrum = _own_spectrum(chain, spectrum)
     psi0 = basis.embed(phi0)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:

@@ -814,7 +814,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
 def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
     """Entrywise certification of the 2D pair lattices against a
     second-quantized oracle, sector decomposition, and evolution
-    equivalence."""
+    equivalence of the pair engine with both."""
     omega = cfg.model.omega
     rng = np.random.default_rng(cfg.run.seed)
     per_side = []
@@ -848,7 +848,8 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        direct = evolve(electron, psi0, times)
+        chain = build_chain(LatticeSpec(LatticeKind.DIMER_1I, side, omega))  # as evolve2d
+        direct = evolve_pair(chain, psi0, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side), times)
         entry["evolution_distance"] = lift_1d_evolution(
             direct, oracles[LatticeKind.PAIR_2D_ELECTRON]
         )

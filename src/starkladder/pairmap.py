@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
-from .dynamics import TimeSeries, evolve
+from .dynamics import TimeSeries
 from .lattices import LatticeKind, OperatorMatrix, electron_side, pair_basis
 
 __all__ = [
@@ -140,39 +141,42 @@ def _normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def lift_1d_evolution(direct: TimeSeries, oracle: OperatorMatrix) -> float:
-    """Largest normalized distance between a built-lattice evolution and
-    the oracle's.
+def _expm_states(h: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``expm(-i H t) psi0`` per time, by ``scipy.linalg.expm``: no eigensolver."""
+    return np.array([scipy.linalg.expm(-1j * t * h.entries) @ psi0 for t in times])
 
-    ``direct`` is the evolution under the hand-built lattice; the oracle is
-    evolved from the same initial state at the same times.  The two
-    matrices are supposed to be equal, so this certifies basis ordering and
-    plumbing end to end.  A basis-label mismatch raises ``ValueError``.
+
+def lift_1d_evolution(direct: TimeSeries, oracle: OperatorMatrix) -> float:
+    """Largest normalized distance between a pair evolution and the oracle's.
+
+    ``direct`` is a pair evolution (``evolve_pair`` on the chain); the
+    oracle is evolved from the same initial state at the same times by
+    ``expm``, sharing no code with it.  The two are supposed to be equal,
+    so this certifies basis ordering and plumbing end to end.  A
+    basis-label mismatch raises ``ValueError``.
     """
     if direct.basis_labels != oracle.basis_labels:
         raise ValueError("basis ordering mismatch between builder and oracle")
-    series = evolve(oracle, direct.initial_state, direct.times)
-    return max(_normalized_distance(a, b) for a, b in zip(direct.states, series.states))
+    states = _expm_states(oracle, direct.initial_state, direct.times)
+    return max(_normalized_distance(a, b) for a, b in zip(direct.states, states))
 
 
 def sector_reassembled_distance(direct: TimeSeries, sectors: tuple) -> float:
     """Full-lattice evolution versus sector-wise evolution, reassembled.
 
-    ``direct`` is the evolution under the electron lattice and ``sectors``
-    its (symmetric, antisymmetric) parts from :func:`sector_decompose`.
-    Restricts the initial state to both swap sectors, evolves each under
-    its sector matrix, embeds the results back into the full lattice, and
-    returns the maximum normalized distance to the direct evolution.  A
-    series on any basis other than the electron pair basis raises
-    ``ValueError``.
+    ``direct`` is the evolution of an electron pair state and ``sectors``
+    the (symmetric, antisymmetric) parts of its lattice from
+    :func:`sector_decompose`.  Restricts the initial state to both swap
+    sectors, evolves each under its sector matrix by ``scipy.linalg.expm``,
+    embeds the results back into the full lattice, and returns the maximum
+    normalized distance to the direct evolution.  A series on any basis
+    other than the electron pair basis raises ``ValueError``.
     """
     side = electron_side(direct.basis_labels)
     amps = direct.initial_state.reshape(side, side)
     rebuilt = np.zeros_like(direct.states)
     for kind, sector in zip(_SECTOR_KINDS, sectors):
         basis = pair_basis(kind, side)
-        comp = basis.restrict(amps)
-        if np.linalg.norm(comp) > 0:
-            series = evolve(sector, comp, direct.times)
-            rebuilt += basis.embed(series.states).reshape(-1, side * side)
+        states = _expm_states(sector, basis.restrict(amps), direct.times)
+        rebuilt += basis.embed(states).reshape(-1, side * side)
     return max(_normalized_distance(d, r) for d, r in zip(direct.states, rebuilt))

@@ -19,12 +19,15 @@ from scipy.linalg.lapack import zgees, zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
+    LatticeKind,
+    LatticeSpec,
     OperatorMatrix,
     SymmetryOp,
     apply_symmetry,
     build_chain,
     in_window,
     interior_slice,
+    pair_basis,
 )
 
 __all__ = [
@@ -61,11 +64,11 @@ NORM_MAX_STEPS = 500
 # inverse-iteration shift off each eigenvalue, in ulps of the matrix scale
 INVERSE_ITERATION_SHIFT = 2.0
 # largest eigenvalue condition number ``1 / |v^T v|`` (unit v) the
-# tridiagonal route keeps; a dense-route cluster whose Gram matrix
-# ``V_c^T V_c`` has an eigenvalue below its inverse is an exceptional point
+# tridiagonal route keeps
 EIGENVALUE_CONDITION_LIMIT = 1e4
 # seed of the fixed start and probe vectors
 _SEED = 20240607
+_PAIR_KINDS = [kind for kind in LatticeKind if kind.is_pair]  # electron, fermion, boson
 
 
 class EigendecompositionError(RuntimeError):
@@ -83,12 +86,12 @@ class ComplexSpectrum:
     Eigenvalues are in :func:`_level_order`; ``right_eigenvectors[:, k]`` is
     unit-norm with its leading amplitude (:func:`leading_amplitude_index`)
     real positive, so the decomposition is deterministic.  ``solver`` names
-    the route of :func:`eigendecompose`: ``"tridiagonal"`` or ``"dense"``.
+    the route of :func:`eigendecompose`: ``"tridiagonal"``, ``"kronecker"`` or ``"dense"``.
 
     ``V^T V = D`` is diagonal, so ``V^-1 = D^-1 V^T`` is the one inverse of
     every expansion and of the condition number.  Where two seeded probes
-    find ``V^T V`` not diagonal, ``V`` has a self-orthogonal direction (an
-    exceptional point) and ``condition`` is ``inf``.
+    find ``V^T V`` not diagonal, ``condition`` is ``inf``: an exceptional
+    point, or on the dense route a degeneracy in ``eig``'s basis.
     """
 
     eigenvalues: np.ndarray
@@ -436,33 +439,13 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     return spectrum
 
 
-def _c_orthonormalize(vectors: np.ndarray, cluster: np.ndarray) -> bool:
-    """Replace a cluster's columns, in place, by ``V_c G^-1/2`` with
-    ``G = V_c^T V_c`` (no conjugation) from the k x k eigendecomposition of
-    ``G``, rescaled by :func:`_fix_phases`: ``V_c^T V_c`` becomes diagonal.
-    This symmetric form keeps ``kappa_2`` near that of ``eig``'s columns,
-    where Gram-Schmidt inflates it.  False, with the columns left as they
-    are, if ``G`` has an eigenvalue below ``1 / EIGENVALUE_CONDITION_LIMIT``:
-    an exceptional point.
-    """
-    block = vectors[:, cluster]
-    lam, w = np.linalg.eig(block.T @ block)
-    if np.abs(lam).min() < 1.0 / EIGENVALUE_CONDITION_LIMIT:
-        return False
-    vectors[:, cluster] = _fix_phases(block @ ((w / np.sqrt(lam)) @ np.linalg.inv(w)))
-    return True
+def _residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``||H v_k - E_k v_k||`` per column, from the full matrix."""
+    return np.linalg.norm(entries @ vectors - vectors * values, axis=0)
 
 
 def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
-    """Eigenpairs from ``scipy.linalg.eig``; residuals from the full matrix.
-
-    ``eig`` returns an arbitrary basis of each degenerate subspace.  Levels
-    whose disks of radius ``reach = ||r|| / (GRAM_TOL |v^T v|)`` overlap,
-    close enough for rounding to tilt their eigenvectors off c-orthogonality
-    beyond what the Gram probes allow, are grouped (:func:`_clusters`); each
-    group is c-orthonormalized (:func:`_c_orthonormalize`) and its
-    residuals are taken again.
-    """
+    """Eigenpairs from ``scipy.linalg.eig``: an arbitrary basis of each degenerate subspace."""
     try:
         values, vectors = scipy.linalg.eig(entries)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
@@ -470,29 +453,49 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
     order = _level_order(values)
     values = values[order]
     vectors = _fix_phases(vectors[:, order])
-    residuals = np.linalg.norm(entries @ vectors - vectors * values[None, :], axis=0)
-    self_overlap = np.abs(np.einsum("ij,ij->j", vectors, vectors))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # fmax reads 0/0, a self-orthogonal eigenvector with no residual, as 0
-        reach = np.fmax(residuals / (GRAM_TOL * self_overlap), 0.0)
-    changed = [c for c in _clusters(values, reach) if _c_orthonormalize(vectors, c)]
-    if changed:  # one product for every changed column
-        cols = np.concatenate(changed)
-        block = vectors[:, cols]
-        residuals[cols] = np.linalg.norm(entries @ block - block * values[cols], axis=0)
-    return ComplexSpectrum(values, vectors, residuals)
+    return ComplexSpectrum(values, vectors, _residuals(entries, values, vectors))
+
+
+def _kronecker_spectrum(h: OperatorMatrix, residual_tol: float) -> ComplexSpectrum | None:
+    """Eigenpairs of a pair-labelled matrix, the Kronecker sum
+    ``H1 x 1 + 1 x H1`` of a ``dimer_1i`` chain ``H1`` read off its diagonal:
+    levels ``e_i + e_j``, vectors ``basis.restrict(v_i x v_j)`` over the
+    basis's own ``(i, j)`` layout, c-orthogonal inside every degeneracy as
+    ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.  None off the
+    pair bases; an ``EigendecompositionError`` of ``H1`` propagates.
+    """
+    twice = math.isqrt(2 * h.dim)  # L(L - 1)/2 fermion labels give L - 1, bosons L
+    sides = (math.isqrt(h.dim), twice + 1, twice)
+    bases = [pair_basis(kind, side) for kind, side in zip(_PAIR_KINDS, sides) if side >= 4]
+    basis = next((b for b in bases if b.labels == h.basis_labels), None)
+    if basis is None:
+        return None
+    x, y = basis.layout[:2]
+    diag, level = h.entries.diagonal().real, x + y  # diag = omega (level - 2 o)
+    omega = float(diag[-1] - diag[0]) / float(level[-1] - level[0])  # lowest to highest level
+    offset = round((level[0] - diag[0] / omega) / 2) if omega else None
+    spec = LatticeSpec(LatticeKind.DIMER_1I, basis.side, omega, origin_offset=offset)
+    chain = eigendecompose(build_chain(spec), residual_tol)
+    values = chain.eigenvalues[x] + chain.eigenvalues[y]
+    order = _level_order(values)
+    values, i, j = values[order], x[order], y[order]
+    v = chain.right_eigenvectors.T  # rows v_i
+    vectors = _fix_phases(basis.restrict(v[i, :, None] * v[j, None, :]).T)
+    return ComplexSpectrum(values, vectors, _residuals(h.entries, values, vectors), "kronecker")
 
 
 def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> ComplexSpectrum:
     """Full right eigendecomposition with a residual certificate.
 
-    An irreducible complex-symmetric tridiagonal matrix (every chain) takes
-    the tridiagonal route: one ``zgees`` without Schur vectors and O(n^2)
-    inverse iteration.
-    If any of its columns fails the certificate, or the route rejects its
-    own result (:func:`_tridiagonal_spectrum`), the dense route
-    (:func:`_dense_spectrum`) reruns and is certified instead; exceptional
-    points need it.  Every other matrix takes the dense route directly.
+    The route, recorded as ``solver``, follows from the matrix.  An
+    irreducible complex-symmetric tridiagonal matrix (every chain) is
+    ``"tridiagonal"``: one ``zgees`` without Schur vectors and O(n^2)
+    inverse iteration.  A matrix labelled by a pair basis of side >= 4
+    (every pair lattice and sector) is ``"kronecker"``, from its chain
+    (:func:`_kronecker_spectrum`).  If either fails the certificate or
+    rejects its own result (exceptional points), and for every other
+    matrix, ``"dense"`` (:func:`_dense_spectrum`) runs: there a degenerate
+    matrix reads ``condition == inf``, but no experiment builds one.
 
     Raises
     ------
@@ -512,8 +515,10 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     bands = _tridiagonal_bands(entries)
     if bands is not None:
         spectrum = _tridiagonal_spectrum(entries, *bands)
-        if spectrum is not None and np.all(spectrum.residuals < residual_tol):
-            return spectrum
+    else:
+        spectrum = _kronecker_spectrum(h, residual_tol)
+    if spectrum is not None and np.all(spectrum.residuals < residual_tol):
+        return spectrum
     spectrum = _dense_spectrum(entries)
     residuals = spectrum.residuals
     if not np.all(residuals < residual_tol):
@@ -525,42 +530,21 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     return spectrum
 
 
-def _clusters(values: np.ndarray, reach) -> list:
-    """Ascending index arrays of the groups of two or more levels joined,
-    directly or in a chain, by overlapping disks,
-    ``|E_i - E_j| < reach_i + reach_j``; ``reach`` one radius per level or
-    one for all.
-
-    Compares each level of the real-part-sorted spectrum with its neighbour
-    ``d`` places on, d = 1, 2, ... while some such real gap is at most the
-    first radius plus the largest: no overlap lies beyond.  O(n) memory.
-    """
+def _degenerate_indices(values: np.ndarray, tol: float) -> set:
+    """Indices of the levels with another level closer than ``tol``: each
+    level of the real-part-sorted spectrum against its neighbour ``d`` places
+    on, d = 1, 2, ... while some such real gap is at most ``tol``, beyond
+    which no complex distance is below it.  O(n) memory."""
     order = np.argsort(values.real, kind="stable")
     ranked = values[order]
-    radius = np.broadcast_to(reach, values.shape)[order]
-    widest = radius.max()
-    first, second = [], []
+    hit = np.zeros(values.size, dtype=bool)
     for d in range(1, values.size):
-        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= radius[:-d] + widest)
+        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= tol)
         if near.size == 0:
             break
-        close = near[np.abs(ranked[near + d] - ranked[near]) < radius[near] + radius[near + d]]
-        first.append(close)
-        second.append(close + d)
-    if not first:
-        return []
-    first, second = np.concatenate(first), np.concatenate(second)
-    # every level takes the smallest label in its group: spread labels along
-    # the overlaps, each jumping to its label's label, until all overlaps agree
-    label = np.arange(values.size)
-    while np.any(label[first] != label[second]):
-        low = np.minimum(label[first], label[second])
-        np.minimum.at(label, first, low)
-        np.minimum.at(label, second, low)
-        label = label[label]
-    by_label = np.argsort(label, kind="stable")
-    groups = np.split(by_label, np.flatnonzero(np.diff(label[by_label])) + 1)
-    return [np.sort(order[g]) for g in groups if g.size > 1]
+        close = near[np.abs(ranked[near + d] - ranked[near]) < tol]
+        hit[close] = hit[close + d] = True
+    return {int(k) for k in order[hit]}
 
 
 def detect_ladders(
@@ -578,15 +562,15 @@ def detect_ladders(
     Ambiguous extensions (two candidates in tolerance, a near-degenerate
     cluster) terminate the chain and leave a diagnostic.  The diagnostic of
     the excluded clusters judges the whole spectrum: with ``V^T V``
-    diagonal they are degeneracies; otherwise an exceptional point lies
-    somewhere in the spectrum.
+    diagonal they are degeneracies; otherwise its "self-orthogonal
+    direction" is an exceptional point or a dense-route degeneracy.
 
     Chains are started from levels in order of real part, ties in ascending
     index order.  Each parent or successor lookup binary-searches the
     real-part-sorted spectrum for the levels whose real part is within
     tolerance of the target and applies the complex distance test to those
-    alone; near-degenerate clusters (:func:`_clusters`) are found among
-    neighbours in the same order.  Cost: O(n log n + rungs * window),
+    alone; near-degenerate levels (:func:`_degenerate_indices`) are found
+    among neighbours in the same order.  Cost: O(n log n + rungs * window),
     where ``window`` is the number of levels per lookup: a few, unless many
     levels share a real part.  No n x n array is formed, unless the conjugate pairing
     (:func:`_conjugate_pairing`) finds no unambiguous nearest-neighbour
@@ -611,7 +595,7 @@ def detect_ladders(
         lo, hi = _window_bounds(sorted_real, target.real, half)
         return order[lo:hi].tolist()
 
-    degenerate = {int(k) for cluster in _clusters(values, tol / 2) for k in cluster}
+    degenerate = _degenerate_indices(values, tol)
     diagnostics = []
     if degenerate:
         cause = (
@@ -789,7 +773,6 @@ def verify_ladder_operator(
     op: SymmetryOp,
     state: ReferenceState,
     expected_shift: complex,
-    margin: int | None = None,
 ) -> float:
     """Residual of the eigenpair generated by a (possibly antiunitary) op.
 
@@ -803,7 +786,7 @@ def verify_ladder_operator(
     if nrm < 1e-12:
         raise ValueError("symmetry annihilated the reference state on this truncation")
     w = w / nrm
-    window = interior_slice(h.dim, margin)
+    window = interior_slice(h.dim)
     center = localization_center(w)
     if not in_window(center, window):
         raise ReferenceSelectionError(

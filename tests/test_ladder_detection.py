@@ -14,8 +14,8 @@ from starkladder.experiments import load_config, run
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
 from starkladder.spectra import (
     ComplexSpectrum,
-    _clusters,
     _conjugate_pairing,
+    _degenerate_indices,
     conjugation_closure_deviation,
     detect_ladders,
     eigendecompose,
@@ -80,8 +80,8 @@ def test_detector_equals_reference(case):
         detect_ladders(spectrum, spacing, tol).to_dict()
         == reference_detect_ladders(spectrum, spacing, tol).to_dict()
     )
-    clustered = {int(k) for cluster in _clusters(spectrum.eigenvalues, tol / 2) for k in cluster}
-    assert clustered == reference_degenerate_indices(spectrum.eigenvalues, tol)
+    degenerate = _degenerate_indices(spectrum.eigenvalues, tol)
+    assert degenerate == reference_degenerate_indices(spectrum.eigenvalues, tol)
 
 
 def test_rung_beyond_the_rounded_window_edge_is_found():

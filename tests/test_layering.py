@@ -60,6 +60,17 @@ def test_no_module_has_a_type_checking_block():
     assert found == []
 
 
+def test_pair_certificates_do_not_run_the_engine():
+    # pairmap certifies evolve_pair's output by expm, so it may name
+    # neither evolve nor evolve_pair: no certificate shares code with what
+    # it certifies
+    named = {  # imported (alias), bare (Name) and dotted (Attribute) names
+        getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        for node in ast.walk(_trees()["pairmap"])
+    }
+    assert not named & {"evolve", "evolve_pair"}
+
+
 # every eigenbasis is inverted by its transpose, ``D^-1 V^T``, and kappa_2 is
 # a power-iteration estimate, never an SVD
 def _banned(node: ast.AST) -> str | None:

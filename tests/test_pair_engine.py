@@ -15,6 +15,7 @@ from starkladder.dynamics import evolve_pair
 from starkladder.experiments import load_config, run
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
 from starkladder.pairmap import pair_basis
+from starkladder.spectra import eigendecompose
 
 from sector_reference import reference_projector
 
@@ -87,6 +88,22 @@ def test_engine_rejects_mismatched_chain():
     basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 8)
     with pytest.raises(ValueError, match="does not match pair side"):
         evolve_pair(chain, _random_state(basis.dim, 0), basis, [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "other, match",
+    [
+        (LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=8, omega=0.2), "dimension 8"),
+        (LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.3), "another matrix"),
+    ],
+    ids=["size", "slope"],
+)
+def test_engine_refuses_the_spectrum_of_another_chain(other, match):
+    chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
+    basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 6)
+    foreign = eigendecompose(build_chain(other))
+    with pytest.raises(ValueError, match=match):
+        evolve_pair(chain, _random_state(basis.dim, 0), basis, [0.0, 1.0], spectrum=foreign)
 
 
 def test_evolve2d_never_builds_the_pair_lattice(tmp_path, monkeypatch):

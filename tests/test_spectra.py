@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import starkladder.spectra as spectra
+
 from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
@@ -325,6 +327,33 @@ def test_scan_uniform_energies_on_grid():
         steps = energy.real / omega
         assert abs(steps - round(steps)) < 1e-8
         assert abs(energy.imag) < 1e-10
+
+
+def test_scan_records_a_failed_point_and_fits_the_rest(monkeypatch):
+    # selection fails at the second slope only: that point is NaN and named
+    # in failures, and the fit runs over the other three
+    template = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=40, omega=0.2)
+    grid = [0.3, 0.4, 0.5, 0.6]
+    calls = []
+    original = spectra.select_reference_state
+
+    def failing_once(spectrum, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ReferenceSelectionError("no state in the window")
+        return original(spectrum, **kwargs)
+
+    monkeypatch.setattr(spectra, "select_reference_state", failing_once)
+    scan = scan_E0_vs_omega(template, grid)
+    assert scan.failures == ((0.4, "no state in the window"),)
+    assert np.isnan(scan.energies[1].real) and np.isnan(scan.centers[1])
+    monkeypatch.undo()
+    rest = scan_E0_vs_omega(template, [0.3, 0.5, 0.6])
+    assert not rest.failures
+    np.testing.assert_array_equal(scan.energies[[0, 2, 3]], rest.energies)
+    assert (scan.slope, scan.intercept, scan.max_fit_residual) == (
+        rest.slope, rest.intercept, rest.max_fit_residual
+    )
 
 
 def test_scan_single_point_fit_flagged():

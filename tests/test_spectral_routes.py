@@ -1,8 +1,10 @@
-"""The tridiagonal eigensolver route against the dense reference.
+"""The tridiagonal and Kronecker eigensolver routes against the dense
+reference.
 
 Chains take one ``zgees`` without Schur vectors plus inverse iteration,
+pair lattices the sums and products of their chain's eigenpairs; both use
 the transpose inverse ``V^-1 = D^-1 V^T`` and a power-iteration estimate
-of kappa_2; the reference (``tests/spectral_reference.py``) takes ``eig``,
+of kappa_2.  The reference (``tests/spectral_reference.py``) takes ``eig``,
 LU and an SVD.
 """
 
@@ -15,8 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starkladder.spectra as spectra
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
-from starkladder.pairmap import sector_decompose
+from starkladder.dynamics import evolve
+from starkladder.lattices import (
+    LatticeKind,
+    LatticeSpec,
+    OperatorMatrix,
+    build_chain,
+    build_pair_lattice,
+)
+from starkladder.pairmap import oracle_pair_hamiltonian, sector_decompose
 from starkladder.spectra import (
     CONDITION_LIMIT,
     GRAM_TOL,
@@ -27,6 +36,7 @@ from starkladder.spectra import (
     spectrum_multiset_distance,
 )
 
+from ladder_reference import reference_multiset_distance
 from spectral_reference import (
     dense_condition,
     dense_eigenpairs,
@@ -322,16 +332,16 @@ PAIR_KINDS = [LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION, Lattice
 @pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 24])
 def test_pair_lattice_bases_are_c_orthogonal(side):
     # the Kronecker-sum lattices are exactly degenerate, e_i + e_j = e_k + e_l:
-    # every cluster is c-orthonormalized, so V^T V is diagonal, and the
-    # symmetric form keeps kappa_2 near that of eig's basis (L = 24 guards
-    # against a basis that inflates it)
+    # the product basis v_i x v_j is c-orthogonal inside every degeneracy, so
+    # V^T V is diagonal, and kappa_2 stays near that of eig's basis (L = 24
+    # guards against a basis that inflates it)
     lattices = [
         build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=0.2))
         for kind in PAIR_KINDS
     ]
     for h in [*lattices, *sector_decompose(lattices[0])]:
         spectrum = eigendecompose(h)
-        assert spectrum.solver == "dense"
+        assert spectrum.solver == "kronecker"
         assert spectrum.residuals.max() < RESIDUAL_TOL
         assert spectrum._gram_diagonal is not None
         v = spectrum.right_eigenvectors
@@ -340,6 +350,88 @@ def test_pair_lattice_bases_are_c_orthogonal(side):
         _, vectors = scipy.linalg.eig(h.entries)
         kappa = dense_condition(vectors / np.linalg.norm(vectors, axis=0))
         assert spectrum.condition <= 1.5 * kappa
+
+
+def _pair_lattices(side: int, omega: float, offset) -> list:
+    """Every pair kind, the electron lattice's two swap sectors and the
+    second-quantized oracle of every kind."""
+    lattices = [
+        build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=omega, origin_offset=offset))
+        for kind in PAIR_KINDS
+    ]
+    oracles = [oracle_pair_hamiltonian(kind, side, omega, offset) for kind in PAIR_KINDS]
+    return [*lattices, *sector_decompose(lattices[0]), *oracles]
+
+
+@pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 24])
+@pytest.mark.parametrize("omega, offset", [(0.0, None), (0.2, None), (1.2, None), (0.2, 1)])
+def test_pair_lattices_take_the_kronecker_route(side, omega, offset):
+    chain = eigendecompose(
+        build_chain(LatticeSpec(LatticeKind.DIMER_1I, side, omega, origin_offset=offset))
+    )
+    for h in _pair_lattices(side, omega, offset):
+        spectrum = eigendecompose(h)
+        assert spectrum.solver == "kronecker"
+        assert spectrum.residuals.max() < RESIDUAL_TOL
+        if chain.condition == np.inf:
+            # omega = 0, side 7 and 11: the chain is an exceptional point, and
+            # so is its Kronecker sum; eigenvalues there are good only to
+            # about eps^(1/2), on either route
+            assert spectrum.condition == np.inf
+            continue
+        values = scipy.linalg.eigvals(h.entries)
+        scale = max(1.0, float(np.abs(values).max()))
+        assert reference_multiset_distance(spectrum.eigenvalues, values) <= 1e-10 * scale
+        v = spectrum.right_eigenvectors
+        gram = v.T @ v
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-14
+        assert spectrum.condition < CONDITION_LIMIT
+
+
+def test_criterion_9_lattice_expands_in_the_chain_product_basis():
+    # the 1600-level electron lattice: kappa_2 of V x V is kappa_2(V)^2, the
+    # number evolve2d reports, and evolve stays spectral
+    spec = LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 40, 0.2)
+    h = build_pair_lattice(spec)
+    spectrum = eigendecompose(h)
+    chain = eigendecompose(build_chain(LatticeSpec(LatticeKind.DIMER_1I, 40, 0.2)))
+    assert spectrum.solver == "kronecker"
+    assert spectrum.condition == pytest.approx(chain.condition**2, rel=0.01)
+    psi0 = _start_vectors(h.dim, 1)[:, 0]
+    assert evolve(h, psi0, [0.0, 1.0], spectrum=spectrum).method == "spectral"
+
+
+def test_perturbed_pair_lattice_falls_back_to_the_dense_route():
+    # the bond (1, 1)-(1, 2) moved by 1e-6: no chain's Kronecker sum has it,
+    # the product eigenvectors miss it by about 1e-6, and the dense route
+    # certifies the matrix instead
+    h = build_pair_lattice(LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 6, 0.2))
+    entries = h.entries.copy()
+    entries[7, 8] += 1e-6
+    entries[8, 7] += 1e-6
+    spectrum = eigendecompose(OperatorMatrix(entries, h.basis_labels))
+    assert spectrum.solver == "dense"
+    assert spectrum.residuals.max() < RESIDUAL_TOL
+
+
+def test_degenerate_matrix_off_both_routes_takes_the_integrator():
+    # two copies of a chain, mixed by a real orthogonal Q (Q^T H Q stays
+    # complex symmetric), on plain labels: every level is double, and eig's
+    # basis of each pair is not c-orthogonal
+    chain = build_chain(LatticeSpec(LatticeKind.DIMER_1I, 8, 0.2)).entries
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(16, 16)))
+    entries = q.T @ np.kron(np.eye(2), chain) @ q
+    entries = (entries + entries.T) / 2  # symmetric to the last bit
+    h = OperatorMatrix(entries, tuple(range(16)))
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == "dense"
+    assert spectrum.condition == np.inf
+    psi0 = _start_vectors(16, 1)[:, 0]
+    series = evolve(h, psi0, [0.0, 1.0, 3.0], spectrum=spectrum)
+    assert series.method.startswith("integrator")
+    for t, state in zip(series.times, series.states):
+        exact = scipy.linalg.expm(-1j * t * entries) @ psi0
+        np.testing.assert_allclose(state, exact, rtol=0, atol=1e-8 * np.linalg.norm(exact))
 
 
 def test_level_order_ties_real_parts_within_1e_9():
