@@ -34,12 +34,16 @@ PROJECTION_SUPPRESSION = 1e6
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Evolved snapshots ``states[k] = phi(times[k])`` on a fixed basis."""
+    """Evolved snapshots ``states[k] = phi(times[k])`` on a fixed basis, with
+    the propagation ``method`` and the eigensolver route (``solver``) and
+    2-norm ``condition`` number of the eigenbasis it expanded in."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim), raw (never renormalized)
     basis_labels: tuple
     method: str = "spectral"
+    solver: str | None = None
+    condition: float | None = None
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -114,9 +118,10 @@ def evolve(
     precision at arbitrary ``t``.  A near-defective eigenvector matrix
     (``spectrum.condition`` above ``CONDITION_LIMIT``) falls back to an
     adaptive fourth-order integrator; ``TimeSeries.method`` records which
-    path ran.  A basis below that limit whose transpose inverse misses its
-    backward error raises ``ValueError`` (:meth:`ComplexSpectrum.coefficients`),
-    as does a ``spectrum`` of another matrix (:func:`_own_spectrum`).
+    path ran, ``solver`` and ``condition`` the spectrum's.  A basis below
+    that limit whose transpose inverse misses its backward error raises
+    ``ValueError`` (:meth:`ComplexSpectrum.coefficients`), as does a
+    ``spectrum`` of another matrix (:func:`_own_spectrum`).
     """
     times = _check_times(times)
     psi0 = _check_state(psi0, h.dim)
@@ -132,7 +137,7 @@ def evolve(
         method = f"integrator (eigenvector condition {spectrum.condition:.2e})"
     states[0] = psi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
-        times=times, states=states, basis_labels=h.basis_labels, method=method
+        times, states, h.basis_labels, method, spectrum.solver, spectrum.condition
     )
 
 
@@ -141,7 +146,6 @@ def evolve_pair(
     phi0: np.ndarray,
     basis: PairBasis,
     times,
-    spectrum: ComplexSpectrum | None = None,
 ) -> TimeSeries:
     """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
 
@@ -155,11 +159,11 @@ def evolve_pair(
     amplitude matrices and restricted back to ``basis.labels``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
 
-    ``spectrum`` is the chain's, computed here when not given (:func:`_own_spectrum`).
-    ``kappa(V x V) = kappa(V)^2``; above ``CONDITION_LIMIT`` the matrix ODE
-    ``dPsi/dt = -i (H1 Psi + Psi H1^T)`` is integrated instead, as
-    :func:`evolve` does, with the same ``ValueError`` below it;
-    ``TimeSeries.method`` records which path ran.
+    The chain's spectrum is computed here.  The pair basis is ``V x V``, and
+    ``kappa(V x V) = kappa(V)^2`` is the ``TimeSeries.condition`` reported;
+    above ``CONDITION_LIMIT`` the matrix ODE ``dPsi/dt = -i (H1 Psi + Psi H1^T)``
+    is integrated instead, as :func:`evolve` does, with the same
+    ``ValueError`` below it; ``TimeSeries.method`` records which path ran.
     """
     times = _check_times(times)
     phi0 = _check_state(phi0, basis.dim)
@@ -167,7 +171,7 @@ def evolve_pair(
         raise ValueError(
             f"chain of {chain.dim} sites does not match pair side {basis.side}"
         )
-    spectrum = _own_spectrum(chain, spectrum)
+    spectrum = eigendecompose(chain)
     psi0 = basis.embed(phi0)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:
@@ -191,9 +195,7 @@ def evolve_pair(
         states = basis.restrict(psis)
         method = f"integrator (eigenvector condition {condition:.2e})"
     states[0] = phi0  # t = 0 is the initial snapshot, exactly
-    return TimeSeries(
-        times=times, states=states, basis_labels=basis.labels, method=method
-    )
+    return TimeSeries(times, states, basis.labels, method, spectrum.solver, condition)
 
 
 def gaussian_state(alpha: float, j0: int, dim: int) -> np.ndarray:

@@ -50,11 +50,13 @@ from .pairmap import (
 )
 from .spectra import (
     DETECTION_TOL,
+    RESIDUAL_TOL,
     ReferenceSelectionError,
     conjugation_closure_deviation,
     detect_ladders,
     eigendecompose,
     localization_center,
+    matrix_residuals,
     participation_ratio,
     scan_E0_vs_omega,
     select_reference_state,
@@ -117,9 +119,11 @@ def _pair_specs(side: int, omega: float) -> dict:
 # Every run key: JSON name -> (default, check, what the check asks of a value).
 # A check takes (value, model) and may raise ValueError naming the fault.  A
 # None default resolves at run time: ``lambda`` to Im E0 of the reference
-# state, ``t_late`` to ``max(10 / (2 Im E0), 3 pi / omega)``, ``t_max`` to the
-# experiment's span, ``j0`` to the middle site, ``expected_spacing`` to the
-# model's ladder step.  ``project`` keeps only the detected im_sign family.
+# state, ``t_late`` to ``max(1.05 ln(PROJECTION_SUPPRESSION) / (2 Im E0),
+# 3 pi / omega)`` (the suppression floor of ``extract_projected_mu`` with 5 %
+# to spare, and three Bloch periods), ``t_max`` to the experiment's span,
+# ``j0`` to the middle site, ``expected_spacing`` to the model's ladder step.
+# ``project`` keeps only the detected im_sign family.
 _RUN_KEYS = {
     "times": (None, lambda v, m: v is None or _reals(v) and _ascending(v) and v[0] == 0,
               "must be finite numbers that start at 0 and ascend strictly"),
@@ -477,7 +481,9 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
     checks = {
         "dim": spectrum.dim,
         "max_residual": float(spectrum.residuals.max()),
-        "residual_certified": bool(spectrum.residuals.max() < 1e-9),
+        "residual_certified": bool(matrix_residuals(
+            h.entries, spectrum.eigenvalues, spectrum.right_eigenvectors
+        ).max() < RESIDUAL_TOL),
         "conjugation_closure_deviation": conjugation_closure_deviation(
             spectrum.eigenvalues
         ),
@@ -575,11 +581,12 @@ def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
-def _basis_health(solver: str, condition: float) -> dict:
-    """Which eigensolver route ran, and the 2-norm condition number of the
-    eigenbasis the evolution expanded in (None if infinite)."""
+def _basis_health(series) -> dict:
+    """Which eigensolver route the evolution took, and the 2-norm condition
+    number of the eigenbasis it expanded in (None if infinite)."""
+    condition = series.condition
     return {
-        "eigensolver": solver,
+        "eigensolver": series.solver,
         "eigenvector_condition": condition if math.isfinite(condition) else None,
     }
 
@@ -635,7 +642,7 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
     checks = {
         "method": series.method,
-        **_basis_health(spectrum.solver, spectrum.condition),
+        **_basis_health(series),
         "lambda": lam,
         "e0": [ref.energy.real, ref.energy.imag],
         "reference_center": ref.localization_center,
@@ -659,12 +666,9 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     if im_e0 > 0:
         t_late = cfg.run.t_late
         if t_late is None:
-            # heuristic span, floored so the decaying sector is suppressed
-            # enough for extraction to accept the snapshot
-            t_late = max(
-                10.0 / (2.0 * im_e0),
-                math.log(PROJECTION_SUPPRESSION) / (2.0 * im_e0) * 1.05,
-            )
+            # suppress the decaying sector enough, with 5 % to spare, for
+            # extraction to accept the snapshot
+            t_late = math.log(PROJECTION_SUPPRESSION) / (2.0 * im_e0) * 1.05
             if model.omega > 0:
                 t_late = max(t_late, 3.0 * math.pi / model.omega)
         late = evolve(h, psi0, np.array([0.0, float(t_late)]), spectrum=spectrum)
@@ -718,70 +722,41 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     probability snapshots over one period and the fidelity revival that
     identifies the pair period."""
     payload = _load_mu(cfg.run.from_run)
-    side = cfg.model.n_sites
-    if payload["kind"] != LatticeKind.DIMER_1I.value:
-        raise ConfigError(
-            f"profile comes from a {payload['kind']} chain; pair lattices are "
-            f"built on {LatticeKind.DIMER_1I.value}"
-        )
-    if payload["n_sites"] != side:
-        raise ConfigError(
-            f"profile length {payload['n_sites']} does not match model side {side}"
-        )
-    if abs(payload["omega"] - cfg.model.omega) > 1e-12:
-        raise ConfigError(
-            f"profile omega {payload['omega']} does not match model omega "
-            f"{cfg.model.omega}; refusing to mix parameters"
-        )
-    offset = payload.get("origin_offset", side // 2)
-    if offset != cfg.model.origin_offset:
-        raise ConfigError(
-            f"profile origin_offset {offset} does not match model origin_offset "
-            f"{cfg.model.origin_offset}; refusing to mix parameters"
-        )
-    basis = pair_basis(cfg.model.kind, side)
-    phi0 = build_pair_product_state(payload["mu"], basis)
     # the pair lattice is the Kronecker sum of this chain with itself
-    chain = build_chain(replace(cfg.model, kind=LatticeKind.DIMER_1I))
+    spec = replace(cfg.model, kind=LatticeKind.DIMER_1I)
+    seed = {"origin_offset": payload["n_sites"] // 2, **payload}
+    for key, want in (("kind", spec.kind.value), ("n_sites", spec.n_sites),
+                      ("omega", spec.omega), ("origin_offset", spec.origin_offset)):
+        if abs(seed[key] - want) > 1e-12 if key == "omega" else seed[key] != want:
+            raise ConfigError(
+                f"profile {key} {seed[key]!r} does not match {want!r}, the {key} of "
+                f"the chain under the side-{spec.n_sites} pair lattice; refusing to "
+                "mix parameters"
+            )
+    basis = pair_basis(cfg.model.kind, spec.n_sites)
+    phi0 = build_pair_product_state(payload["mu"], basis)
 
-    omega = cfg.model.omega
-    candidates = {
-        "pi_over_2omega": math.pi / (2 * omega),
-        "pi_over_omega": math.pi / omega,
-    }
-    default_span = 1.1 * candidates["pi_over_omega"]
-    times = _resolved_times(cfg.run, default_span)
+    omega = spec.omega
+    candidates = {"pi_over_2omega": math.pi / (2 * omega), "pi_over_omega": math.pi / omega}
+    times = _resolved_times(cfg.run, 1.1 * candidates["pi_over_omega"])
     snapshot_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    spectrum = eigendecompose(chain)
-    series = evolve_pair(chain, phi0, basis, times, spectrum=spectrum)
+    series = evolve_pair(build_chain(spec), phi0, basis, times)
     f_curve = fidelity(series)
 
-    fid_at = {}
-    for name, t in candidates.items():
-        k = int(np.argmin(np.abs(series.times - t)))
-        fid_at[name] = float(f_curve[k])
-    matched = None
-    for name in ("pi_over_2omega", "pi_over_omega"):
-        if fid_at[name] >= 0.99:
-            matched = name
-            break
-    t_pair = candidates[matched] if matched else candidates["pi_over_omega"]
+    # every candidate and snapshot time is one of the sampled times, exactly
+    fid_at = {name: float(f_curve[np.searchsorted(series.times, t)])
+              for name, t in candidates.items()}
+    matched = next((name for name, f in fid_at.items() if f >= 0.99), None)
+    t_pair = candidates[matched or "pi_over_omega"]
 
     meta = {**_model_meta(cfg), "from_run": cfg.run.from_run}
-    files = [
-        _write_table(
-            outdir,
-            "fidelity",
-            meta,
-            {"t": series.times, "value": f_curve},
-            cfg.output.format,
-        )
-    ]
+    files = [_write_table(outdir, "fidelity", meta, {"t": series.times, "value": f_curve},
+                          cfg.output.format)]
     probs = dirac_probability(series, 0.0)
-    shots = [int(np.argmin(np.abs(series.times - frac * t_pair))) for frac in snapshot_fracs]
+    shots = np.searchsorted(series.times, [frac * t_pair for frac in snapshot_fracs])
     x, y = basis.layout[:2]
     files.append(
         _write_table(
@@ -799,8 +774,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     )
     checks = {
         "method": series.method,
-        # the pair basis is V x V, whose condition number is kappa(V)^2
-        **_basis_health(spectrum.solver, spectrum.condition**2),
+        **_basis_health(series),
         "pair_period_candidates": {k: float(v) for k, v in candidates.items()},
         "fidelity_at_candidates": fid_at,
         "matched_candidate": matched,

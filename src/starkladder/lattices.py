@@ -48,6 +48,7 @@ __all__ = [
     "ramped_translation_deviation",
     "gauge_conjugation_deviation",
     "pt_commutator_deviation",
+    "pair_basis_of",
     "electron_side",
 ]
 
@@ -64,23 +65,16 @@ class LatticeKind(str, Enum):
 
     @property
     def is_chain(self) -> bool:
-        return self in _CHAIN_KINDS
+        return not self.is_pair
 
     @property
     def is_pair(self) -> bool:
         return self in _PAIR_KINDS
 
 
-_CHAIN_KINDS = frozenset(
-    {LatticeKind.UNIFORM_1D, LatticeKind.DIMER_JJSTAR, LatticeKind.DIMER_1I}
-)
-_PAIR_KINDS = frozenset(
-    {
-        LatticeKind.PAIR_2D_ELECTRON,
-        LatticeKind.PAIR_2D_FERMION,
-        LatticeKind.PAIR_2D_BOSON,
-    }
-)
+# in the order pair_basis_of tries them
+_PAIR_KINDS = (LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION,
+               LatticeKind.PAIR_2D_BOSON)
 
 
 @dataclass(frozen=True)
@@ -270,6 +264,19 @@ class PairBasis:
             return psi[..., x, y]
         return weight * (psi[..., x, y] + parity * psi[..., y, x])
 
+    def products(self, v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Columns ``restrict(v[:, i[k]] x v[:, j[k]])`` in C order, formed by
+        index (no ``(k, L, L)`` array of products)."""
+        x, y, parity, weight = self.layout
+        out = np.ascontiguousarray(v[x][:, i])
+        out *= v[y][:, j]
+        if parity:
+            mirror = v[y][:, i]
+            mirror *= v[x][:, j]
+            out += parity * mirror
+            out *= weight[:, None]
+        return out
+
 
 def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
     """Lexicographic ``(x, y)`` pair basis: the full square for electrons,
@@ -286,21 +293,29 @@ def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
     return PairBasis(kind=kind, side=side, labels=labels)
 
 
+def pair_basis_of(labels: tuple) -> PairBasis | None:
+    """The pair basis, of any kind, whose labels are ``labels``; None if none is.
+
+    The size alone cannot tell: the fermion basis at ``L = 9`` and the boson
+    basis at ``L = 8`` both have 36 = 6 x 6 labels.
+    """
+    twice = math.isqrt(2 * len(labels))  # L(L - 1)/2 fermion labels give L - 1, bosons L
+    sides = (math.isqrt(len(labels)), twice + 1, twice)
+    bases = (pair_basis(kind, side) for kind, side in zip(_PAIR_KINDS, sides))
+    return next((basis for basis in bases if basis.labels == labels), None)
+
+
 def electron_side(labels: tuple) -> int:
     """Side ``L`` of the electron pair basis ``labels``; ``ValueError`` for any
-    other basis.
-
-    The size alone cannot tell: the fermion lattice at ``L = 9`` and the
-    boson lattice at ``L = 8`` both have dimension 36 = 6 x 6.
-    """
-    side = math.isqrt(len(labels))
-    if labels != pair_basis(LatticeKind.PAIR_2D_ELECTRON, side).labels:
+    other basis (:func:`pair_basis_of`)."""
+    basis = pair_basis_of(labels)
+    if basis is None or basis.kind is not LatticeKind.PAIR_2D_ELECTRON:
         raise ValueError(
             f"not an electron pair lattice: its {len(labels)} basis labels "
             f"({labels[0]!r} ... {labels[-1]!r}) are not the full L x L square "
             "of (x, y) pairs"
         )
-    return side
+    return basis.side
 
 
 def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:

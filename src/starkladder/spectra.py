@@ -27,7 +27,7 @@ from .lattices import (
     build_chain,
     in_window,
     interior_slice,
-    pair_basis,
+    pair_basis_of,
 )
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "EigendecompositionError",
     "ReferenceSelectionError",
     "eigendecompose",
+    "matrix_residuals",
     "leading_amplitude_index",
     "detect_ladders",
     "verify_ladder_operator",
@@ -68,7 +69,6 @@ INVERSE_ITERATION_SHIFT = 2.0
 EIGENVALUE_CONDITION_LIMIT = 1e4
 # seed of the fixed start and probe vectors
 _SEED = 20240607
-_PAIR_KINDS = [kind for kind in LatticeKind if kind.is_pair]  # electron, fermion, boson
 
 
 class EigendecompositionError(RuntimeError):
@@ -439,9 +439,16 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     return spectrum
 
 
-def _residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``||H v_k - E_k v_k||`` per column, from the full matrix."""
-    return np.linalg.norm(entries @ vectors - vectors * values, axis=0)
+def matrix_residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                     block: int = 64) -> np.ndarray:
+    """``||H v_k - E_k v_k||`` per column, from the full matrix, a block of
+    columns at a time, so that no n x n temporary is formed."""
+    residuals = np.empty(values.size)
+    for lo in range(0, values.size, block):
+        v = vectors[:, lo:lo + block]
+        r = entries @ v - v * values[lo:lo + block]
+        residuals[lo:lo + block] = np.linalg.norm(r, axis=0)
+    return residuals
 
 
 def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
@@ -453,38 +460,37 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
     order = _level_order(values)
     values = values[order]
     vectors = _fix_phases(vectors[:, order])
-    return ComplexSpectrum(values, vectors, _residuals(entries, values, vectors))
+    return ComplexSpectrum(values, vectors, matrix_residuals(entries, values, vectors))
 
 
-def _kronecker_spectrum(h: OperatorMatrix, residual_tol: float) -> ComplexSpectrum | None:
+def _kronecker_spectrum(h: OperatorMatrix) -> ComplexSpectrum | None:
     """Eigenpairs of a pair-labelled matrix, the Kronecker sum
     ``H1 x 1 + 1 x H1`` of a ``dimer_1i`` chain ``H1`` read off its diagonal:
     levels ``e_i + e_j``, vectors ``basis.restrict(v_i x v_j)`` over the
-    basis's own ``(i, j)`` layout, c-orthogonal inside every degeneracy as
+    basis's own ``(i, j)`` layout (:meth:`PairBasis.products`), c-orthogonal
+    inside every degeneracy as
     ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.  None off the
-    pair bases; an ``EigendecompositionError`` of ``H1`` propagates.
+    pair bases of side >= 4 (:func:`pair_basis_of`); an
+    ``EigendecompositionError`` of ``H1`` propagates.
     """
-    twice = math.isqrt(2 * h.dim)  # L(L - 1)/2 fermion labels give L - 1, bosons L
-    sides = (math.isqrt(h.dim), twice + 1, twice)
-    bases = [pair_basis(kind, side) for kind, side in zip(_PAIR_KINDS, sides) if side >= 4]
-    basis = next((b for b in bases if b.labels == h.basis_labels), None)
-    if basis is None:
+    basis = pair_basis_of(h.basis_labels)
+    if basis is None or basis.side < 4:
         return None
     x, y = basis.layout[:2]
     diag, level = h.entries.diagonal().real, x + y  # diag = omega (level - 2 o)
     omega = float(diag[-1] - diag[0]) / float(level[-1] - level[0])  # lowest to highest level
     offset = round((level[0] - diag[0] / omega) / 2) if omega else None
     spec = LatticeSpec(LatticeKind.DIMER_1I, basis.side, omega, origin_offset=offset)
-    chain = eigendecompose(build_chain(spec), residual_tol)
+    chain = eigendecompose(build_chain(spec))
     values = chain.eigenvalues[x] + chain.eigenvalues[y]
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
-    v = chain.right_eigenvectors.T  # rows v_i
-    vectors = _fix_phases(basis.restrict(v[i, :, None] * v[j, None, :]).T)
-    return ComplexSpectrum(values, vectors, _residuals(h.entries, values, vectors), "kronecker")
+    vectors = _fix_phases(basis.products(chain.right_eigenvectors, i, j))
+    residuals = matrix_residuals(h.entries, values, vectors)
+    return ComplexSpectrum(values, vectors, residuals, "kronecker")
 
 
-def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> ComplexSpectrum:
+def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
     """Full right eigendecomposition with a residual certificate.
 
     The route, recorded as ``solver``, follows from the matrix.  An
@@ -503,8 +509,8 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
         If the matrix is not complex symmetric, ``H^T = H``: the transpose
         inverse ``V^-1 = D^-1 V^T`` rests on it.
     EigendecompositionError
-        If the solver fails or any ``||H v - E v|| / ||v||`` exceeds
-        ``residual_tol``; the message carries the eigenvector-matrix
+        If the solver fails or any ``||H v - E v|| / ||v||`` reaches
+        ``RESIDUAL_TOL``; the message carries the eigenvector-matrix
         condition number (a large value flags a near-exceptional point).
     """
     entries = h.entries
@@ -516,15 +522,15 @@ def eigendecompose(h: OperatorMatrix, residual_tol: float = RESIDUAL_TOL) -> Com
     if bands is not None:
         spectrum = _tridiagonal_spectrum(entries, *bands)
     else:
-        spectrum = _kronecker_spectrum(h, residual_tol)
-    if spectrum is not None and np.all(spectrum.residuals < residual_tol):
+        spectrum = _kronecker_spectrum(h)
+    if spectrum is not None and np.all(spectrum.residuals < RESIDUAL_TOL):
         return spectrum
     spectrum = _dense_spectrum(entries)
     residuals = spectrum.residuals
-    if not np.all(residuals < residual_tol):
+    if not np.all(residuals < RESIDUAL_TOL):
         raise EigendecompositionError(
             f"residual certificate failed: max residual {residuals.max():.3e} "
-            f">= {residual_tol:.1e}; eigenvector condition number "
+            f">= {RESIDUAL_TOL:.1e}; eigenvector condition number "
             f"{spectrum.condition:.3e} (possible exceptional point)"
         )
     return spectrum

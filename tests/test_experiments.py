@@ -17,7 +17,8 @@ from starkladder.experiments import (
     run,
     validate,
 )
-from starkladder.lattices import LatticeKind
+from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
+from starkladder.spectra import RESIDUAL_TOL, eigendecompose
 
 
 def _write(tmp_path, name, payload):
@@ -253,6 +254,16 @@ def test_spectrum_run_writes_artifacts(tmp_path):
     assert result["checks"]["residual_certified"] is True
     header = (outdir / "eigenvalues.csv").read_text().splitlines()
     assert header[0].startswith("# model=")
+
+
+def test_residual_certificate_is_recomputed_from_the_matrix(tmp_path, monkeypatch):
+    # a spectrum of the chain at another slope passes its own certificate,
+    # not the matrix the run built
+    other = eigendecompose(build_chain(LatticeSpec(LatticeKind.DIMER_1I, 20, 0.2)))
+    monkeypatch.setattr(experiments, "eigendecompose", lambda h: other)
+    checks = run(_spectrum_cfg(tmp_path))["checks"]
+    assert checks["max_residual"] < RESIDUAL_TOL
+    assert checks["residual_certified"] is False
 
 
 def test_csv_output_is_bit_identical(tmp_path):
@@ -496,6 +507,21 @@ def test_evolve2d_refuses_seed_with_another_origin_offset(tmp_path):
         _pair_run(seed, tmp_path / "default_offset")
     checks = _pair_run(seed, tmp_path / "same_offset", origin_offset=5)["checks"]
     assert checks["method"] == "spectral"
+
+
+def test_evolve2d_revives_at_pi_over_omega_on_every_statistics(tmp_path):
+    # at L = 40 each statistics revives at pi / omega (F ~ 0.9999), so the
+    # matched branch runs; the basis is the chain's V x V, kappa(V)^2
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"n_sites": 40, "omega": 0.2})
+    chain = json.loads((seed / "checks.json").read_text())
+    for kind in ("pair_2d_electron", "pair_2d_fermion", "pair_2d_boson"):
+        checks = _pair_run(seed, tmp_path / kind, kind=kind, n_sites=40)["checks"]
+        assert checks["matched_candidate"] == "pi_over_omega"
+        assert checks["pair_period"] == np.pi / 0.2
+        assert checks["revival_fidelity"] >= 0.99
+        assert checks["eigensolver"] == chain["eigensolver"] == "tridiagonal"
+        assert checks["eigenvector_condition"] == chain["eigenvector_condition"] ** 2
 
 
 def test_pair_equivalence_run(tmp_path):

@@ -18,6 +18,8 @@ from starkladder.lattices import (
     in_window,
     interior_margin,
     interior_slice,
+    pair_basis,
+    pair_basis_of,
     parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
@@ -200,6 +202,27 @@ def test_pair_label_order_is_lexicographic():
     assert build_pair_lattice(spec).basis_labels == (
         (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
     )
+
+
+@pytest.mark.parametrize("kind", [k for k in LatticeKind if k.is_pair])
+@pytest.mark.parametrize("side", [2, 3, 4, 6, 8, 9, 13])
+def test_pair_basis_of_recognizes_each_pair_basis(kind, side):
+    basis = pair_basis(kind, side)
+    assert pair_basis_of(basis.labels) == basis
+
+
+def test_pair_basis_of_refuses_other_labels():
+    # 36 labels: the electron basis at L = 6, fermions at L = 9, bosons at
+    # L = 8; only the labels themselves tell them apart
+    kinds = {pair_basis_of(pair_basis(k, s).labels).kind for k, s in
+             [(LatticeKind.PAIR_2D_ELECTRON, 6), (LatticeKind.PAIR_2D_FERMION, 9),
+              (LatticeKind.PAIR_2D_BOSON, 8)]}
+    assert len(kinds) == 3
+    labels = pair_basis(LatticeKind.PAIR_2D_FERMION, 9).labels
+    assert pair_basis_of(tuple(range(36))) is None
+    assert pair_basis_of(labels[::-1]) is None
+    assert pair_basis_of(labels[:-1]) is None
+    assert pair_basis_of(((0, 0), (1, 0), (0, 1), (1, 1))) is None  # not lexicographic
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each module of ``src/starkladder`` may import only modules earlier in
 ``LAYERS`` (and ``__version__`` from the package), so no import cycle can
 form and no module needs a ``TYPE_CHECKING`` block to name a type from a
 layer above.  The package ``__init__`` re-exports every layer and is exempt.
-No module names an LU kernel or the SVD condition number either.
+No module names an LU kernel or the SVD condition number either, and each
+pair fact has one owning module.
 """
 
 import ast
@@ -60,15 +61,34 @@ def test_no_module_has_a_type_checking_block():
     assert found == []
 
 
+def _named(tree: ast.AST) -> set:
+    """Imported (alias), bare (Name) and dotted (Attribute) names in ``tree``."""
+    return {
+        getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        for node in ast.walk(tree)
+    }
+
+
+def test_pair_facts_have_one_owner():
+    # pair bases are recognized from their labels in lattices alone, and
+    # kappa(V x V) = kappa(V)^2 is written in dynamics alone
+    trees = _trees()
+    assert {name for name, tree in trees.items() if "isqrt" in _named(tree)} == {"lattices"}
+    powers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and getattr(node.left, "attr", None) == "condition"
+    }
+    assert powers == {"dynamics"}
+
+
 def test_pair_certificates_do_not_run_the_engine():
     # pairmap certifies evolve_pair's output by expm, so it may name
     # neither evolve nor evolve_pair: no certificate shares code with what
     # it certifies
-    named = {  # imported (alias), bare (Name) and dotted (Attribute) names
-        getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-        for node in ast.walk(_trees()["pairmap"])
-    }
-    assert not named & {"evolve", "evolve_pair"}
+    assert not _named(_trees()["pairmap"]) & {"evolve", "evolve_pair"}
 
 
 # every eigenbasis is inverted by its transpose, ``D^-1 V^T``, and kappa_2 is

@@ -83,27 +83,42 @@ def test_integrator_branch_agrees_with_spectral(kind, monkeypatch):
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
+def test_products_are_the_restricted_kronecker_products(kind):
+    side = 7
+    basis = pair_basis(kind, side)
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    i, j = rng.integers(0, side, size=(2, 30))
+    columns = basis.products(v, i, j)
+    restricted = [basis.restrict(np.outer(v[:, a], v[:, b])) for a, b in zip(i, j)]
+    np.testing.assert_array_equal(columns, np.stack(restricted, axis=1))
+    assert columns.flags.c_contiguous
+    proj = reference_projector(basis)
+    kron = np.stack([np.kron(v[:, a], v[:, b]) for a, b in zip(i, j)], axis=1)
+    np.testing.assert_allclose(columns, proj @ kron, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
+def test_engine_reports_the_product_basis(kind, monkeypatch):
+    # the pair basis is V x V: the chain's route and kappa(V)^2, on both paths
+    chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=8, omega=0.2))
+    spectrum = eigendecompose(chain)
+    single = dynamics.evolve(chain, _random_state(8, 3), [0.0, 1.0])
+    assert (single.solver, single.condition) == ("tridiagonal", spectrum.condition)
+    basis = pair_basis(kind, 8)
+    for limit in (dynamics.CONDITION_LIMIT, 0.0):
+        monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
+        series = evolve_pair(chain, _random_state(basis.dim, 4), basis, [0.0, 1.0])
+        assert series.solver == "tridiagonal"
+        assert series.condition == spectrum.condition**2
+
+
 def test_engine_rejects_mismatched_chain():
     chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
     basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 8)
     with pytest.raises(ValueError, match="does not match pair side"):
         evolve_pair(chain, _random_state(basis.dim, 0), basis, [0.0, 1.0])
-
-
-@pytest.mark.parametrize(
-    "other, match",
-    [
-        (LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=8, omega=0.2), "dimension 8"),
-        (LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.3), "another matrix"),
-    ],
-    ids=["size", "slope"],
-)
-def test_engine_refuses_the_spectrum_of_another_chain(other, match):
-    chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
-    basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 6)
-    foreign = eigendecompose(build_chain(other))
-    with pytest.raises(ValueError, match=match):
-        evolve_pair(chain, _random_state(basis.dim, 0), basis, [0.0, 1.0], spectrum=foreign)
 
 
 def test_evolve2d_never_builds_the_pair_lattice(tmp_path, monkeypatch):

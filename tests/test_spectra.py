@@ -22,6 +22,7 @@ from starkladder.spectra import (
     eigendecompose,
     leading_amplitude_index,
     localization_center,
+    matrix_residuals,
     participation_ratio,
     scan_E0_vs_omega,
     select_reference_state,
@@ -95,7 +96,17 @@ def test_residual_certificate_trips():
     h = OperatorMatrix(np.array([[1e8, 1], [1, 0]], dtype=complex), (0, 1))
     with pytest.raises(EigendecompositionError, match="residual"):
         eigendecompose(h)
-    eigendecompose(h, residual_tol=1e-6)  # loosened certificate accepts it
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 200])
+def test_matrix_residuals_match_the_whole_matrix_product(block):
+    # 150 columns: blocks that divide them, blocks that do not, one block
+    rng = np.random.default_rng(2)
+    entries, vectors = rng.normal(size=(2, 150, 150)) + 1j * rng.normal(size=(2, 150, 150))
+    values = rng.normal(size=150) + 1j * rng.normal(size=150)
+    whole = np.linalg.norm(entries @ vectors - vectors * values, axis=0)
+    np.testing.assert_allclose(matrix_residuals(entries, values, vectors, block), whole,
+                               rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
