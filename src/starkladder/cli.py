@@ -20,7 +20,6 @@ from .experiments import (
     run,
     validate,
 )
-from .spectra import EigendecompositionError, ReferenceSelectionError
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -102,25 +101,15 @@ def main(argv: list | None = None) -> int:
         print("ok")
         return 0
 
-    experiment = command.replace("-", "_")
     overrides = _overrides(args)
-    overrides["experiment"] = experiment
+    overrides["experiment"] = command.replace("-", "_")
     try:
-        cfg = load_config(args.config, overrides)
+        result = run(load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        result = run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        EigendecompositionError,
-        ReferenceSelectionError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    # the eigensolver's and reference selection's failures are RuntimeErrors
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {result['directory']}")

@@ -49,11 +49,6 @@ class TimeSeries:
     def initial_state(self) -> np.ndarray:
         return self.states[0]
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Snapshot at the sampled time nearest ``t``."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.states[k]
-
 
 def _check_times(times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
@@ -276,8 +271,7 @@ def extract_projected_mu(
             f"t_late = {t:g} suppresses the decaying sector only by "
             f"{suppression:.3g} (< {PROJECTION_SUPPRESSION:.1g}); evolve longer"
         )
-    state = series.state_at(t)
-    mu = np.exp(1j * e0 * t) * state
+    mu = np.exp(1j * e0 * t) * series.states[np.argmin(np.abs(series.times - t))]
     nrm = np.linalg.norm(mu)
     if nrm == 0:
         raise ValueError("evolved state vanished; cannot extract a profile")

@@ -399,15 +399,9 @@ def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -
     """Write ``columns`` (header -> one value per row) as ``<name>.csv`` or
     ``<name>.json``."""
     if fmt == "json":
-        path = outdir / f"{name}.json"
         cells = [np.asarray(col).tolist() for col in columns.values()]
-        payload = {
-            "meta": meta,
-            "columns": list(columns),
-            "rows": [list(row) for row in zip(*cells)],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+        rows = [list(row) for row in zip(*cells)]
+        return _write_json(outdir, name, {"meta": meta, "columns": list(columns), "rows": rows})
     path = outdir / f"{name}.csv"
     cols = [np.asarray(col) for col in columns.values()]
     with path.open("w", newline="") as fh:
@@ -725,20 +719,28 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     # the pair lattice is the Kronecker sum of this chain with itself
     spec = replace(cfg.model, kind=LatticeKind.DIMER_1I)
     seed = {"origin_offset": payload["n_sites"] // 2, **payload}
-    for key, want in (("kind", spec.kind.value), ("n_sites", spec.n_sites),
-                      ("omega", spec.omega), ("origin_offset", spec.origin_offset)):
+    wanted = {
+        "kind": spec.kind.value,
+        "n_sites": spec.n_sites,
+        "omega": spec.omega,
+        "origin_offset": spec.origin_offset,
+    }
+    for key, want in wanted.items():
         if abs(seed[key] - want) > 1e-12 if key == "omega" else seed[key] != want:
             raise ConfigError(
                 f"profile {key} {seed[key]!r} does not match {want!r}, the {key} of "
-                f"the chain under the side-{spec.n_sites} pair lattice; refusing to "
-                "mix parameters"
+                "the pair lattice's chain; refusing to mix parameters"
             )
     basis = pair_basis(cfg.model.kind, spec.n_sites)
     phi0 = build_pair_product_state(payload["mu"], basis)
 
     omega = spec.omega
-    candidates = {"pi_over_2omega": math.pi / (2 * omega), "pi_over_omega": math.pi / omega}
-    times = _resolved_times(cfg.run, 1.1 * candidates["pi_over_omega"])
+    candidates = {
+        "pi_over_2omega": math.pi / (2 * omega),
+        "pi_over_omega": math.pi / omega,
+    }
+    default_span = 1.1 * candidates["pi_over_omega"]
+    times = _resolved_times(cfg.run, default_span)
     snapshot_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
@@ -747,14 +749,23 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     f_curve = fidelity(series)
 
     # every candidate and snapshot time is one of the sampled times, exactly
-    fid_at = {name: float(f_curve[np.searchsorted(series.times, t)])
-              for name, t in candidates.items()}
+    fid_at = {
+        name: float(f_curve[np.searchsorted(series.times, t)])
+        for name, t in candidates.items()
+    }
     matched = next((name for name, f in fid_at.items() if f >= 0.99), None)
     t_pair = candidates[matched or "pi_over_omega"]
 
     meta = {**_model_meta(cfg), "from_run": cfg.run.from_run}
-    files = [_write_table(outdir, "fidelity", meta, {"t": series.times, "value": f_curve},
-                          cfg.output.format)]
+    files = [
+        _write_table(
+            outdir,
+            "fidelity",
+            meta,
+            {"t": series.times, "value": f_curve},
+            cfg.output.format,
+        )
+    ]
     probs = dirac_probability(series, 0.0)
     shots = np.searchsorted(series.times, [frac * t_pair for frac in snapshot_fracs])
     x, y = basis.layout[:2]

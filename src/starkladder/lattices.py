@@ -265,14 +265,15 @@ class PairBasis:
         return weight * (psi[..., x, y] + parity * psi[..., y, x])
 
     def products(self, v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Columns ``restrict(v[:, i[k]] x v[:, j[k]])`` in C order, formed by
-        index (no ``(k, L, L)`` array of products)."""
+        """Columns ``restrict(v[:, i[k]] x v[:, j[k]])``, formed by index (no
+        ``(k, L, L)`` array of products), in C order as ``restrict(...).T``
+        gives them: the rounding of later matrix products depends on it."""
         x, y, parity, weight = self.layout
-        out = np.ascontiguousarray(v[x][:, i])
-        out *= v[y][:, j]
+        out = v[x].take(i, axis=1)
+        out *= v[y].take(j, axis=1)
         if parity:
-            mirror = v[y][:, i]
-            mirror *= v[x][:, j]
+            mirror = v[y].take(i, axis=1)
+            mirror *= v[x].take(j, axis=1)
             out += parity * mirror
             out *= weight[:, None]
         return out

@@ -69,6 +69,8 @@ INVERSE_ITERATION_SHIFT = 2.0
 EIGENVALUE_CONDITION_LIMIT = 1e4
 # seed of the fixed start and probe vectors
 _SEED = 20240607
+# columns per block of the residuals, so that no n x n temporary is formed
+_BLOCK = 64
 
 
 class EigendecompositionError(RuntimeError):
@@ -237,9 +239,7 @@ class LadderReport:
 
     @property
     def max_pairing_deviation(self) -> float:
-        if not self.conjugate_pairing:
-            return 0.0
-        return max(dev for _, _, dev in self.conjugate_pairing)
+        return max((dev for _, _, dev in self.conjugate_pairing), default=0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -381,16 +381,16 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     return vectors
 
 
-def _tridiagonal_residuals(diag, off, values, vectors, block: int = 64) -> np.ndarray:
+def _tridiagonal_residuals(diag, off, values, vectors) -> np.ndarray:
     """``||T v_k - E_k v_k||`` from the three diagonals of ``T``, a block of
     columns at a time, so that no n x n temporary is formed."""
     residuals = np.empty(values.size)
-    for lo in range(0, values.size, block):
-        v = vectors[:, lo:lo + block]
-        r = v * (diag[:, None] - values[None, lo:lo + block])
+    for lo in range(0, values.size, _BLOCK):
+        v = vectors[:, lo:lo + _BLOCK]
+        r = v * (diag[:, None] - values[None, lo:lo + _BLOCK])
         r[:-1] += off[:, None] * v[1:]
         r[1:] += off[:, None] * v[:-1]
-        residuals[lo:lo + block] = np.linalg.norm(r, axis=0)
+        residuals[lo:lo + _BLOCK] = np.linalg.norm(r, axis=0)
     return residuals
 
 
@@ -439,15 +439,14 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     return spectrum
 
 
-def matrix_residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray,
-                     block: int = 64) -> np.ndarray:
+def matrix_residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``||H v_k - E_k v_k||`` per column, from the full matrix, a block of
     columns at a time, so that no n x n temporary is formed."""
     residuals = np.empty(values.size)
-    for lo in range(0, values.size, block):
-        v = vectors[:, lo:lo + block]
-        r = entries @ v - v * values[lo:lo + block]
-        residuals[lo:lo + block] = np.linalg.norm(r, axis=0)
+    for lo in range(0, values.size, _BLOCK):
+        v = vectors[:, lo:lo + _BLOCK]
+        r = entries @ v - v * values[lo:lo + _BLOCK]
+        residuals[lo:lo + _BLOCK] = np.linalg.norm(r, axis=0)
     return residuals
 
 
@@ -827,14 +826,10 @@ def select_reference_state(
     values = spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(values))))
     spectrum_is_real = float(np.max(np.abs(values.imag))) < 1e-9 * scale
+    sign = 1.0 if im_sign == "+" else -1.0
+    sign_ok = spectrum_is_real | (sign * values.imag > 1e-9 * scale)
 
     centers = localization_center(spectrum.right_eigenvectors)
-    if spectrum_is_real:
-        sign_ok = np.ones(dim, dtype=bool)
-    elif im_sign == "+":
-        sign_ok = values.imag > 1e-9 * scale
-    else:
-        sign_ok = values.imag < -1e-9 * scale
     candidates = np.flatnonzero(in_window(centers, win) & sign_ok)
     if candidates.size == 0:
         raise ReferenceSelectionError(

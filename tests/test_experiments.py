@@ -459,7 +459,7 @@ def test_evolve2d_refuses_mismatched_parameters(tmp_path):
     wrong_side = load_config(
         overrides={**base, "model": {"kind": "pair_2d_electron", "n_sites": 12, "omega": 0.5}}
     )
-    with pytest.raises(ConfigError, match="side"):
+    with pytest.raises(ConfigError, match="profile n_sites 8 does not match 12"):
         run(wrong_side)
 
 

@@ -93,7 +93,12 @@ def test_products_are_the_restricted_kronecker_products(kind):
     columns = basis.products(v, i, j)
     restricted = [basis.restrict(np.outer(v[:, a], v[:, b])) for a, b in zip(i, j)]
     np.testing.assert_array_equal(columns, np.stack(restricted, axis=1))
-    assert columns.flags.c_contiguous
+    # the (k, L, L) route it replaces, down to the memory layout, on which
+    # the rounding of later matrix products depends
+    rows = v.T
+    replaced = basis.restrict(rows[i, :, None] * rows[j, None, :]).T
+    np.testing.assert_array_equal(columns, replaced)
+    assert columns.strides == replaced.strides
     proj = reference_projector(basis)
     kron = np.stack([np.kron(v[:, a], v[:, b]) for a, b in zip(i, j)], axis=1)
     np.testing.assert_allclose(columns, proj @ kron, rtol=0, atol=1e-14)
