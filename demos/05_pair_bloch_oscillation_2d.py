@@ -24,6 +24,7 @@ from starkladder import (
     fidelity,
     gaussian_state,
     pair_basis,
+    projection_time,
     select_reference_state,
 )
 
@@ -36,7 +37,7 @@ period = np.pi / omega
 chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=side, omega=omega))
 spectrum = eigendecompose(chain)
 ref = select_reference_state(spectrum, im_sign="+")
-t_late = max(10.0 / (2.0 * ref.energy.imag), 3.0 * period)
+t_late = projection_time(ref.energy, omega)
 seed = evolve(chain, gaussian_state(0.3, side // 2, side), [0.0, t_late],
               spectrum=spectrum)
 mu = extract_projected_mu(seed, ref.energy, t_late)

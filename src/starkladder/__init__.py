@@ -58,6 +58,7 @@ from .dynamics import (  # noqa: F401
     family_projection,
     fidelity,
     gaussian_state,
+    projection_time,
     site_state,
 )
 from .pairmap import (  # noqa: F401

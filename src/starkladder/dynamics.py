@@ -24,12 +24,22 @@ __all__ = [
     "site_state",
     "dirac_probability",
     "extract_projected_mu",
+    "projection_time",
     "build_pair_product_state",
     "fidelity",
     "family_projection",
 ]
 
 PROJECTION_SUPPRESSION = 1e6
+
+
+def projection_time(e0: complex, omega: float) -> float:
+    """Default ``t_late`` of :func:`extract_projected_mu`: the time at which
+    ``exp(2 Im E0 t)`` passes ``PROJECTION_SUPPRESSION`` with 5 % to spare,
+    or three Bloch periods ``3 pi / omega`` if longer; the floor alone
+    where ``omega <= 0``."""
+    floor = math.log(PROJECTION_SUPPRESSION) / (2.0 * float(np.imag(e0))) * 1.05
+    return max(floor, 3.0 * math.pi / omega) if omega > 0 else floor
 
 
 @dataclass(frozen=True)

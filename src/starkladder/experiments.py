@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    PROJECTION_SUPPRESSION,
     build_pair_product_state,
     dirac_probability,
     evolve,
@@ -30,6 +29,7 @@ from .dynamics import (
     family_projection,
     fidelity,
     gaussian_state,
+    projection_time,
     site_state,
 )
 from .lattices import (
@@ -119,9 +119,9 @@ def _pair_specs(side: int, omega: float) -> dict:
 # Every run key: JSON name -> (default, check, what the check asks of a value).
 # A check takes (value, model) and may raise ValueError naming the fault.  A
 # None default resolves at run time: ``lambda`` to Im E0 of the reference
-# state, ``t_late`` to ``max(1.05 ln(PROJECTION_SUPPRESSION) / (2 Im E0),
-# 3 pi / omega)`` (the suppression floor of ``extract_projected_mu`` with 5 %
-# to spare, and three Bloch periods), ``t_max`` to the experiment's span,
+# state, ``t_late`` to ``projection_time`` (the suppression floor of
+# ``extract_projected_mu`` with 5 % to spare, or three Bloch periods if
+# longer), ``t_max`` to the experiment's span,
 # ``j0`` to the middle site, ``expected_spacing`` to the model's ladder step.
 # ``project`` keeps only the detected im_sign family.
 _RUN_KEYS = {
@@ -647,24 +647,20 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     }
     if period is not None:
         win = interior_slice(model.n_sites)
-        dev = None
-        for k, t in enumerate(series.times):
-            kk = np.argmin(np.abs(series.times - (t + period)))
-            if abs(series.times[kk] - (t + period)) < 1e-9:
-                d = float(np.abs(probs[kk, win] - probs[k, win]).max())
-                dev = d if dev is None else max(dev, d)
-        checks["periodicity_interior_deviation"] = dev
+        later = series.times + period
+        kk = np.minimum(np.searchsorted(series.times, later - 1e-9), series.times.size - 1)
+        k = np.flatnonzero(np.abs(series.times[kk] - later) < 1e-9)
+        if k.size:
+            checks["periodicity_interior_deviation"] = float(
+                np.abs(probs[kk[k], win] - probs[k, win]).max()
+            )
     if lam == 0.0:
         checks["total_probability_drift"] = float(np.abs(probs.sum(axis=1) - 1.0).max())
 
     if im_e0 > 0:
         t_late = cfg.run.t_late
         if t_late is None:
-            # suppress the decaying sector enough, with 5 % to spare, for
-            # extraction to accept the snapshot
-            t_late = math.log(PROJECTION_SUPPRESSION) / (2.0 * im_e0) * 1.05
-            if model.omega > 0:
-                t_late = max(t_late, 3.0 * math.pi / model.omega)
+            t_late = projection_time(ref.energy, model.omega)
         late = evolve(h, psi0, np.array([0.0, float(t_late)]), spectrum=spectrum)
         mu = extract_projected_mu(late, ref.energy, t_late)
         files.append(

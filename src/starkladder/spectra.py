@@ -536,20 +536,11 @@ def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
 
 
 def _degenerate_indices(values: np.ndarray, tol: float) -> set:
-    """Indices of the levels with another level closer than ``tol``: each
-    level of the real-part-sorted spectrum against its neighbour ``d`` places
-    on, d = 1, 2, ... while some such real gap is at most ``tol``, beyond
-    which no complex distance is below it.  O(n) memory."""
+    """Indices of the levels with another level closer than ``tol``: one
+    strict :func:`_within` query of every level against all of them."""
     order = np.argsort(values.real, kind="stable")
-    ranked = values[order]
-    hit = np.zeros(values.size, dtype=bool)
-    for d in range(1, values.size):
-        near = np.flatnonzero(ranked.real[d:] - ranked.real[:-d] <= tol)
-        if near.size == 0:
-            break
-        close = near[np.abs(ranked[near + d] - ranked[near]) < tol]
-        hit[close] = hit[close + d] = True
-    return {int(k) for k in order[hit]}
+    t, j = _within(values, order, values, np.full(values.size, tol), strict=True)
+    return set(t[t != j].tolist())
 
 
 def detect_ladders(
@@ -571,15 +562,15 @@ def detect_ladders(
     direction" is an exceptional point or a dense-route degeneracy.
 
     Chains are started from levels in order of real part, ties in ascending
-    index order.  Each parent or successor lookup binary-searches the
-    real-part-sorted spectrum for the levels whose real part is within
-    tolerance of the target and applies the complex distance test to those
-    alone; near-degenerate levels (:func:`_degenerate_indices`) are found
-    among neighbours in the same order.  Cost: O(n log n + rungs * window),
-    where ``window`` is the number of levels per lookup: a few, unless many
-    levels share a real part.  No n x n array is formed, unless the conjugate pairing
-    (:func:`_conjugate_pairing`) finds no unambiguous nearest-neighbour
-    matching and falls back to the assignment on a dense cost matrix.
+    index order.  Every level's parents and successors come from two
+    :func:`_within` queries before any chain is walked, and the
+    near-degenerate levels (:func:`_degenerate_indices`) from a third; the
+    walk then only reads them.  Cost: O(n log n + pairs) time and
+    O(n + pairs) memory, where ``pairs`` counts the levels in the
+    real-part windows of the queries: a few per level, unless many levels
+    share a real part.  The conjugate pairing (:func:`_conjugate_pairing`)
+    falls back to the assignment on a dense cost matrix where it finds no
+    covering mutual nearest neighbours, as on degenerate pair spectra.
     """
     if expected_spacing <= 0:
         raise ValueError("expected_spacing must be positive")
@@ -589,20 +580,18 @@ def detect_ladders(
     n = values.size
     if n == 0:
         raise ValueError("empty spectrum")
-
-    def local_tol(target: complex) -> float:
-        return tol * max(1.0, abs(target))
-
     order = np.argsort(values.real, kind="stable")
-    sorted_real = values.real[order]
 
-    def window(target: complex, half: float) -> list:
-        lo, hi = _window_bounds(sorted_real, target.real, half)
-        return order[lo:hi].tolist()
+    def within_reach(targets: np.ndarray) -> tuple:
+        # np.hypot rounds |E| as the scalar abs() does, where np.abs of an
+        # array may differ in the last bit
+        reach = tol * np.maximum(1.0, np.hypot(targets.real, targets.imag))
+        return _within(values, order, targets, reach, strict=False)
 
-    degenerate = _degenerate_indices(values, tol)
+    degenerate = np.zeros(n, dtype=bool)
+    degenerate[list(_degenerate_indices(values, tol))] = True
     diagnostics = []
-    if degenerate:
+    if degenerate.any():
         cause = (
             "the spectrum has a c-orthogonal eigenbasis, so these are degeneracies"
             if spectrum._gram_diagonal is not None
@@ -610,47 +599,40 @@ def detect_ladders(
             "(an exceptional point), not necessarily among these levels"
         )
         diagnostics.append(
-            f"excluded {len(degenerate)} levels in near-degenerate clusters "
+            f"excluded {np.count_nonzero(degenerate)} levels in near-degenerate clusters "
             f"(tol {tol:.1e}); {cause}"
         )
 
-    used: set = set()
+    t, j = within_reach(values - expected_spacing)
+    has_parent = np.zeros(n, dtype=bool)
+    has_parent[t[(j != t) & ~degenerate[j]]] = True
+    t, j = within_reach(values + expected_spacing)
+    keep = ~degenerate[j]
+    successors = j[keep].tolist()  # of level i: successors[first[i]:first[i + 1]]
+    first = np.searchsorted(t[keep], np.arange(n + 1)).tolist()
+
+    used = np.zeros(n, dtype=bool)
+    member = np.zeros(n, dtype=bool)
     families = []
-    for k in order.tolist():
-        if k in used or k in degenerate:
-            continue
-        below = values[k] - expected_spacing
-        lt = local_tol(below)
-        has_parent = any(
-            abs(values[j] - below) <= lt
-            for j in window(below, lt)
-            if j != k and j not in degenerate
-        )
-        if has_parent:
+    for k in order[~degenerate[order] & ~has_parent[order]].tolist():
+        if used[k]:
             continue
         chain = [k]
-        members = {k}
-        current = values[k]
+        member[k] = True
         while True:
-            target = current + expected_spacing
-            lt = local_tol(target)
-            cands = [
-                j
-                for j in window(target, lt)
-                if j not in used and j not in degenerate and j not in members
-                and abs(values[j] - target) <= lt
-            ]
+            i = chain[-1]
+            cands = [j for j in successors[first[i]:first[i + 1]] if not (used[j] or member[j])]
             if not cands:
                 break
             if len(cands) > 1:
                 diagnostics.append(
-                    f"ambiguous rung near {target:.6g}: {len(cands)} candidates; "
-                    "chain terminated"
+                    f"ambiguous rung near {values[i] + expected_spacing:.6g}: "
+                    f"{len(cands)} candidates; chain terminated"
                 )
                 break
             chain.append(cands[0])
-            members.add(cands[0])
-            current = values[cands[0]]
+            member[cands[0]] = True
+        member[chain] = False
         if len(chain) >= 3:
             member_vals = values[chain]
             steps = np.diff(np.real(member_vals))
@@ -664,33 +646,41 @@ def detect_ladders(
                     max_imag_spread=float(np.ptp(np.imag(member_vals))),
                 )
             )
-            used.update(chain)
+            used[chain] = True
+    del successors, first  # room for the conjugate pairing's queries
 
     families.sort(key=lambda f: (-f.rung_count, f.reference_energy.real))
-    unassigned = tuple(sorted(set(range(n)) - used))
-    pairing = _conjugate_pairing(values, tol)
     return LadderReport(
         expected_spacing=float(expected_spacing),
         tol=float(tol),
         families=tuple(families),
-        conjugate_pairing=pairing,
-        unassigned=unassigned,
+        conjugate_pairing=_conjugate_pairing(values, tol),
+        unassigned=tuple(np.flatnonzero(~used).tolist()),
         diagnostics=tuple(diagnostics),
     )
 
 
-def _window_bounds(sorted_real: np.ndarray, center, half):
-    """``(lo, hi)`` such that ``sorted_real[lo:hi]`` holds every level within
-    ``half`` of ``center``; ``center`` and ``half`` scalars or arrays.
+def _within(values: np.ndarray, order: np.ndarray, targets: np.ndarray, radii: np.ndarray,
+            strict: bool) -> tuple:
+    """``(t, j)``: every level ``values[j]`` within ``radii[t]`` of
+    ``targets[t]`` in the complex plane, ``<`` if ``strict`` else ``<=``,
+    grouped by ``t`` ascending; ``order`` sorts ``values`` by real part.
 
-    Widened by a few ulps, so that no level within ``half`` of a target in
-    the complex plane falls outside through rounding.
+    Each target's candidates are the levels whose real part lies in a
+    ``searchsorted`` window of its radius, widened by a few ulps so that no
+    level within reach falls outside through rounding; the distance
+    ``np.abs`` then decides.  O((n + targets) log n + pairs) time and
+    O(n + pairs) memory, where ``pairs`` counts the window members.
     """
-    pad = half + 4 * np.finfo(float).eps * (np.abs(center) + half)
-    return (
-        np.searchsorted(sorted_real, center - pad, side="left"),
-        np.searchsorted(sorted_real, center + pad, side="right"),
-    )
+    sorted_real = values.real[order]
+    pad = radii + 4 * np.finfo(float).eps * (np.abs(targets.real) + radii)
+    lo = np.searchsorted(sorted_real, targets.real - pad, side="left")
+    counts = np.searchsorted(sorted_real, targets.real + pad, side="right") - lo
+    t = np.repeat(np.arange(targets.size), counts)
+    j = order[np.arange(t.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    dist = np.abs(values[j] - targets[t])
+    near = dist < radii[t] if strict else dist <= radii[t]
+    return t[near], j[near]
 
 
 def _nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -698,23 +688,23 @@ def _nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     where two points tie for nearest.
 
     The points bracketing a query's real part bound its nearest distance;
-    the ``searchsorted`` window of that half-width then holds every point
-    as near, and at least one of them.  Windows of one point need no
-    distance comparison.  O(n) memory.
+    one :func:`_within` query of that reach holds every point as near, and
+    at least one of them, and each query takes the minimum of its pairs.
+    O(n + pairs) memory.
     """
     order = np.argsort(points.real, kind="stable")
-    sorted_real = points.real[order]
-    at = np.searchsorted(sorted_real, queries.real)
+    at = np.searchsorted(points.real[order], queries.real)
     left = order[np.maximum(at - 1, 0)]
     right = order[np.minimum(at, points.size - 1)]
     bound = np.minimum(np.abs(points[left] - queries), np.abs(points[right] - queries))
-    lo, hi = _window_bounds(sorted_real, queries.real, bound)
-    nearest = order[lo]
-    for k in np.flatnonzero(hi - lo > 1):
-        near = order[lo[k]:hi[k]]
-        dist = np.abs(points[near] - queries[k])
-        best = np.argmin(dist)
-        nearest[k] = near[best] if np.count_nonzero(dist == dist[best]) == 1 else -1
+    t, j = _within(points, order, queries, bound, strict=False)
+    dist = np.abs(points[j] - queries[t])
+    best = np.full(queries.size, np.inf)
+    np.minimum.at(best, t, dist)
+    at_best = dist == best[t]
+    unique = at_best & (np.bincount(t[at_best], minlength=queries.size)[t] == 1)
+    nearest = np.full(queries.size, -1)
+    nearest[t[unique]] = j[unique]
     return nearest
 
 
@@ -725,7 +715,8 @@ def _match(a: np.ndarray, b: np.ndarray) -> tuple:
     Pairs mutual nearest neighbours, both without ties.  If they cover the
     smaller side, each level there sits at its own minimum distance, so
     they are the unique optimal assignment, the one ``linear_sum_assignment``
-    returns; otherwise that runs on the dense cost matrix.
+    returns; otherwise that runs on the dense cost matrix, as it does on
+    degenerate spectra such as the pair lattices'.
     """
     forward = _nearest(b, a)
     backward = _nearest(a, b)

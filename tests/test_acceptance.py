@@ -17,6 +17,7 @@ from starkladder.dynamics import (
     family_projection,
     fidelity,
     gaussian_state,
+    projection_time,
 )
 from starkladder.lattices import (
     LatticeKind,
@@ -300,7 +301,7 @@ def test_criterion_09_pair_bloch_oscillation():
     chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=side, omega=OMEGA))
     spectrum_1d = eigendecompose(chain)
     ref = select_reference_state(spectrum_1d, im_sign="+")
-    t_late = max(10.0 / (2.0 * ref.energy.imag), 3.0 * PERIOD)
+    t_late = projection_time(ref.energy, OMEGA)
     seed = evolve(
         chain, gaussian_state(0.3, side // 2, side), [0.0, t_late], spectrum=spectrum_1d
     )

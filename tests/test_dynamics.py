@@ -13,6 +13,7 @@ from starkladder.dynamics import (
     family_projection,
     fidelity,
     gaussian_state,
+    projection_time,
     site_state,
 )
 from starkladder.lattices import (
@@ -284,7 +285,7 @@ def test_uniform_chain_blochs_with_standard_period(uniform80):
 
 def test_extracted_profile_lives_in_growing_sector(dimer_reference):
     h, spectrum, ref = dimer_reference
-    t_late = max(10 / (2 * ref.energy.imag), 3 * PERIOD)
+    t_late = projection_time(ref.energy, OMEGA)
     series = evolve(h, gaussian_state(0.3, 30, 60), [0.0, t_late], spectrum=spectrum)
     mu = extract_projected_mu(series, ref.energy, t_late)
     assert np.linalg.norm(mu) == pytest.approx(1.0)

@@ -9,6 +9,7 @@ import scipy.linalg
 import starkladder.experiments as experiments
 import starkladder.pairmap as pairmap
 from starkladder.cli import main
+from starkladder.dynamics import evolve, extract_projected_mu, gaussian_state, projection_time
 from starkladder.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -17,8 +18,8 @@ from starkladder.experiments import (
     run,
     validate,
 )
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
-from starkladder.spectra import RESIDUAL_TOL, eigendecompose
+from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, interior_slice
+from starkladder.spectra import RESIDUAL_TOL, eigendecompose, select_reference_state
 
 
 def _write(tmp_path, name, payload):
@@ -581,6 +582,29 @@ def test_evolve1d_extracts_profile_at_slope_extremes(tmp_path, omega):
     assert checks["mu_extracted"] is True
 
 
+def test_evolve1d_default_t_late_is_the_projection_time(tmp_path):
+    # at n = 40, omega = 1.2 three Bloch periods (7.85) fall short of the
+    # suppression floor (8.65): extraction refuses them, accepts
+    # projection_time, and the run writes that as its t_late
+    spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=40, omega=1.2)
+    h = build_chain(spec)
+    spectrum = eigendecompose(h)
+    ref = select_reference_state(spectrum, im_sign="+")
+    t_late = projection_time(ref.energy, spec.omega)
+    late = evolve(h, gaussian_state(0.3, 20, 40), [0.0, t_late], spectrum=spectrum)
+    with pytest.raises(ValueError, match="evolve longer"):
+        extract_projected_mu(late, ref.energy, 3 * np.pi / spec.omega)
+    mu = extract_projected_mu(late, ref.energy, t_late)
+    assert np.linalg.norm(mu) == pytest.approx(1.0)
+    run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"n_sites": 40, "omega": 1.2},
+        "run": {"n_steps": 8},
+        "output": {"directory": str(tmp_path)},
+    }))
+    assert json.loads((tmp_path / "checks.json").read_text())["t_late"] == t_late
+
+
 def test_evolve1d_random_state_follows_seed(tmp_path):
     def table(seed, name):
         run(load_config(overrides={
@@ -622,6 +646,19 @@ def test_evolve1d_projected_periodicity(tmp_path):
     )
     checks = run(cfg)["checks"]
     assert checks["periodicity_interior_deviation"] < 1e-3
+    # the written table, matched sample by sample as a per-sample scan does
+    with open(tmp_path / "probability.csv") as fh:
+        rows = [line for line in fh if not line.startswith("#")][1:]
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    times, probs = table[::60, 0], table[:, 2].reshape(-1, 60)
+    period, win = np.pi / 0.2, interior_slice(60)
+    deviations = [
+        np.abs(probs[kk, win] - probs[k, win]).max()
+        for k, t in enumerate(times)
+        for kk in [np.argmin(np.abs(times - (t + period)))]
+        if abs(times[kk] - (t + period)) < 1e-9
+    ]
+    assert deviations and checks["periodicity_interior_deviation"] == max(deviations)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from starkladder.spectra import (
     ComplexSpectrum,
     _conjugate_pairing,
     _degenerate_indices,
+    _within,
     conjugation_closure_deviation,
     detect_ladders,
     eigendecompose,
@@ -95,6 +96,59 @@ def test_rung_beyond_the_rounded_window_edge_is_found():
     report = detect_ladders(spectrum, 0.4, 1e-6)
     assert [f.member_indices for f in report.families] == [(0, 1, 2)]
     assert report.to_dict() == reference_detect_ladders(spectrum, 0.4, 1e-6).to_dict()
+
+
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def _window_queries(draw):
+    """Levels and targets, many on a quarter grid (tied real parts, exact
+    distances), radii of a few grid steps or none, either comparison."""
+    point = st.one_of(
+        st.builds(complex, _QUARTERS, _QUARTERS),
+        st.complex_numbers(max_magnitude=3.0),
+    )
+    values = np.array(draw(st.lists(point, min_size=1, max_size=30)), dtype=complex)
+    targets = np.array(draw(st.lists(point, max_size=10)), dtype=complex)
+    radius = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 3.0))
+    radii = np.array(draw(st.lists(radius, min_size=targets.size, max_size=targets.size)))
+    return values, targets, radii, draw(st.booleans())
+
+
+_EDGE_START = -0.400001129011288
+_EDGE_TARGET = _EDGE_START + 0.4
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_queries())
+# the level one ulp beyond fl(target + radius), at distance radius after rounding
+@example((np.array([np.nextafter(_EDGE_TARGET + 1e-6, np.inf)], dtype=complex),
+          np.array([_EDGE_TARGET], dtype=complex), np.array([1e-6]), False))
+def test_window_query_equals_brute_force(case):
+    values, targets, radii, strict = case
+    t, j = _within(values, np.argsort(values.real, kind="stable"), targets, radii, strict)
+    dist = np.abs(values[None, :] - targets[:, None])
+    near = dist < radii[:, None] if strict else dist <= radii[:, None]
+    assert sorted(zip(t.tolist(), j.tolist())) == list(zip(*np.nonzero(near)))
+    assert np.all(np.diff(t) >= 0)
+
+
+def test_detection_makes_as_many_window_queries_at_every_size(monkeypatch, dimer60, chain1000):
+    # no per-rung lookup: the window queries do not grow with the spectrum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _within(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_within", counted)
+    counts = []
+    for spectrum in (dimer60[2], chain1000):
+        calls.clear()
+        detect_ladders(spectrum, 0.4)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_detection_allocates_no_square_array():
