@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgees, zgtsv
+from scipy.linalg.lapack import dgees, zgees, zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
@@ -71,6 +71,9 @@ EIGENVALUE_CONDITION_LIMIT = 1e4
 _SEED = 20240607
 # columns per block of the residuals, so that no n x n temporary is formed
 _BLOCK = 64
+# most entries of the cost matrix that the dense assignment of :func:`_match`
+# may form: above the L = 80 electron closure, 6400^2 = 4.1e7
+ASSIGNMENT_LIMIT = 10**8
 
 
 class EigendecompositionError(RuntimeError):
@@ -347,7 +350,20 @@ def _tridiagonal_bands(entries: np.ndarray) -> tuple | None:
     return diag.copy(), off.copy()
 
 
-def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
+def _bond_gauge(off: np.ndarray) -> np.ndarray:
+    """Gauge signs ``g`` of a chain whose bonds are real or imaginary:
+    ``g_0 = 1``, and the sign flips across every imaginary bond.
+
+    ``g = D^2`` for the diagonal unitary ``D`` of the real gauge image
+    ``J = D^-1 T D`` (:func:`_schur_eigenvalues`), so ``T`` maps
+    ``g * conj(v)`` to ``conj(E) g * conj(v)`` wherever ``T v = E v``.  On
+    ``dimer_1i``, ``g_j = (-1)**(j // 2)``.
+    """
+    return np.concatenate(([1.0], np.cumprod(np.where(off.real == 0, -1.0, 1.0))))
+
+
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
+                       partners: np.ndarray):
     """Eigenvectors of the tridiagonal matrix at the given eigenvalues.
 
     Inverse iteration per eigenvalue with LAPACK ``zgtsv`` (partial
@@ -357,16 +373,26 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     unit vector there.  Started from a vector spread over every site, the
     result keeps a floor of the other modes (about 1e-30 at n = 1000);
     from the unit vector, amplitudes far from it decay as the eigenvector
-    does.  Columns come back unnormalized.  O(n) per solve, O(n^2) in all.
-    None if a factorization meets an exactly zero pivot.
+    does.
+
+    Where ``partners[k] >= 0``, level ``partners[k]`` is ``conj(E_k)`` on
+    a chain with real or imaginary bonds only: its column is written in
+    the same step as ``g * conj(v_k)`` (:func:`_bond_gauge`), with no solve
+    of its own, so each conjugate pair costs one inverse iteration and no
+    second block of columns is formed.  Columns come back unnormalized.
+    O(n) per solve, O(n^2) in all.  None if a factorization meets an
+    exactly zero pivot.
     """
     n = diag.size
     start = _start_vectors(n, 1)
     scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max())
     nudge = INVERSE_ITERATION_SHIFT * np.finfo(float).eps * scale * (1 + 1j)
+    gauge = _bond_gauge(off)
+    mirrored = np.zeros(n, dtype=bool)
+    mirrored[partners[partners >= 0]] = True
     vectors = np.empty((n, n), dtype=complex)
-    for k, value in enumerate(values):
-        shifted = diag - (value + nudge)
+    for k in np.flatnonzero(~mirrored).tolist():
+        shifted = diag - (values[k] + nudge)
         _, _, _, x, info = zgtsv(off, shifted, off, start)
         if info != 0:
             return None
@@ -378,6 +404,8 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
             if info != 0:
                 return None
         vectors[:, k] = x[:, 0]
+        if partners[k] >= 0:
+            vectors[:, partners[k]] = gauge * np.conj(x[:, 0])
     return vectors
 
 
@@ -394,40 +422,70 @@ def _tridiagonal_residuals(diag, off, values, vectors) -> np.ndarray:
     return residuals
 
 
-def _schur_eigenvalues(entries: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues from the diagonal of the complex Schur form: LAPACK
-    ``zgees`` without Schur vectors.  None if the QR iteration fails.
+def _schur_eigenvalues(entries: np.ndarray, diag: np.ndarray, off: np.ndarray) -> tuple | None:
+    """``(values, plus)``: a chain's eigenvalues from one Schur form
+    without Schur vectors, and the indices ``plus`` whose conjugate
+    ``values[plus + 1] == conj(values[plus])`` is exact.  None if the QR
+    iteration fails.
+
+    A chain with a real diagonal and only real or imaginary bonds is
+    similar, through a diagonal unitary ``D`` (entries +-1, +-i), to the
+    real tridiagonal ``J = D^-1 T D``: diagonal ``a``, superdiagonal
+    ``|t|``, subdiagonal ``|t|`` across real and ``-|t|`` across imaginary
+    bonds.  LAPACK ``dgees`` takes ``J`` in real arithmetic, built in
+    Fortran order and overwritten in place, and returns each complex pair
+    as exact conjugates, the one with ``Im > 0`` first.  Every chain with
+    a complex bond product ``t^2`` takes ``zgees`` on ``T``, and ``plus``
+    is empty.
 
     The workspace is held at 3n.  With it the Hessenberg reduction inside
-    ``zgees`` runs unblocked, and on a tridiagonal matrix, which is already
-    Hessenberg, its reflectors have zero tails that LAPACK skips: O(n^2).
-    From about 8n on it runs blocked, in O(n^3), as it does in ``eigvals``,
-    which gives ``zgeev`` its optimal workspace: 2 to 9 times slower for
-    n >= 1000, with the same QR iteration after it.
+    either routine runs unblocked, and on a tridiagonal matrix, which is
+    already Hessenberg, its reflectors have zero tails that LAPACK skips:
+    O(n^2).  From about 8n on it runs blocked, in O(n^3), as it does in
+    ``eigvals``, which gives ``zgeev`` its optimal workspace: 2 to 9 times
+    slower for n >= 1000, with the same QR iteration after it.
     """
-    _, _, values, _, _, info = zgees(
-        lambda _: None, entries, compute_v=0, lwork=3 * entries.shape[0]
-    )
-    return values if info == 0 else None
+    n = diag.size
+    if np.all(diag.imag == 0) and np.all((off.real == 0) | (off.imag == 0)):
+        sites = np.arange(n)
+        image = np.zeros((n, n), order="F")
+        image[sites, sites] = diag.real
+        image[sites[:-1], sites[1:]] = np.abs(off)
+        image[sites[1:], sites[:-1]] = np.where(off.real == 0, -1.0, 1.0) * np.abs(off)
+        _, _, re, im, _, _, info = dgees(
+            lambda *_: None, image, compute_v=0, lwork=3 * n, overwrite_a=1
+        )
+        return (re + 1j * im, np.flatnonzero(im > 0)) if info == 0 else None
+    _, _, values, _, _, info = zgees(lambda _: None, entries, compute_v=0, lwork=3 * n)
+    return (values, np.empty(0, dtype=int)) if info == 0 else None
 
 
 def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | None:
-    """Eigenvalues from one ``zgees`` without Schur vectors
-    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration.
+    """Eigenvalues from one Schur form without Schur vectors
+    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration, one
+    per conjugate pair where the Schur form is real
+    (:func:`_inverse_iteration`).
 
-    None if ``zgees`` or inverse iteration breaks down, if ``V^T V`` is
-    not diagonal (the columns are no basis the transpose route can
-    invert), or if some unit eigenvector is within
+    None if the QR iteration or inverse iteration breaks down, if
+    ``V^T V`` is not diagonal (the columns are no basis the transpose
+    route can invert), or if some unit eigenvector is within
     ``1 / EIGENVALUE_CONDITION_LIMIT`` of self-orthogonal,
     ``|v^T v| -> 0``: that is the approach to an exceptional point, where
-    the eigenvalues are ill-conditioned and ``zgees`` and ``eig`` may
-    disagree beyond 1e-10.
+    the eigenvalues are ill-conditioned and the Schur form and ``eig`` may
+    disagree beyond 1e-10.  Each partner column ``g * conj(v)`` is
+    certified by its own residual against the complex ``T``, as every
+    other column is.
     """
-    values = _schur_eigenvalues(entries)
-    if values is None:
+    found = _schur_eigenvalues(entries, diag, off)
+    if found is None:
         return None
-    values = values[_level_order(values)]
-    vectors = _inverse_iteration(diag, off, values)
+    values, plus = found
+    order = _level_order(values)
+    rank = np.argsort(order)  # the level index of each Schur-form index
+    partners = np.full(order.size, -1)
+    partners[rank[plus]] = rank[plus + 1]
+    values = values[order]
+    vectors = _inverse_iteration(diag, off, values, partners)
     if vectors is None:
         return None
     _fix_phases(vectors)
@@ -494,13 +552,18 @@ def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
 
     The route, recorded as ``solver``, follows from the matrix.  An
     irreducible complex-symmetric tridiagonal matrix (every chain) is
-    ``"tridiagonal"``: one ``zgees`` without Schur vectors and O(n^2)
-    inverse iteration.  A matrix labelled by a pair basis of side >= 4
-    (every pair lattice and sector) is ``"kronecker"``, from its chain
-    (:func:`_kronecker_spectrum`).  If either fails the certificate or
-    rejects its own result (exceptional points), and for every other
-    matrix, ``"dense"`` (:func:`_dense_spectrum`) runs: there a degenerate
-    matrix reads ``condition == inf``, but no experiment builds one.
+    ``"tridiagonal"``: one Schur form without Schur vectors and O(n^2)
+    inverse iteration (:func:`_tridiagonal_spectrum`).  A chain with a
+    real diagonal and only real or imaginary bonds (``dimer_1i``) takes
+    ``dgees`` on its real gauge image, with one inverse iteration per
+    conjugate pair and the partner's column ``g * conj(v)``; a chain with
+    a complex bond product takes ``zgees``.  A matrix labelled by a pair
+    basis of side >= 4 (every pair lattice and sector) is
+    ``"kronecker"``, from its chain (:func:`_kronecker_spectrum`).  If
+    either fails the certificate or rejects its own result (exceptional
+    points), and for every other matrix, ``"dense"``
+    (:func:`_dense_spectrum`) runs: there a degenerate matrix reads
+    ``condition == inf``, but no experiment builds one.
 
     Raises
     ------
@@ -717,11 +780,21 @@ def _match(a: np.ndarray, b: np.ndarray) -> tuple:
     they are the unique optimal assignment, the one ``linear_sum_assignment``
     returns; otherwise that runs on the dense cost matrix, as it does on
     degenerate spectra such as the pair lattices'.
+
+    Raises
+    ------
+    ValueError
+        If that cost matrix would exceed ``ASSIGNMENT_LIMIT`` entries.
     """
     forward = _nearest(b, a)
     backward = _nearest(a, b)
     rows = np.flatnonzero((forward >= 0) & (backward[forward] == np.arange(a.size)))
     if rows.size < min(a.size, b.size):
+        if a.size * b.size > ASSIGNMENT_LIMIT:
+            raise ValueError(
+                f"the dense assignment of {a.size} to {b.size} levels needs "
+                f"{a.size * b.size:.2e} cost entries, above {ASSIGNMENT_LIMIT:.0e}"
+            )
         return linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
     return rows, forward[rows]
 

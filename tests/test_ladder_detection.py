@@ -241,6 +241,23 @@ def test_multiset_distance_allocates_no_square_array():
     assert peak < 10e6
 
 
+def test_oversized_dense_assignment_is_refused():
+    # 10^5 levels whose conjugate partners are equidistant: the exact ties
+    # leave the mutual nearest neighbours short of a cover, and the dense
+    # cost matrix would be 5e4 x 5e4, 37 GiB; the guard raises first
+    k = np.arange(50_000)
+    values = np.concatenate([0.4 * k + 0.764j, 0.4 * k + 0.2 - 0.764j])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="50000 to 50000 levels"):
+            _conjugate_pairing(values, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 50_000**2 > spectra.ASSIGNMENT_LIMIT
+    assert peak < 20e6
+
+
 def test_excluded_clusters_name_their_cause():
     # the pair lattice's degeneracies have a c-orthogonal basis; the dimer_1i
     # chain at omega = 0, n = 3 is an exceptional point (its three levels lie

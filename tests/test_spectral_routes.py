@@ -1,8 +1,12 @@
 """The tridiagonal and Kronecker eigensolver routes against the dense
 reference.
 
-Chains take one ``zgees`` without Schur vectors plus inverse iteration,
-pair lattices the sums and products of their chain's eigenpairs; both use
+Chains take one Schur form without Schur vectors plus inverse iteration:
+``dgees`` on the real gauge image of a chain with a real diagonal and only
+real or imaginary bonds, which pairs its levels as exact conjugates and
+writes each partner's column as ``g * conj(v)``, one inverse iteration per
+pair; ``zgees`` on every chain with a complex bond product.  Pair lattices
+take the sums and products of their chain's eigenpairs.  Both routes use
 the transpose inverse ``V^-1 = D^-1 V^T`` and a power-iteration estimate
 of kappa_2.  The reference (``tests/spectral_reference.py``) takes ``eig``,
 LU and an SVD.
@@ -33,6 +37,7 @@ from starkladder.spectra import (
     RESIDUAL_TOL,
     _start_vectors,
     eigendecompose,
+    leading_amplitude_index,
     spectrum_multiset_distance,
 )
 
@@ -66,6 +71,9 @@ def _chains(draw):
 # an EP whose SVD kappa, 6e10, is below CONDITION_LIMIT: inf all the same
 @example(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=51, omega=0.0))
 @example(LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=200, omega=0.05, j_even=0.8 + 0.6j))
+# purely imaginary bonds: the real gauge image off dimer_1i
+@example(LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=60, omega=0.5, j_even=0.7j))
+@example(LatticeSpec(kind=LatticeKind.UNIFORM_1D, n_sites=80, omega=0.5, j_even=0.5j))
 def test_chain_spectrum_matches_dense_reference(spec):
     h = build_chain(spec)
     values, vectors, residuals = dense_eigenpairs(h.entries)
@@ -134,37 +142,89 @@ def test_near_exceptional_point_takes_the_dense_route():
     assert eigendecompose(build_chain(NEAR_EP)).solver == "dense"
 
 
-def _spied_zgees(monkeypatch, info=None) -> list:
-    """Record the keyword arguments of each ``zgees`` call; overwrite the
-    returned ``info`` unless it is None."""
+def _spied(monkeypatch, name: str, info=None) -> list:
+    """Record the keyword arguments of each call of the LAPACK routine
+    ``spectra.<name>``; overwrite the returned ``info`` unless it is None."""
     calls = []
-    original = spectra.zgees
+    original = getattr(spectra, name)
 
     def spy(select, a, **kwargs):
         calls.append(kwargs)
         result = original(select, a, **kwargs)
         return result if info is None else (*result[:-1], info)
 
-    monkeypatch.setattr(spectra, "zgees", spy)
+    monkeypatch.setattr(spectra, name, spy)
     return calls
 
 
-def test_failed_schur_iteration_takes_the_dense_route(monkeypatch):
+# dimer_1i takes dgees on its real gauge image, a generic J/J* dimer zgees
+DIMER_1I_60 = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=0.2)
+JJSTAR_60 = LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=60, omega=0.2, j_even=0.8 + 0.6j)
+
+
+def _assert_failed_schur_takes_the_dense_route(monkeypatch, name, spec):
     # info = 1: the QR iteration did not converge, whatever the values read
-    calls = _spied_zgees(monkeypatch, info=1)
-    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=0.2))
+    calls = _spied(monkeypatch, name, info=1)
+    h = build_chain(spec)
     spectrum = eigendecompose(h)
     assert len(calls) == 1
     assert spectrum.solver == "dense"
     np.testing.assert_array_equal(spectrum.eigenvalues, dense_eigenpairs(h.entries)[0])
 
 
+def test_failed_schur_iteration_takes_the_dense_route(monkeypatch):
+    _assert_failed_schur_takes_the_dense_route(monkeypatch, "dgees", DIMER_1I_60)
+
+
+def test_failed_complex_schur_iteration_takes_the_dense_route(monkeypatch):
+    _assert_failed_schur_takes_the_dense_route(monkeypatch, "zgees", JJSTAR_60)
+
+
+def _assert_schur_workspace(monkeypatch, name, other, spec, kwargs):
+    # from about 8n of workspace on, the Hessenberg reduction runs blocked in
+    # O(n^3), and the n = 1000 chain's eigenvalues take 2.3 times as long
+    calls, others = _spied(monkeypatch, name), _spied(monkeypatch, other)
+    assert eigendecompose(build_chain(spec)).solver == "tridiagonal"
+    assert calls == [kwargs]
+    assert others == []
+
+
 def test_schur_workspace_keeps_the_hessenberg_reduction_unblocked(monkeypatch):
-    # from about 8n of workspace on, zgehrd reduces blocked in O(n^3), and
-    # the n = 1000 chain's eigenvalues take 2.3 times as long
-    calls = _spied_zgees(monkeypatch)
-    eigendecompose(build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=0.2)))
-    assert calls == [{"compute_v": 0, "lwork": 180}]
+    # the real gauge image is built in Fortran order for dgees to overwrite
+    kwargs = {"compute_v": 0, "lwork": 180, "overwrite_a": 1}
+    _assert_schur_workspace(monkeypatch, "dgees", "zgees", DIMER_1I_60, kwargs)
+
+
+def test_complex_schur_workspace_keeps_the_hessenberg_reduction_unblocked(monkeypatch):
+    kwargs = {"compute_v": 0, "lwork": 180}
+    _assert_schur_workspace(monkeypatch, "zgees", "dgees", JJSTAR_60, kwargs)
+
+
+def test_corrupted_partner_columns_are_refused(monkeypatch):
+    # every partner column g * conj(v) is certified against the complex T:
+    # with the gauge signs dropped, conj(v) is no eigenvector of T, and the
+    # tridiagonal route refuses its own result
+    monkeypatch.setattr(spectra, "_bond_gauge", lambda off: np.ones(off.size + 1))
+    h = build_chain(DIMER_1I_60)
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == "dense"
+    assert spectrum.residuals.max() < RESIDUAL_TOL
+
+
+def test_partner_columns_are_gauge_conjugates():
+    # on the real route each conjugate pair shares one Schur-form pair and
+    # one inverse iteration: E- is exactly conj(E+), and v- is g * conj(v+)
+    # up to the phase convention and its rounding
+    h = build_chain(DIMER_1I_60)
+    spectrum = eigendecompose(h)
+    values, v = spectrum.eigenvalues, spectrum.right_eigenvectors
+    minus = np.flatnonzero(values.imag < 0)
+    plus = np.array([np.flatnonzero(values == np.conj(e))[0] for e in values[minus]])
+    assert minus.size == 29  # and two real levels
+    g = (-1.0) ** (np.arange(60) // 2)
+    partner = g[:, None] * np.conj(v[:, plus])
+    lead = partner[leading_amplitude_index(partner), np.arange(minus.size)]
+    np.testing.assert_allclose(partner * (np.abs(lead) / lead), v[:, minus], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +244,10 @@ def test_routes_agree_column_by_column(spec):
     spectrum = eigendecompose(h)
     values, vectors, _ = dense_eigenpairs(h.entries)
     assert spectrum.solver == "tridiagonal"
-    np.testing.assert_array_equal(spectrum.eigenvalues, values)
+    # the Schur forms (dgees or zgees) and eig's zgeev are different kernels:
+    # level by level in level order they agree to about 1.3e-14
+    scale = np.maximum(1.0, np.abs(values))
+    assert np.all(np.abs(spectrum.eigenvalues - values) <= 1e-13 * scale)
     gaps = np.linalg.norm(spectrum.right_eigenvectors - vectors, axis=0)
     assert gaps.max() <= 1e-10
     # V^T V is diagonal to rounding; the dense route's is only to ~1e-14
