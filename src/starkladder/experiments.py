@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, NamedTuple
 
@@ -40,6 +40,7 @@ from .lattices import (
     in_window,
     interior_slice,
     pair_basis,
+    pair_chain_of,
     pt_commutator_deviation,
 )
 from .pairmap import (
@@ -208,9 +209,11 @@ def _parse_complex(value, where: str) -> complex:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
             raise ConfigError(f"{where}: cannot parse complex value {value!r}") from exc
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and _reals(tuple(value)):
         return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected number, 're+imj' string, or [re, im]")
+    raise ConfigError(
+        f"{where}: expected number, 're+imj' string, or [re, im] of finite reals"
+    )
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -239,6 +242,9 @@ def _parse_model(section: dict, experiment: str) -> LatticeSpec:
             f"model.kind: {kw.get('kind')!r} is not one of "
             f"{[k.value for k in LatticeKind]}"
         ) from exc
+    flags = [key for key in _MODEL_KEYS if isinstance(kw.get(key), bool)]
+    if flags:
+        raise ConfigError(f"model.{flags[0]}: must be a number, not {kw[flags[0]]!r}")
     for key in ("j_even", "j_odd"):
         if kw.get(key) is not None:
             kw[key] = _parse_complex(kw[key], f"model.{key}")
@@ -713,7 +719,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     identifies the pair period."""
     payload = _load_mu(cfg.run.from_run)
     # the pair lattice is the Kronecker sum of this chain with itself
-    spec = replace(cfg.model, kind=LatticeKind.DIMER_1I)
+    spec = cfg.model.chain
     seed = {"origin_offset": payload["n_sites"] // 2, **payload}
     wanted = {
         "kind": spec.kind.value,
@@ -829,7 +835,7 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        chain = build_chain(LatticeSpec(LatticeKind.DIMER_1I, side, omega))  # as evolve2d
+        chain = pair_chain_of(electron)  # certifies builder, chain and engine at once
         direct = evolve_pair(chain, psi0, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side), times)
         entry["evolution_distance"] = lift_1d_evolution(
             direct, oracles[LatticeKind.PAIR_2D_ELECTRON]

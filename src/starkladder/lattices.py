@@ -49,6 +49,7 @@ __all__ = [
     "gauge_conjugation_deviation",
     "pt_commutator_deviation",
     "pair_basis_of",
+    "pair_chain_of",
     "electron_side",
 ]
 
@@ -77,6 +78,14 @@ _PAIR_KINDS = (LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION,
                LatticeKind.PAIR_2D_BOSON)
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is a whole number: ``int(value)`` loses nothing."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Declarative description of a tilted lattice.
@@ -92,7 +101,7 @@ class LatticeSpec:
         Slope of the linear on-site potential, in units of the even-bond
         hopping magnitude.
     j_even, j_odd : complex
-        Hopping amplitudes on even / odd bonds.  ``dimer_jjstar`` forces
+        Finite hopping amplitudes on even / odd bonds.  ``dimer_jjstar`` forces
         ``j_odd == conj(j_even)``; ``dimer_1i`` and the pair kinds force
         ``(j_even, j_odd) == (1, 1j)``.
     origin_offset : int
@@ -110,7 +119,7 @@ class LatticeSpec:
         kind = LatticeKind(self.kind)
         object.__setattr__(self, "kind", kind)
         n_min = 4 if kind.is_pair else 2
-        if int(self.n_sites) != self.n_sites or self.n_sites < n_min:
+        if not _integral(self.n_sites) or self.n_sites < n_min:
             raise ValueError(
                 f"{kind.value} needs n_sites >= {n_min}, got {self.n_sites!r}"
             )
@@ -120,29 +129,39 @@ class LatticeSpec:
         object.__setattr__(self, "omega", float(np.real(self.omega)))
 
         j_even = complex(self.j_even)
-        j_odd = self.j_odd
+        j_odd = None if self.j_odd is None else complex(self.j_odd)
+        for name, j in (("j_even", j_even), ("j_odd", j_odd)):
+            if j is not None and not np.isfinite(j):
+                raise ValueError(f"{name} must be finite, got {j!r}")
         if kind is LatticeKind.UNIFORM_1D:
-            j_odd = j_even if j_odd is None else complex(j_odd)
+            j_odd = j_even if j_odd is None else j_odd
             if j_odd != j_even:
                 raise ValueError("uniform_1d uses a single hopping amplitude")
         elif kind is LatticeKind.DIMER_JJSTAR:
-            j_odd = j_even.conjugate() if j_odd is None else complex(j_odd)
+            j_odd = j_even.conjugate() if j_odd is None else j_odd
             if j_odd != j_even.conjugate():
                 raise ValueError("dimer_jjstar requires j_odd == conj(j_even)")
         else:
             # dimer_1i pattern, also fixed for all 2D pair lattices
-            j_odd = 1j if j_odd is None else complex(j_odd)
+            j_odd = 1j if j_odd is None else j_odd
             if j_even != 1 or j_odd != 1j:
                 raise ValueError(f"{kind.value} requires (j_even, j_odd) == (1, i)")
         object.__setattr__(self, "j_even", j_even)
         object.__setattr__(self, "j_odd", j_odd)
 
-        offset = self.n_sites // 2 if self.origin_offset is None else int(self.origin_offset)
-        object.__setattr__(self, "origin_offset", offset)
+        offset = self.n_sites // 2 if self.origin_offset is None else self.origin_offset
+        if not _integral(offset):
+            raise ValueError(f"origin_offset must be an integer, got {offset!r}")
+        object.__setattr__(self, "origin_offset", int(offset))
 
     def with_omega(self, omega: float) -> "LatticeSpec":
         """Copy of this spec at a different slope."""
         return replace(self, omega=omega)
+
+    @property
+    def chain(self) -> "LatticeSpec":
+        """The chain ``H1`` of a pair lattice ``H1 x 1 + 1 x H1``; a chain's own spec."""
+        return replace(self, kind=LatticeKind.DIMER_1I) if self.kind.is_pair else self
 
 
 @dataclass(frozen=True)
@@ -189,11 +208,16 @@ class SymmetryOp:
     factors: tuple["SymmetryOp", ...] = field(default=())
 
 
-def _bond_amplitudes(spec: LatticeSpec, n_bonds: int) -> np.ndarray:
-    amps = np.empty(n_bonds, dtype=complex)
-    amps[0::2] = spec.j_even
-    amps[1::2] = spec.j_odd
-    return amps
+def _tridiagonal(diag: np.ndarray, bonds: np.ndarray) -> OperatorMatrix:
+    """Chain matrix with on-site energies ``diag`` and ``bonds[b]`` on both
+    directed entries of bond ``(b, b+1)``."""
+    n = diag.size
+    h = np.zeros((n, n), dtype=complex)
+    sites = np.arange(n)
+    h[sites, sites] = diag
+    h[sites[:-1], sites[1:]] = bonds
+    h[sites[1:], sites[:-1]] = bonds
+    return OperatorMatrix(h, tuple(int(j) for j in sites))
 
 
 def build_chain(spec: LatticeSpec) -> OperatorMatrix:
@@ -205,14 +229,9 @@ def build_chain(spec: LatticeSpec) -> OperatorMatrix:
     """
     if not spec.kind.is_chain:
         raise ValueError(f"build_chain needs a 1D kind, got {spec.kind.value}")
-    n = spec.n_sites
-    h = np.zeros((n, n), dtype=complex)
-    sites = np.arange(n)
-    h[sites, sites] = spec.omega * (sites - spec.origin_offset)
-    amps = _bond_amplitudes(spec, n - 1)
-    h[sites[:-1], sites[1:]] = amps
-    h[sites[1:], sites[:-1]] = amps
-    return OperatorMatrix(h, tuple(int(j) for j in sites))
+    sites = np.arange(spec.n_sites)
+    bonds = np.where(sites[:-1] % 2 == 0, spec.j_even, spec.j_odd)
+    return _tridiagonal(spec.omega * (sites - spec.origin_offset), bonds)
 
 
 @dataclass(frozen=True)
@@ -306,6 +325,36 @@ def pair_basis_of(labels: tuple) -> PairBasis | None:
     return next((basis for basis in bases if basis.labels == labels), None)
 
 
+def pair_chain_of(h: OperatorMatrix) -> OperatorMatrix | None:
+    """The chain ``H1`` of a pair-labelled ``h = H1 x 1 + 1 x H1``, read off
+    its entries; None off the pair bases of side >= 4 (:func:`pair_basis_of`).
+
+    Bond ``(b, b+1)`` is an entry that moves one particle across it while the
+    other sits on neither site, so the boson sqrt(2) never enters.  ``a_x`` is
+    half the ``x == y`` diagonal, or on the fermion basis, which has none,
+    ``(d(x, p) + d(x, q) - d(p, q)) / 2`` from pair sums ``d(x, y) = a_x + a_y``
+    with neighbours ``p``, ``q``.  Whether ``h`` is a Kronecker sum is left to
+    the caller's certificate.
+    """
+    basis = pair_basis_of(h.basis_labels)
+    if basis is None or basis.side < 4:
+        return None
+    n, (x, y) = basis.side, basis.layout[:2]
+    at = np.zeros((n, n), dtype=int)  # the row of label (x, y), or else of (y, x)
+    at[y, x] = at[x, y] = np.arange(basis.dim)  # at[y, x] first: electrons hold both
+    b = np.arange(n - 1)
+    spectator = np.where(b < n - 2, n - 1, 0)
+    bonds = h.entries[at[spectator, b], at[spectator, b + 1]]
+    d, sites = h.entries.diagonal(), np.arange(n)
+    if basis.kind is LatticeKind.PAIR_2D_FERMION:
+        p = np.where(sites == 0, 2, sites - 1)
+        q = np.where(sites == n - 1, n - 3, sites + 1)
+        diag = (d[at[sites, p]] + d[at[sites, q]] - d[at[p, q]]) / 2
+    else:
+        diag = d[at[sites, sites]] / 2
+    return _tridiagonal(diag, bonds)
+
+
 def electron_side(labels: tuple) -> int:
     """Side ``L`` of the electron pair basis ``labels``; ``ValueError`` for any
     other basis (:func:`pair_basis_of`)."""
@@ -322,10 +371,11 @@ def electron_side(labels: tuple) -> int:
 def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
     """2D square-lattice matrix encoding a two-particle chain problem.
 
-    The electron lattice is the full ``L x L`` grid with the 1/i-dimer bond
-    pattern along both axes and potential ``omega * ((x - o) + (y - o))``:
-    the Kronecker sum ``H1 x 1 + 1 x H1`` of the chain ``H1``.  Every kind
-    takes that sum's entries on its own basis,
+    The electron lattice is the full ``L x L`` grid with the bond pattern
+    of the chain ``H1 = build_chain(spec.chain)`` (:attr:`LatticeSpec.chain`)
+    along both axes and potential ``omega * ((x - o) + (y - o))``: the
+    Kronecker sum ``H1 x 1 + 1 x H1``, from which :func:`pair_chain_of`
+    reads ``H1`` back.  Every kind takes that sum's entries on its own basis,
     ``H[k, l] = H1[x_k, x_l] [y_k == y_l] + [x_k == x_l] H1[y_k, y_l]``, so
     the fermion lattice (``x > y``) and the boson lattice (``x >= y``) are
     never cut out of the full ``L^2 x L^2`` matrix.  The boson lattice
@@ -335,7 +385,7 @@ def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
     if not spec.kind.is_pair:
         raise ValueError(f"build_pair_lattice needs a 2D kind, got {spec.kind.value}")
     basis = pair_basis(spec.kind, spec.n_sites)
-    h1 = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
+    h1 = build_chain(spec.chain).entries
     x, y = basis.layout[:2]
     h = h1[np.ix_(x, x)] * (y[:, None] == y) + (x[:, None] == x) * h1[np.ix_(y, y)]
     if spec.kind is LatticeKind.PAIR_2D_BOSON:

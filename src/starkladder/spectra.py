@@ -19,8 +19,6 @@ from scipy.linalg.lapack import dgees, zgees, zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
-    LatticeKind,
-    LatticeSpec,
     OperatorMatrix,
     SymmetryOp,
     apply_symmetry,
@@ -28,6 +26,7 @@ from .lattices import (
     in_window,
     interior_slice,
     pair_basis_of,
+    pair_chain_of,
 )
 
 __all__ = [
@@ -521,24 +520,22 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
 
 
 def _kronecker_spectrum(h: OperatorMatrix) -> ComplexSpectrum | None:
-    """Eigenpairs of a pair-labelled matrix, the Kronecker sum
-    ``H1 x 1 + 1 x H1`` of a ``dimer_1i`` chain ``H1`` read off its diagonal:
-    levels ``e_i + e_j``, vectors ``basis.restrict(v_i x v_j)`` over the
-    basis's own ``(i, j)`` layout (:meth:`PairBasis.products`), c-orthogonal
-    inside every degeneracy as
-    ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.  None off the
-    pair bases of side >= 4 (:func:`pair_basis_of`); an
-    ``EigendecompositionError`` of ``H1`` propagates.
+    """Eigenpairs of a pair-labelled matrix as the Kronecker sum
+    ``H1 x 1 + 1 x H1`` of the chain ``H1`` read off its entries
+    (:func:`pair_chain_of`), whatever its bonds: levels ``e_i + e_j``,
+    vectors ``basis.restrict(v_i x v_j)`` over the basis's own ``(i, j)``
+    layout (:meth:`PairBasis.products`), c-orthogonal inside every
+    degeneracy as ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.
+    None off the pair bases of side >= 4; an ``EigendecompositionError``
+    of ``H1`` propagates.  The residuals against ``h`` certify that ``h``
+    is that sum.
     """
-    basis = pair_basis_of(h.basis_labels)
-    if basis is None or basis.side < 4:
+    h1 = pair_chain_of(h)
+    if h1 is None:
         return None
+    basis = pair_basis_of(h.basis_labels)
     x, y = basis.layout[:2]
-    diag, level = h.entries.diagonal().real, x + y  # diag = omega (level - 2 o)
-    omega = float(diag[-1] - diag[0]) / float(level[-1] - level[0])  # lowest to highest level
-    offset = round((level[0] - diag[0] / omega) / 2) if omega else None
-    spec = LatticeSpec(LatticeKind.DIMER_1I, basis.side, omega, origin_offset=offset)
-    chain = eigendecompose(build_chain(spec))
+    chain = eigendecompose(h1)
     values = chain.eigenvalues[x] + chain.eigenvalues[y]
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
@@ -558,8 +555,9 @@ def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
     ``dgees`` on its real gauge image, with one inverse iteration per
     conjugate pair and the partner's column ``g * conj(v)``; a chain with
     a complex bond product takes ``zgees``.  A matrix labelled by a pair
-    basis of side >= 4 (every pair lattice and sector) is
-    ``"kronecker"``, from its chain (:func:`_kronecker_spectrum`).  If
+    basis of side >= 4 (every pair lattice and sector, and the Kronecker
+    sum of any chain on such a basis) is ``"kronecker"``, from the chain
+    read off its entries (:func:`_kronecker_spectrum`).  If
     either fails the certificate or rejects its own result (exceptional
     points), and for every other matrix, ``"dense"``
     (:func:`_dense_spectrum`) runs: there a degenerate matrix reads

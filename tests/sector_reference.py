@@ -1,12 +1,12 @@
 """Pair lattices and swap-sector projectors written out the long way.
 
 An independent reference for ``lattices.build_pair_lattice``, for the
-index maps of ``PairBasis`` (``embed``/``restrict``) and for
-``pairmap.sector_decompose``.  The pair lattice is cut out of the full
-Kronecker sum.  Row ``k`` of the projector onto a fermion or boson basis
-puts 1/sqrt(2) at label ``(x, y)`` and ``parity/sqrt(2)`` at the mirrored
-``(y, x)``, or 1 on the diagonal ``x == y``; on the electron basis it is
-the identity.
+Kronecker sum of any chain on a pair basis, for the index maps of
+``PairBasis`` (``embed``/``restrict``) and for ``pairmap.sector_decompose``.
+The pair lattice is cut out of the full Kronecker sum.  Row ``k`` of the
+projector onto a fermion or boson basis puts 1/sqrt(2) at label ``(x, y)``
+and ``parity/sqrt(2)`` at the mirrored ``(y, x)``, or 1 on the diagonal
+``x == y``; on the electron basis it is the identity.
 """
 
 import math
@@ -24,22 +24,28 @@ _KEEP = {
 
 
 def reference_pair_lattice(spec) -> tuple:
-    """``(entries, labels)`` of a pair lattice from ``H1 x 1 + 1 x H1``.
+    """``(entries, labels)`` of a pair lattice from ``H1 x 1 + 1 x H1`` of
+    the 1/i chain (:func:`reference_kronecker_sum`)."""
+    h1 = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
+    return reference_kronecker_sum(h1, spec.kind)
 
-    The electron lattice is the whole Kronecker sum of the 1/i chain; the
+
+def reference_kronecker_sum(h1: np.ndarray, kind) -> tuple:
+    """``(entries, labels)`` of ``H1 x 1 + 1 x H1`` on the pair basis of ``kind``.
+
+    The electron lattice is the whole Kronecker sum of the chain ``h1``; the
     fermion (``x > y``) and boson (``x >= y``) lattices are its rows and
     columns at flat index ``x * side + y``, the boson one with sqrt(2) on
     every bond with exactly one endpoint on the diagonal.
     """
-    side = spec.n_sites
-    h1 = build_chain(replace(spec, kind=LatticeKind.DIMER_1I)).entries
+    side = h1.shape[0]
     eye = np.eye(side)
     electron = np.kron(h1, eye) + np.kron(eye, h1)
-    keep = _KEEP[spec.kind]
+    keep = _KEEP[kind]
     labels = tuple((x, y) for x in range(side) for y in range(side) if keep(x, y))
     flat = np.array([x * side + y for x, y in labels])
     h = electron[np.ix_(flat, flat)]
-    if spec.kind is LatticeKind.PAIR_2D_BOSON:
+    if kind is LatticeKind.PAIR_2D_BOSON:
         on_diag = np.array([x == y for x, y in labels])
         touches = on_diag[:, None] ^ on_diag[None, :]
         h = np.where(touches, math.sqrt(2.0) * h, h)

@@ -130,6 +130,41 @@ def test_run_key_type_and_finiteness(tmp_path, capsys, experiment, key, text):
     assert not (tmp_path / "out").exists()
 
 
+# (model key, JSON text of a value of the wrong type, not finite or not
+# integral); each was a traceback, a "numerical failure" or a run at another
+# value (true as 1, 2.7 as 2) before model keys were checked like run keys
+_BAD_MODEL_VALUES = [
+    ("j_even", '["a", 1]'),
+    ("j_even", "[1, null]"),
+    ("j_even", "[true, 0]"),
+    ("j_even", '"inf+1j"'),
+    ("j_even", "1e400"),
+    ("j_even", "true"),
+    ("j_odd", "[1, 1e400]"),
+    ("omega", "true"),
+    ("origin_offset", "true"),
+    ("origin_offset", "2.7"),
+    ("origin_offset", "1e400"),
+    ("origin_offset", '"3"'),
+    ("n_sites", "1e400"),
+]
+
+
+@pytest.mark.parametrize("key, text", _BAD_MODEL_VALUES,
+                         ids=[f"{k}={t}" for k, t in _BAD_MODEL_VALUES])
+def test_model_key_type_and_finiteness(tmp_path, capsys, key, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        f'{{"experiment": "spectrum", "model": {{"kind": "uniform_1d", "n_sites": 8, '
+        f'"{key}": {text}}}}}'
+    )
+    errors = validate(path)
+    assert len(errors) == 1 and errors[0].startswith("model") and key in errors[0]
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: model" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_complex_hopping_spellings(tmp_path):
     for spelling in (1, [0.8, 0.6], "0.8+0.6j"):
         path = _write(

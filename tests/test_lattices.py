@@ -20,12 +20,15 @@ from starkladder.lattices import (
     interior_slice,
     pair_basis,
     pair_basis_of,
+    pair_chain_of,
     parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
     time_reversal_op,
     translation_op,
 )
+
+from starkladder.pairmap import oracle_pair_hamiltonian, sector_decompose
 
 from sector_reference import reference_pair_lattice
 
@@ -66,6 +69,23 @@ def test_chain_rejects_too_few_sites(n_sites):
 def test_chain_rejects_bad_omega(omega):
     with pytest.raises(ValueError):
         LatticeSpec(kind=LatticeKind.UNIFORM_1D, n_sites=4, omega=omega)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    (LatticeKind.UNIFORM_1D, "j_even", complex("inf+1j")),
+    (LatticeKind.UNIFORM_1D, "j_even", float("nan")),
+    (LatticeKind.DIMER_JJSTAR, "j_even", float("inf")),
+    (LatticeKind.DIMER_JJSTAR, "j_odd", complex(1, float("inf"))),
+    (LatticeKind.UNIFORM_1D, "origin_offset", 2.7),
+    (LatticeKind.UNIFORM_1D, "origin_offset", float("inf")),
+    (LatticeKind.UNIFORM_1D, "origin_offset", "3"),
+    (LatticeKind.UNIFORM_1D, "n_sites", float("inf")),
+])
+def test_spec_rejects_non_finite_hoppings_and_non_integral_sites(kind, field, value):
+    # once truncated (origin_offset 2.7 ran at 2) or built into a matrix
+    # that OperatorMatrix refused only at run time
+    with pytest.raises(ValueError):
+        LatticeSpec(**{"kind": kind, "n_sites": 8, "omega": 0.2, field: value})
 
 
 def test_jjstar_forces_conjugate_hoppings():
@@ -223,6 +243,55 @@ def test_pair_basis_of_refuses_other_labels():
     assert pair_basis_of(labels[::-1]) is None
     assert pair_basis_of(labels[:-1]) is None
     assert pair_basis_of(((0, 0), (1, 0), (0, 1), (1, 1))) is None  # not lexicographic
+
+
+PAIR_KINDS = [k for k in LatticeKind if k.is_pair]
+
+
+def _assert_chain(read: OperatorMatrix, chain: OperatorMatrix, exact: bool) -> None:
+    """``read`` is ``chain``: equal entry by entry (signed zeros aside), or
+    within 1e-15 * max(1, |a|)."""
+    assert read.basis_labels == chain.basis_labels
+    if exact:
+        np.testing.assert_array_equal(read.entries, chain.entries)
+    else:
+        error = np.abs(read.entries - chain.entries)
+        assert np.all(error <= 1e-15 * np.maximum(1.0, np.abs(chain.entries)))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
+def test_pair_chain_of_reads_the_built_chain(kind, side):
+    # electron and boson energies are halves of the exact sums 2 a_x; the
+    # fermion ones come from three rounded sums each
+    for offset in (None, 0, 1):
+        for omega in (0.0, 0.2, 1.2):
+            spec = LatticeSpec(kind=kind, n_sites=side, omega=omega, origin_offset=offset)
+            chain = build_chain(spec.chain)
+            exact = kind is not LatticeKind.PAIR_2D_FERMION
+            _assert_chain(pair_chain_of(build_pair_lattice(spec)), chain, exact)
+            _assert_chain(pair_chain_of(oracle_pair_hamiltonian(kind, side, omega, offset)),
+                          chain, exact=False)
+            if kind is LatticeKind.PAIR_2D_ELECTRON:
+                for sector in sector_decompose(build_pair_lattice(spec)):
+                    _assert_chain(pair_chain_of(sector), chain, exact=False)
+
+
+def test_pair_chain_of_refuses_other_matrices():
+    assert pair_chain_of(build_chain(LatticeSpec(LatticeKind.DIMER_1I, 16, 0.2))) is None
+    for kind in PAIR_KINDS:
+        for side in (2, 3):
+            basis = pair_basis(kind, side)
+            assert pair_chain_of(OperatorMatrix(np.eye(basis.dim), basis.labels)) is None
+    labels = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 4).labels
+    assert pair_chain_of(OperatorMatrix(np.eye(16), labels[::-1])) is None
+
+
+def test_pair_spec_names_its_chain():
+    spec = LatticeSpec(LatticeKind.PAIR_2D_BOSON, 9, 0.3, origin_offset=1)
+    assert spec.chain == LatticeSpec(LatticeKind.DIMER_1I, 9, 0.3, origin_offset=1)
+    chain = LatticeSpec(LatticeKind.DIMER_JJSTAR, 9, 0.3, j_even=0.8 + 0.6j)
+    assert chain.chain is chain
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,13 @@ def _named(tree: ast.AST) -> set:
 
 def test_pair_facts_have_one_owner():
     # pair bases are recognized from their labels in lattices alone, and
-    # kappa(V x V) = kappa(V)^2 is written in dynamics alone
+    # kappa(V x V) = kappa(V)^2 is written in dynamics alone; a pair
+    # lattice's chain is the 1/i dimer in lattices alone (LatticeSpec.chain,
+    # read back by pair_chain_of), so the Kronecker route names no spec
     trees = _trees()
     assert {name for name, tree in trees.items() if "isqrt" in _named(tree)} == {"lattices"}
+    assert {name for name, tree in trees.items() if "DIMER_1I" in _named(tree)} == {"lattices"}
+    assert not _named(trees["spectra"]) & {"LatticeSpec", "LatticeKind"}
     powers = {
         name
         for name, tree in trees.items()

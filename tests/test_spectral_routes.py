@@ -19,6 +19,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import starkladder.spectra as spectra
 from starkladder.dynamics import evolve
@@ -42,6 +43,7 @@ from starkladder.spectra import (
 )
 
 from ladder_reference import reference_multiset_distance
+from sector_reference import reference_kronecker_sum
 from spectral_reference import (
     dense_condition,
     dense_eigenpairs,
@@ -449,6 +451,23 @@ def test_pair_lattices_take_the_kronecker_route(side, omega, offset):
         gram = v.T @ v
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-14
         assert spectrum.condition < CONDITION_LIMIT
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_kronecker_sum_of_any_chain_takes_the_kronecker_route(kind):
+    # the route reads H1 off the matrix: the Kronecker sum of a J/J* chain
+    # is decomposed from that chain, not from a 1/i dimer fitted to its
+    # diagonal (which sent it to eig, condition inf)
+    h1 = build_chain(LatticeSpec(LatticeKind.DIMER_JJSTAR, 12, 0.2, j_even=0.8 + 0.6j))
+    h = OperatorMatrix(*reference_kronecker_sum(h1.entries, kind))
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == "kronecker"
+    assert np.isfinite(spectrum.condition)
+    values = scipy.linalg.eigvals(h.entries)
+    cost = np.abs(spectrum.eigenvalues[:, None] - values)
+    rows, cols = linear_sum_assignment(cost)
+    scale = np.maximum(1.0, np.abs(spectrum.eigenvalues[rows]))
+    assert np.all(cost[rows, cols] <= 1e-13 * scale)
 
 
 def test_criterion_9_lattice_expands_in_the_chain_product_basis():
