@@ -40,7 +40,6 @@ from .lattices import (
     in_window,
     interior_slice,
     pair_basis,
-    pair_chain_of,
     pt_commutator_deviation,
 )
 from .pairmap import (
@@ -808,9 +807,8 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
     for side in cfg.run.sides:
         side = int(side)
         entry = {"side": side, "omega": omega}
-        lattices = {
-            kind: build_pair_lattice(spec) for kind, spec in _pair_specs(side, omega).items()
-        }
+        specs = _pair_specs(side, omega)
+        lattices = {kind: build_pair_lattice(spec) for kind, spec in specs.items()}
         oracles = {kind: oracle_pair_hamiltonian(kind, side, omega) for kind in lattices}
         for kind, built in lattices.items():
             entry[f"oracle_deviation_{kind.value}"] = float(
@@ -835,7 +833,7 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        chain = pair_chain_of(electron)  # certifies builder, chain and engine at once
+        chain = build_chain(specs[LatticeKind.PAIR_2D_ELECTRON].chain)  # as evolve2d builds it
         direct = evolve_pair(chain, psi0, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side), times)
         entry["evolution_distance"] = lift_1d_evolution(
             direct, oracles[LatticeKind.PAIR_2D_ELECTRON]

@@ -160,8 +160,10 @@ class LatticeSpec:
 
     @property
     def chain(self) -> "LatticeSpec":
-        """The chain ``H1`` of a pair lattice ``H1 x 1 + 1 x H1``; a chain's own spec."""
-        return replace(self, kind=LatticeKind.DIMER_1I) if self.kind.is_pair else self
+        """The chain ``H1`` of this pair lattice ``H1 x 1 + 1 x H1``: the 1/i dimer."""
+        if not self.kind.is_pair:
+            raise ValueError(f"{self.kind.value} is a chain, not a pair lattice")
+        return replace(self, kind=LatticeKind.DIMER_1I)
 
 
 @dataclass(frozen=True)
@@ -325,9 +327,10 @@ def pair_basis_of(labels: tuple) -> PairBasis | None:
     return next((basis for basis in bases if basis.labels == labels), None)
 
 
-def pair_chain_of(h: OperatorMatrix) -> OperatorMatrix | None:
+def pair_chain_of(h: OperatorMatrix, basis: PairBasis | None = None) -> OperatorMatrix | None:
     """The chain ``H1`` of a pair-labelled ``h = H1 x 1 + 1 x H1``, read off
     its entries; None off the pair bases of side >= 4 (:func:`pair_basis_of`).
+    A caller that has recognized ``h``'s basis already passes it as ``basis``.
 
     Bond ``(b, b+1)`` is an entry that moves one particle across it while the
     other sits on neither site, so the boson sqrt(2) never enters.  ``a_x`` is
@@ -336,7 +339,8 @@ def pair_chain_of(h: OperatorMatrix) -> OperatorMatrix | None:
     with neighbours ``p``, ``q``.  Whether ``h`` is a Kronecker sum is left to
     the caller's certificate.
     """
-    basis = pair_basis_of(h.basis_labels)
+    if basis is None:
+        basis = pair_basis_of(h.basis_labels)
     if basis is None or basis.side < 4:
         return None
     n, (x, y) = basis.side, basis.layout[:2]

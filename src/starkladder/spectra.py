@@ -530,10 +530,10 @@ def _kronecker_spectrum(h: OperatorMatrix) -> ComplexSpectrum | None:
     of ``H1`` propagates.  The residuals against ``h`` certify that ``h``
     is that sum.
     """
-    h1 = pair_chain_of(h)
+    basis = pair_basis_of(h.basis_labels)
+    h1 = pair_chain_of(h, basis)
     if h1 is None:
         return None
-    basis = pair_basis_of(h.basis_labels)
     x, y = basis.layout[:2]
     chain = eigendecompose(h1)
     values = chain.eigenvalues[x] + chain.eigenvalues[y]

@@ -290,8 +290,8 @@ def test_pair_chain_of_refuses_other_matrices():
 def test_pair_spec_names_its_chain():
     spec = LatticeSpec(LatticeKind.PAIR_2D_BOSON, 9, 0.3, origin_offset=1)
     assert spec.chain == LatticeSpec(LatticeKind.DIMER_1I, 9, 0.3, origin_offset=1)
-    chain = LatticeSpec(LatticeKind.DIMER_JJSTAR, 9, 0.3, j_even=0.8 + 0.6j)
-    assert chain.chain is chain
+    with pytest.raises(ValueError, match="not a pair lattice"):
+        LatticeSpec(LatticeKind.DIMER_1I, 9, 0.3).chain
 
 
 # ---------------------------------------------------------------------------
