@@ -9,6 +9,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -78,6 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
+    # Every module is loaded by now, and what the imports left (about 89,000
+    # tracked objects, most of them numpy's and SciPy's) lives until the
+    # process exits.  Freezing it keeps every later collection, those at
+    # interpreter shutdown included, from traversing it again.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     command = args.command
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Collection, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dynamics import (
@@ -81,7 +82,7 @@ class ConfigError(ValueError):
 
 
 _MODEL_KEYS = ("kind", "n_sites", "omega", "j_even", "j_odd", "origin_offset")
-_MANIFEST_META_KEYS = {"version", "generated_files"}
+_MANIFEST_META_KEYS = {"version", "libraries", "generated_files"}
 _CHAINS = [k for k in LatticeKind if k.is_chain]
 _PAIRS = [k for k in LatticeKind if k.is_pair]
 
@@ -100,9 +101,14 @@ def _reals(values) -> bool:
     return isinstance(values, tuple) and all(_real(v) for v in values)
 
 
+def _integer(value) -> bool:
+    """An integer; JSON ``true``/``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _count(value) -> bool:
     """A non-negative integer."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _integer(value) and value >= 0
 
 
 def _ladder_spacing(expected_spacing, model: LatticeSpec) -> float:
@@ -304,10 +310,10 @@ def load_config(
     ``overrides`` uses the same nesting as the file
     (``{"model": {...}, "run": {...}, ...}``) and wins over file values.
     A previously written ``manifest.json`` is accepted directly (its
-    ``version`` / ``generated_files`` keys are ignored).  The experiment
-    must read every model and run key given and, if it reads ``kind``, run
-    on the model's lattice kind (:data:`EXPERIMENTS`); ``evolve2d`` needs
-    ``omega > 0``.
+    ``version`` / ``libraries`` / ``generated_files`` keys are ignored).
+    The experiment must read every model and run key given and, if it reads
+    ``kind``, run on the model's lattice kind (:data:`EXPERIMENTS`);
+    ``evolve2d`` needs ``omega > 0``.
     """
     data: dict = {}
     if path is not None:
@@ -688,6 +694,19 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
+# Every mu.json key evolve2d reads -> (check, what the check asks of a value);
+# ``origin_offset`` may be absent, and then is the chain's default.
+_MU_KEYS = {
+    "kind": (lambda v: isinstance(v, str), "must be a string"),
+    "n_sites": (_integer, "must be an integer"),
+    "omega": (_real, "must be a finite number"),
+    "origin_offset": (_integer, "must be an integer"),
+    "mu": (lambda v: isinstance(v, list)
+           and all(isinstance(a, list) and len(a) == 2 and _reals(tuple(a)) for a in v),
+           "must be a list of [re, im] pairs of finite numbers"),
+}
+
+
 def _load_mu(from_run: str) -> dict:
     path = Path(from_run)
     if path.is_dir():
@@ -701,10 +720,10 @@ def _load_mu(from_run: str) -> dict:
     for key in ("mu", "kind", "omega", "n_sites", "e0"):
         if key not in data:
             raise ConfigError(f"{path}: missing key {key!r}")
-    try:
-        data["mu"] = np.array([complex(re, im) for re, im in data["mu"]])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: mu must be a list of [re, im] pairs") from exc
+    for key, (check, need) in _MU_KEYS.items():
+        if key in data and not check(data[key]):
+            raise ConfigError(f"{path}: {key} {need}")
+    data["mu"] = np.array([complex(re, im) for re, im in data["mu"]])
     if data["mu"].size != data["n_sites"]:
         raise ConfigError(
             f"{path}: mu has {data['mu'].size} amplitudes for n_sites {data['n_sites']}"
@@ -727,7 +746,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "origin_offset": spec.origin_offset,
     }
     for key, want in wanted.items():
-        if abs(seed[key] - want) > 1e-12 if key == "omega" else seed[key] != want:
+        # written so that a NaN slope fails the comparison
+        if not (abs(seed[key] - want) <= 1e-12 if key == "omega" else seed[key] == want):
             raise ConfigError(
                 f"profile {key} {seed[key]!r} does not match {want!r}, the {key} of "
                 "the pair lattice's chain; refusing to mix parameters"
@@ -892,6 +912,7 @@ def run(cfg: ExperimentConfig) -> dict:
     checks_path = _write_json(outdir, "checks", checks)
     manifest = cfg.to_dict()
     manifest["version"] = __version__
+    manifest["libraries"] = {"numpy": np.__version__, "scipy": scipy.__version__}
     manifest["generated_files"] = sorted(
         p.name for p in [*files, checks_path]
     ) + ["manifest.json"]

@@ -313,6 +313,9 @@ def test_csv_output_is_bit_identical(tmp_path):
 def test_manifest_reruns_identically(tmp_path):
     first = run(_spectrum_cfg(tmp_path))
     manifest = tmp_path / "out" / "manifest.json"
+    assert json.loads(manifest.read_text())["libraries"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__
+    }
     cfg = load_config(manifest, {"output": {"directory": str(tmp_path / "again")}})
     second = run(cfg)
     assert first["checks"] == second["checks"]
@@ -533,6 +536,45 @@ def test_evolve2d_refuses_seed_from_another_chain_kind(tmp_path):
     assert json.loads((seed / "mu.json").read_text())["kind"] == "dimer_jjstar"
     with pytest.raises(ConfigError, match="dimer_jjstar"):
         _pair_run(seed, tmp_path / "pair")
+
+
+# (mu.json key, value): each key is present but its value is malformed.
+# Unchecked, these raise a TypeError (omega None or "0.2"), slip past the
+# slope or size comparison (NaN, 8.0 == 8) and run, or fail numerically
+# (NaN or inf in mu)
+_BAD_MU_VALUES = [
+    ("omega", None),
+    ("omega", "0.2"),
+    ("omega", float("nan")),
+    ("omega", True),
+    ("n_sites", 8.0),
+    ("n_sites", "8"),
+    ("origin_offset", 4.0),
+    ("origin_offset", "4"),
+    ("kind", None),
+    ("kind", ["dimer_1i"]),
+    ("mu", [float("nan"), 0.0]),
+    ("mu", [True, 0.0]),
+    ("mu", [0.5, float("inf")]),
+]
+
+
+@pytest.mark.parametrize("key, value", _BAD_MU_VALUES,
+                         ids=[f"{k}={v!r}" for k, v in _BAD_MU_VALUES])
+def test_evolve2d_refuses_malformed_seed_values(tmp_path, capsys, key, value):
+    seed = {**_SEED, "origin_offset": 4}
+    if key == "mu":
+        seed["mu"] = [value, *_SEED["mu"][1:]]
+    else:
+        seed[key] = value
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(seed))
+    code = main(["evolve2d", "--model", "pair_2d_electron", "--sites", "8",
+                 "--omega", "0.2", "--from-run", str(path),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {path}: {key} must be" in err
 
 
 def test_evolve2d_refuses_seed_with_another_origin_offset(tmp_path):

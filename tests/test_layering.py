@@ -118,3 +118,16 @@ def test_source_names_no_lu_or_svd_condition():
         if (banned := _banned(node)) is not None
     ]
     assert found == []
+
+
+def test_only_the_command_line_sets_collector_policy():
+    # the library leaves the garbage collector as its user configured it;
+    # only the CLI process, which owns its interpreter, freezes the heap
+    importers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+    }
+    assert importers == {"cli"}
