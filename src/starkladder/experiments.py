@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, NamedTuple
 
@@ -313,7 +313,8 @@ def load_config(
     ``version`` / ``libraries`` / ``generated_files`` keys are ignored).
     The experiment must read every model and run key given and, if it reads
     ``kind``, run on the model's lattice kind (:data:`EXPERIMENTS`);
-    ``evolve2d`` needs ``omega > 0``.
+    ``evolve2d`` needs ``omega > 0``, and ``evolve1d`` and ``e0_vs_omega``
+    a chain with an interior window (:func:`interior_slice`).
     """
     data: dict = {}
     if path is not None:
@@ -348,6 +349,11 @@ def load_config(
             "model.omega: evolve2d needs omega > 0, its pair periods being "
             f"pi / (2 omega) and pi / omega (got {model.omega!r})"
         )
+    if experiment in ("evolve1d", "e0_vs_omega"):
+        try:  # the window its reference state is selected in
+            interior_slice(model.n_sites)
+        except ValueError as exc:
+            raise ConfigError(f"model.n_sites: {experiment} needs an interior: {exc}") from exc
     return ExperimentConfig(
         experiment=experiment,
         model=model,
@@ -413,6 +419,7 @@ def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -
         cells = [np.asarray(col).tolist() for col in columns.values()]
         rows = [list(row) for row in zip(*cells)]
         return _write_json(outdir, name, {"meta": meta, "columns": list(columns), "rows": rows})
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}.csv"
     cols = [np.asarray(col) for col in columns.values()]
     with path.open("w", newline="") as fh:
@@ -426,6 +433,7 @@ def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -
 
 
 def _write_json(outdir: Path, name: str, payload: dict) -> Path:
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -502,11 +510,12 @@ def _bulk_spacing_deviation(spectrum, families, spacing: float) -> float | None:
     ends feel the truncation, the bulk ones do not."""
     if not families:
         return None
-    win = interior_slice(spectrum.dim)
+    centered = in_window(localization_center(spectrum.right_eigenvectors),
+                         interior_slice(spectrum.dim))
     devs = []
     for fam in families:
         idx = list(fam.member_indices)
-        inside = in_window(localization_center(spectrum.right_eigenvectors[:, idx]), win)
+        inside = centered[idx]
         steps = np.abs(np.diff(spectrum.eigenvalues[idx].real) - spacing)
         devs.extend(steps[inside[1:] & inside[:-1]].tolist())
     return max(devs, default=None)
@@ -787,8 +796,10 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
             cfg.output.format,
         )
     ]
-    probs = dirac_probability(series, 0.0)
     shots = np.searchsorted(series.times, [frac * t_pair for frac in snapshot_fracs])
+    # the snapshot rows only, not a (times x dim) table of which they keep five
+    probs = dirac_probability(replace(series, times=series.times[shots],
+                                      states=series.states[shots]), 0.0)
     x, y = basis.layout[:2]
     files.append(
         _write_table(
@@ -799,7 +810,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
                 "t": np.repeat(series.times[shots], basis.dim),
                 "x": np.tile(x, len(shots)),
                 "y": np.tile(y, len(shots)),
-                "value": probs[shots].ravel(),
+                "value": probs.ravel(),
             },
             cfg.output.format,
         )
@@ -904,10 +915,10 @@ def run(cfg: ExperimentConfig) -> dict:
     """Execute one experiment; returns the written artifact paths.
 
     Writes ``manifest.json`` (re-runnable resolved config), the result
-    tables, and ``checks.json`` into the output directory.
+    tables, and ``checks.json`` into the output directory, which the first
+    of them creates: a run refused before it leaves no directory behind.
     """
     outdir = Path(cfg.output.directory or f"runs/{cfg.experiment}")
-    outdir.mkdir(parents=True, exist_ok=True)
     files, checks = EXPERIMENTS[cfg.experiment].runner(cfg, outdir)
     checks_path = _write_json(outdir, "checks", checks)
     manifest = cfg.to_dict()

@@ -68,7 +68,8 @@ INVERSE_ITERATION_SHIFT = 2.0
 EIGENVALUE_CONDITION_LIMIT = 1e4
 # seed of the fixed start and probe vectors
 _SEED = 20240607
-# columns per block of the residuals, so that no n x n temporary is formed
+# columns per block of every pass over an eigenvector matrix, so that no
+# n x n temporary is formed (:func:`_column_blocks`)
 _BLOCK = 64
 # most entries of the cost matrix that the dense assignment of :func:`_match`
 # may form: above the L = 80 electron closure, 6400^2 = 4.1e7
@@ -282,24 +283,51 @@ class ScanResult:
     failures: tuple = field(default=())
 
 
-def localization_center(amplitudes: np.ndarray) -> float | np.ndarray:
-    """Site-index first moment of the Dirac weight |f_j|^2; one per column
-    of a matrix."""
-    w = np.abs(np.asarray(amplitudes)) ** 2
+def _column_blocks(n: int):
+    """Slices of ``_BLOCK`` columns covering ``n``, the last 4 to
+    ``_BLOCK + 3`` wide unless it is the only one: NumPy sums one column
+    pairwise, not row by row as wider blocks do, and OpenBLAS's gemv has
+    its own path for 1 to 3 contiguous columns, so a narrower last block
+    would round its columns unlike the whole-matrix formula."""
+    stops = range(_BLOCK, n - 3, _BLOCK)
+    return map(slice, [0, *stops], [*stops, n])
+
+
+def _per_column(statistic, amplitudes: np.ndarray) -> float | np.ndarray:
+    """``statistic`` of a vector, or of each column of a matrix by blocks."""
+    a = np.asarray(amplitudes)
+    if a.ndim == 1:
+        return float(statistic(a))
+    out = np.empty(a.shape[1])
+    for block in _column_blocks(a.shape[1]):
+        out[block] = statistic(a[:, block])
+    return out
+
+
+def _center(amplitudes: np.ndarray) -> np.ndarray:
+    w = np.abs(amplitudes) ** 2
     total = w.sum(axis=0)
     if np.any(total == 0):
         raise ValueError("zero-norm state has no localization center")
-    centers = np.arange(w.shape[0]) @ w / total
-    return float(centers) if w.ndim == 1 else centers
+    return np.arange(w.shape[0]) @ w / total
+
+
+def _inverse_fourth_power(amplitudes: np.ndarray) -> np.ndarray:
+    w = np.abs(amplitudes) ** 2
+    w = w / w.sum(axis=0)
+    return 1.0 / np.sum(w**2, axis=0)
+
+
+def localization_center(amplitudes: np.ndarray) -> float | np.ndarray:
+    """Site-index first moment of the Dirac weight |f_j|^2; one per column
+    of a matrix."""
+    return _per_column(_center, amplitudes)
 
 
 def participation_ratio(amplitudes: np.ndarray) -> float | np.ndarray:
     """Inverse of the summed fourth power: number of sites a state occupies;
     one per column of a matrix."""
-    w = np.abs(np.asarray(amplitudes)) ** 2
-    w = w / w.sum(axis=0)
-    ratios = 1.0 / np.sum(w**2, axis=0)
-    return float(ratios) if w.ndim == 1 else ratios
+    return _per_column(_inverse_fourth_power, amplitudes)
 
 
 def leading_amplitude_index(vectors: np.ndarray) -> np.ndarray:
@@ -316,10 +344,12 @@ def leading_amplitude_index(vectors: np.ndarray) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Scale each column, in place, to unit norm with its leading amplitude
-    real positive."""
-    vectors /= np.linalg.norm(vectors, axis=0)
-    lead = vectors[leading_amplitude_index(vectors), np.arange(vectors.shape[1])]
-    vectors *= np.abs(lead) / lead
+    real positive, a block of columns at a time."""
+    for block in _column_blocks(vectors.shape[1]):
+        v = vectors[:, block]
+        v /= np.linalg.norm(v, axis=0)
+        lead = v[leading_amplitude_index(v), np.arange(v.shape[1])]
+        v *= np.abs(lead) / lead
     return vectors
 
 
@@ -410,14 +440,14 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
 
 def _tridiagonal_residuals(diag, off, values, vectors) -> np.ndarray:
     """``||T v_k - E_k v_k||`` from the three diagonals of ``T``, a block of
-    columns at a time, so that no n x n temporary is formed."""
+    columns at a time."""
     residuals = np.empty(values.size)
-    for lo in range(0, values.size, _BLOCK):
-        v = vectors[:, lo:lo + _BLOCK]
-        r = v * (diag[:, None] - values[None, lo:lo + _BLOCK])
+    for block in _column_blocks(values.size):
+        v = vectors[:, block]
+        r = v * (diag[:, None] - values[None, block])
         r[:-1] += off[:, None] * v[1:]
         r[1:] += off[:, None] * v[:-1]
-        residuals[lo:lo + _BLOCK] = np.linalg.norm(r, axis=0)
+        residuals[block] = np.linalg.norm(r, axis=0)
     return residuals
 
 
@@ -498,12 +528,11 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
 
 def matrix_residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``||H v_k - E_k v_k||`` per column, from the full matrix, a block of
-    columns at a time, so that no n x n temporary is formed."""
+    columns at a time."""
     residuals = np.empty(values.size)
-    for lo in range(0, values.size, _BLOCK):
-        v = vectors[:, lo:lo + _BLOCK]
-        r = entries @ v - v * values[lo:lo + _BLOCK]
-        residuals[lo:lo + _BLOCK] = np.linalg.norm(r, axis=0)
+    for block in _column_blocks(values.size):
+        v = vectors[:, block]
+        residuals[block] = np.linalg.norm(entries @ v - v * values[block], axis=0)
     return residuals
 
 

@@ -13,6 +13,13 @@ def dimer60():
 
 
 @pytest.fixture(scope="session")
+def dimer1000():
+    """The 1/i chain of the long-chain benchmark: 1000 sites, slope 0.2."""
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2))
+    return eigendecompose(h)
+
+
+@pytest.fixture(scope="session")
 def jjstar60():
     """J/J* chain with |J| = 1 (J = 0.8 + 0.6i), 60 sites, slope 0.2."""
     spec = LatticeSpec(

@@ -5,7 +5,9 @@ An independent reference for the tridiagonal route of
 ``scipy.linalg.eig`` in the level order written out as a loop, with the
 residuals taken against the full matrix, the condition number from
 ``np.linalg.cond`` (an SVD) and the expansion coefficients from an LU
-solve.  O(n^3), so keep n small.
+solve.  O(n^3), so keep n small.  Also the per-column statistics of
+``spectra`` (phase convention, localization center, participation ratio)
+as whole-matrix formulas, the reference of their column blocks.
 """
 
 import numpy as np
@@ -37,11 +39,30 @@ def dense_eigenpairs(entries: np.ndarray) -> tuple:
     values, vectors = scipy.linalg.eig(entries)
     order = reference_level_order(values)
     values, vectors = values[order], vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    lead = vectors[leading_amplitude_index(vectors), np.arange(vectors.shape[1])]
-    vectors = vectors * (np.abs(lead) / lead)
+    vectors = reference_fix_phases(vectors)
     residuals = np.linalg.norm(entries @ vectors - vectors * values, axis=0)
     return values, vectors, residuals
+
+
+def reference_fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """A copy of ``vectors`` with unit-norm columns, each one's leading
+    amplitude real positive."""
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    lead = vectors[leading_amplitude_index(vectors), np.arange(vectors.shape[1])]
+    return vectors * (np.abs(lead) / lead)
+
+
+def reference_localization_center(amplitudes: np.ndarray) -> np.ndarray:
+    """Each column's site-index first moment of ``|f_j|^2``."""
+    w = np.abs(amplitudes) ** 2
+    return np.arange(w.shape[0]) @ w / w.sum(axis=0)
+
+
+def reference_participation_ratio(amplitudes: np.ndarray) -> np.ndarray:
+    """Each column's inverse summed fourth power of the normalized weight."""
+    w = np.abs(amplitudes) ** 2
+    w = w / w.sum(axis=0)
+    return 1.0 / np.sum(w**2, axis=0)
 
 
 def dense_condition(vectors: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import collections
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from starkladder.experiments import (
     validate,
 )
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, interior_slice
-from starkladder.spectra import RESIDUAL_TOL, eigendecompose, select_reference_state
+from starkladder.spectra import (
+    RESIDUAL_TOL,
+    detect_ladders,
+    eigendecompose,
+    select_reference_state,
+)
 
 
 def _write(tmp_path, name, payload):
@@ -401,6 +407,20 @@ def test_ladder_scan_has_no_bulk_on_pair_lattices(tmp_path):
         }
     )
     assert run(cfg)["checks"]["max_bulk_spacing_deviation"] is None
+
+
+def test_bulk_spacing_deviation_forms_no_square_temporary(dimer1000):
+    # the centres of all columns a block at a time, indexed by family: the
+    # copy V[:, members] and its centres peaked at 11.8 MB at n = 1000
+    families = detect_ladders(dimer1000, 0.4).families
+    tracemalloc.start()
+    try:
+        deviation = experiments._bulk_spacing_deviation(dimer1000, families, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < deviation < 1e-6
+    assert peak < 2e6
 
 
 def test_e0_scan_run(tmp_path):
@@ -848,3 +868,43 @@ def test_cli_runs_spectrum(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "eigenvalues.csv").exists()
+
+
+# refused after the config loads, in the runner: evolve2d reads a profile
+# whose omega is a string (exit 2); evolve1d finds no reference state on 3
+# sites (exit 3)
+_REFUSED_RUNS = {
+    2: ["evolve2d", "--model", "pair_2d_electron", "--sites", "8", "--omega", "0.2",
+        "--from-run", "{mu}"],
+    3: ["evolve1d", "--sites", "3"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(_REFUSED_RUNS))
+def test_refused_runs_leave_the_output_directory_as_it_was(tmp_path, code):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps({**_SEED, "omega": "0.2"}))
+    command = [arg.format(mu=mu) for arg in _REFUSED_RUNS[code]]
+    fresh = tmp_path / "fresh"
+    assert main([*command, "--out", str(fresh)]) == code
+    assert not fresh.exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "eigenvalues.csv").write_text("earlier\n")
+    assert main([*command, "--out", str(kept)]) == code
+    assert [p.name for p in kept.iterdir()] == ["eigenvalues.csv"]
+    assert (kept / "eigenvalues.csv").read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("experiment", ["evolve1d", "e0_vs_omega"])
+def test_chain_without_interior_is_refused_at_load(tmp_path, capsys, experiment):
+    # the reference state is selected inside interior_slice's window, which
+    # 2 sites do not have; refused before the eigensolve, not after it
+    errors = validate(overrides={"experiment": experiment, "model": {"n_sites": 2}})
+    assert len(errors) == 1 and errors[0].startswith("model.n_sites: ")
+    assert "no interior for n = 2" in errors[0]
+    out = tmp_path / "out"
+    assert main([experiment.replace("_", "-"), "--sites", "2", "--out", str(out)]) == 2
+    assert "config error: model.n_sites: " in capsys.readouterr().err
+    assert not out.exists()
+    assert validate(overrides={"experiment": experiment, "model": {"n_sites": 3}}) == []

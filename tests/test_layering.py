@@ -4,8 +4,9 @@ Each module of ``src/starkladder`` may import only modules earlier in
 ``LAYERS`` (and ``__version__`` from the package), so no import cycle can
 form and no module needs a ``TYPE_CHECKING`` block to name a type from a
 layer above.  The package ``__init__`` re-exports every layer and is exempt.
-No module names an LU kernel or the SVD condition number either, and each
-pair fact has one owning module.
+No module names an LU kernel or the SVD condition number either, each
+pair fact has one owning module, and one iterator cuts every eigenvector
+matrix into column blocks.
 """
 
 import ast
@@ -86,6 +87,24 @@ def test_pair_facts_have_one_owner():
         and getattr(node.left, "attr", None) == "condition"
     }
     assert powers == {"dynamics"}
+
+
+def test_only_the_block_iterator_reads_the_block_width():
+    # every pass over an eigenvector matrix takes its columns from
+    # spectra._column_blocks, so no module writes a column loop of its own
+    def reads(tree: ast.AST) -> int:
+        return sum(
+            isinstance(getattr(node, "ctx", None), ast.Load)
+            and getattr(node, "id", getattr(node, "attr", None)) == "_BLOCK"
+            for node in ast.walk(tree)
+        )
+
+    trees = _trees()
+    iterator = next(
+        node for node in ast.walk(trees["spectra"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_column_blocks"
+    )
+    assert sum(map(reads, trees.values())) == reads(iterator) > 0
 
 
 def test_pair_certificates_do_not_run_the_engine():

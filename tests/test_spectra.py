@@ -31,6 +31,11 @@ from starkladder.spectra import (
 )
 
 from ladder_reference import synthetic_spectrum
+from spectral_reference import (
+    reference_fix_phases,
+    reference_localization_center,
+    reference_participation_ratio,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +279,22 @@ def test_localization_helpers():
     assert participation_ratio(amps) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         localization_center(np.zeros(3))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [40, 300])
+@pytest.mark.parametrize("columns", [1, 63, 64, 65, 130])
+def test_column_blocks_match_the_whole_matrix_bit_for_bit(columns, rows, order):
+    # every block edge: one block, one short of and exactly one block, one
+    # column over, two over; 300 rows also take OpenBLAS's threaded gemv
+    rng = np.random.default_rng(columns)
+    amps = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+    amps *= np.exp(-np.abs(np.arange(rows) - rows / 2) / 3)[:, None]
+    amps = np.asarray(amps, order=order)
+    assert np.array_equal(localization_center(amps), reference_localization_center(amps))
+    assert np.array_equal(participation_ratio(amps), reference_participation_ratio(amps))
+    fixed = spectra._fix_phases(amps.copy(order="K"))
+    assert np.array_equal(fixed, reference_fix_phases(amps))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ from starkladder.spectra import (
     _start_vectors,
     eigendecompose,
     leading_amplitude_index,
+    participation_ratio,
+    select_reference_state,
     spectrum_multiset_distance,
 )
 
@@ -379,16 +381,30 @@ def test_exceptional_point_falls_back_to_dense_route():
     assert spectrum.residuals.max() < RESIDUAL_TOL
 
 
-def test_long_chain_decomposition_stays_below_40_mb():
-    # the dense route peaks at 48 MB here: eig's workspace plus n x n residuals
-    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2))
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates through Python's allocators."""
     tracemalloc.start()
     try:
-        eigendecompose(h)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+
+
+def test_long_chain_decomposition_stays_below_20_mb():
+    # V is 16 MB at n = 1000; the phase convention and the residuals go a
+    # block of columns at a time, so nothing else is n x n (whole-matrix
+    # phases peaked at 32 MB, the dense route at 48 MB)
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2))
+    assert _traced_peak(lambda: eigendecompose(h)) < 20e6
+
+
+def test_long_chain_statistics_form_no_square_temporary(dimer1000):
+    # one n x 64 block at a time: whole-matrix formulas took 8 MB for the
+    # centers of select_reference_state and 16 MB for participation ratios
+    v = dimer1000.right_eigenvectors
+    assert _traced_peak(lambda: select_reference_state(dimer1000)) < 2e6
+    assert _traced_peak(lambda: participation_ratio(v)) < 2e6
 
 
 PAIR_KINDS = [LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION, LatticeKind.PAIR_2D_BOSON]
