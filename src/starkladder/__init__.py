@@ -10,6 +10,7 @@ identities, propagates single-particle and particle-pair states, and maps
 __version__ = "0.1.0"
 
 from .lattices import (  # noqa: F401
+    ChainMatrix,
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,

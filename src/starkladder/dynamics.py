@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import OperatorMatrix, PairBasis, gauge_op
+from .lattices import ChainMatrix, OperatorMatrix, PairBasis, gauge_op
 from .spectra import CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose
 
 __all__ = [
@@ -80,14 +80,16 @@ def _check_state(psi0: np.ndarray, dim: int) -> np.ndarray:
     return psi0
 
 
-def _own_spectrum(h: OperatorMatrix, spectrum: ComplexSpectrum | None) -> ComplexSpectrum:
+def _own_spectrum(
+    h: OperatorMatrix | ChainMatrix, spectrum: ComplexSpectrum | None
+) -> ComplexSpectrum:
     """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
     dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
     if spectrum is None:
         return eigendecompose(h)
     v, e = spectrum.right_eigenvectors[:, 0], spectrum.eigenvalues[0]
     tol = max(RESIDUAL_TOL, 2.0 * spectrum.residuals.max())
-    if spectrum.dim != h.dim or not np.linalg.norm(h.entries @ v - e * v) < tol:
+    if spectrum.dim != h.dim or not np.linalg.norm(h @ v - e * v) < tol:
         raise ValueError(f"the spectrum (dimension {spectrum.dim}) belongs to another matrix")
     return spectrum
 
@@ -111,7 +113,7 @@ def _integrate(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    h: OperatorMatrix,
+    h: OperatorMatrix | ChainMatrix,
     psi0: np.ndarray,
     times,
     spectrum: ComplexSpectrum | None = None,
@@ -137,8 +139,7 @@ def evolve(
         states = (spectrum.right_eigenvectors @ (coeffs[:, None] * phases)).T
         method = "spectral"
     else:
-        entries = h.entries
-        states = _integrate(lambda _t, y: -1j * (entries @ y), psi0, times)
+        states = _integrate(lambda _t, y: -1j * (h @ y), psi0, times)
         method = f"integrator (eigenvector condition {spectrum.condition:.2e})"
     states[0] = psi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(
@@ -147,7 +148,7 @@ def evolve(
 
 
 def evolve_pair(
-    chain: OperatorMatrix,
+    chain: OperatorMatrix | ChainMatrix,
     phi0: np.ndarray,
     basis: PairBasis,
     times,
@@ -189,12 +190,11 @@ def evolve_pair(
             states[k] = basis.restrict(w @ c @ w.T)
         method = "spectral"
     else:
-        h1 = chain.entries
         side = basis.side
 
         def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            psi = y.reshape(side, side)
-            return (-1j * (h1 @ psi + psi @ h1.T)).ravel()
+            psi = y.reshape(side, side)  # psi H1^T = (H1 psi^T)^T
+            return (-1j * (chain @ psi + (chain @ psi.T).T)).ravel()
 
         psis = _integrate(rhs, psi0.ravel(), times).reshape(-1, side, side)
         states = basis.restrict(psis)
@@ -322,7 +322,12 @@ def fidelity(series: TimeSeries) -> np.ndarray:
     states = np.ascontiguousarray(series.states)
     n0 = np.linalg.norm(phi0) ** 2
     overlaps = np.abs(states @ np.conj(phi0)) ** 2
-    norms = np.linalg.norm(states, axis=1) ** 2
+    # eight rows at a time: the norm's (times x dim) temporaries set the
+    # peak of a pair run; each row still reduces over its own contiguous axis
+    norms = np.empty(states.shape[0])
+    for k in range(0, states.shape[0], 8):
+        norms[k:k + 8] = np.linalg.norm(states[k:k + 8], axis=1)
+    norms **= 2
     if np.any(norms == 0):
         raise ValueError("evolved state has zero norm; fidelity undefined")
     return overlaps / (norms * n0)

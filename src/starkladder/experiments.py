@@ -495,7 +495,7 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "dim": spectrum.dim,
         "max_residual": float(spectrum.residuals.max()),
         "residual_certified": bool(matrix_residuals(
-            h.entries, spectrum.eigenvalues, spectrum.right_eigenvectors
+            h, spectrum.eigenvalues, spectrum.right_eigenvectors
         ).max() < RESIDUAL_TOL),
         "conjugation_closure_deviation": conjugation_closure_deviation(
             spectrum.eigenvalues

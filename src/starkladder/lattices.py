@@ -31,6 +31,7 @@ __all__ = [
     "LatticeKind",
     "LatticeSpec",
     "OperatorMatrix",
+    "ChainMatrix",
     "PairBasis",
     "SymmetryOp",
     "build_chain",
@@ -168,7 +169,9 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix on an explicitly labelled finite basis."""
+    """Dense complex matrix on an explicitly labelled finite basis: the pair
+    lattices, their sectors and the oracle.  A chain is a :class:`ChainMatrix`;
+    both multiply as ``h @ x``."""
 
     entries: np.ndarray
     basis_labels: tuple
@@ -191,6 +194,52 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.entries @ x
+
+
+@dataclass(frozen=True)
+class ChainMatrix:
+    """Open-boundary chain held as its two bands: on-site energies ``diag``
+    and ``off[b]`` on both directed entries of bond ``(b, b+1)``, so it is
+    complex symmetric by construction.  ``h @ x`` takes the band product,
+    O(n) per column; ``entries``, the dense matrix, is assembled on each
+    read and never stored."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    basis_labels: tuple
+
+    def __post_init__(self) -> None:
+        for name in ("diag", "off"):
+            band = np.array(getattr(self, name), dtype=complex)
+            band.flags.writeable = False
+            object.__setattr__(self, name, band)
+        labels = tuple(self.basis_labels)
+        if self.off.shape != (self.diag.size - 1,) or len(labels) != self.diag.size:
+            raise ValueError(
+                f"{self.diag.size} sites need {self.diag.size - 1} bonds and as many "
+                f"labels as sites, got {self.off.size} bonds and {len(labels)} labels"
+            )
+        object.__setattr__(self, "basis_labels", labels)
+
+    @property
+    def dim(self) -> int:
+        return self.diag.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _tridiagonal(self.diag, self.off)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        rows = (-1,) + (1,) * (x.ndim - 1)  # one band entry per row of x
+        diag, off = self.diag.reshape(rows), self.off.reshape(rows)
+        y = diag * x
+        y[:-1] += off * x[1:]
+        y[1:] += off * x[:-1]
+        return y
+
 
 @dataclass(frozen=True)
 class SymmetryOp:
@@ -210,20 +259,20 @@ class SymmetryOp:
     factors: tuple["SymmetryOp", ...] = field(default=())
 
 
-def _tridiagonal(diag: np.ndarray, bonds: np.ndarray) -> OperatorMatrix:
-    """Chain matrix with on-site energies ``diag`` and ``bonds[b]`` on both
-    directed entries of bond ``(b, b+1)``."""
+def _tridiagonal(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
+    """Dense chain matrix with on-site energies ``diag`` and ``bonds[b]`` on
+    both directed entries of bond ``(b, b+1)``."""
     n = diag.size
     h = np.zeros((n, n), dtype=complex)
     sites = np.arange(n)
     h[sites, sites] = diag
     h[sites[:-1], sites[1:]] = bonds
     h[sites[1:], sites[:-1]] = bonds
-    return OperatorMatrix(h, tuple(int(j) for j in sites))
+    return h
 
 
-def build_chain(spec: LatticeSpec) -> OperatorMatrix:
-    """Open-boundary matrix of a tilted 1D chain.
+def build_chain(spec: LatticeSpec) -> ChainMatrix:
+    """Open-boundary tilted 1D chain, as its bands.
 
     Off-diagonal entries alternate ``j_even`` / ``j_odd`` along the chain,
     with the same amplitude on both directions of each bond; the diagonal
@@ -233,7 +282,7 @@ def build_chain(spec: LatticeSpec) -> OperatorMatrix:
         raise ValueError(f"build_chain needs a 1D kind, got {spec.kind.value}")
     sites = np.arange(spec.n_sites)
     bonds = np.where(sites[:-1] % 2 == 0, spec.j_even, spec.j_odd)
-    return _tridiagonal(spec.omega * (sites - spec.origin_offset), bonds)
+    return ChainMatrix(spec.omega * (sites - spec.origin_offset), bonds, range(spec.n_sites))
 
 
 @dataclass(frozen=True)
@@ -327,7 +376,7 @@ def pair_basis_of(labels: tuple) -> PairBasis | None:
     return next((basis for basis in bases if basis.labels == labels), None)
 
 
-def pair_chain_of(h: OperatorMatrix, basis: PairBasis | None = None) -> OperatorMatrix | None:
+def pair_chain_of(h: OperatorMatrix, basis: PairBasis | None = None) -> ChainMatrix | None:
     """The chain ``H1`` of a pair-labelled ``h = H1 x 1 + 1 x H1``, read off
     its entries; None off the pair bases of side >= 4 (:func:`pair_basis_of`).
     A caller that has recognized ``h``'s basis already passes it as ``basis``.
@@ -356,7 +405,7 @@ def pair_chain_of(h: OperatorMatrix, basis: PairBasis | None = None) -> Operator
         diag = (d[at[sites, p]] + d[at[sites, q]] - d[at[p, q]]) / 2
     else:
         diag = d[at[sites, sites]] / 2
-    return _tridiagonal(diag, bonds)
+    return ChainMatrix(diag, bonds, range(n))
 
 
 def electron_side(labels: tuple) -> int:
@@ -481,7 +530,7 @@ def in_window(positions, window: slice):
 
 
 def ramped_translation_deviation(
-    h: OperatorMatrix, omega: float, n0: int = 2, margin: int | None = None
+    h: OperatorMatrix | ChainMatrix, omega: float, n0: int = 2, margin: int | None = None
 ) -> float:
     """Interior-block norm of ``T_n0 H T_n0^-1 - (H - n0*omega)``.
 
@@ -489,17 +538,17 @@ def ramped_translation_deviation(
     isometry), so the identity can only hold away from the edges, where
     ``(T_n0 H T_n0^-1)[i, j] = H[i - n0, j - n0]``.
     """
-    n = h.dim
+    n, entries = h.dim, h.entries
     m = max(interior_margin(n) if margin is None else int(margin), abs(n0))
     w = interior_slice(n, m)
     k = np.arange(w.stop - w.start)
-    ramped = h.entries[w, w].copy()  # H - n0*omega on the window
+    ramped = entries[w, w].copy()  # H - n0*omega on the window
     ramped[k, k] -= n0 * omega
     shifted = slice(w.start - n0, w.stop - n0)
-    return float(np.linalg.norm(h.entries[shifted, shifted] - ramped))
+    return float(np.linalg.norm(entries[shifted, shifted] - ramped))
 
 
-def gauge_conjugation_deviation(h: OperatorMatrix) -> float:
+def gauge_conjugation_deviation(h: OperatorMatrix | ChainMatrix) -> float:
     """Norm of ``g H g^-1 - H*`` (exact for the 1/i chain, even truncated)."""
     g, entries = _gauge_signs(h.dim), h.entries
     return float(np.linalg.norm(g[:, None] * entries * g - np.conj(entries)))

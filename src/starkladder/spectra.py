@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dgees, zgees, zgtsv
 from scipy.optimize import linear_sum_assignment
 
 from .lattices import (
+    ChainMatrix,
     OperatorMatrix,
     SymmetryOp,
     apply_symmetry,
@@ -451,7 +452,18 @@ def _tridiagonal_residuals(diag, off, values, vectors) -> np.ndarray:
     return residuals
 
 
-def _schur_eigenvalues(entries: np.ndarray, diag: np.ndarray, off: np.ndarray) -> tuple | None:
+def _fortran_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Tridiagonal matrix in Fortran order, for LAPACK to overwrite in place."""
+    n = diag.size
+    sites = np.arange(n)
+    a = np.zeros((n, n), dtype=np.result_type(diag, upper, lower), order="F")
+    a[sites, sites] = diag
+    a[sites[:-1], sites[1:]] = upper
+    a[sites[1:], sites[:-1]] = lower
+    return a
+
+
+def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     """``(values, plus)``: a chain's eigenvalues from one Schur form
     without Schur vectors, and the indices ``plus`` whose conjugate
     ``values[plus + 1] == conj(values[plus])`` is exact.  None if the QR
@@ -461,11 +473,12 @@ def _schur_eigenvalues(entries: np.ndarray, diag: np.ndarray, off: np.ndarray) -
     similar, through a diagonal unitary ``D`` (entries +-1, +-i), to the
     real tridiagonal ``J = D^-1 T D``: diagonal ``a``, superdiagonal
     ``|t|``, subdiagonal ``|t|`` across real and ``-|t|`` across imaginary
-    bonds.  LAPACK ``dgees`` takes ``J`` in real arithmetic, built in
-    Fortran order and overwritten in place, and returns each complex pair
-    as exact conjugates, the one with ``Im > 0`` first.  Every chain with
-    a complex bond product ``t^2`` takes ``zgees`` on ``T``, and ``plus``
-    is empty.
+    bonds.  LAPACK ``dgees`` takes ``J`` in real arithmetic and returns
+    each complex pair as exact conjugates, the one with ``Im > 0`` first.
+    Every chain with a complex bond product ``t^2`` takes ``zgees`` on
+    ``T``, and ``plus`` is empty.  Either matrix is built from the bands in
+    Fortran order and overwritten in place: the one n x n transient of
+    the route.
 
     The workspace is held at 3n.  With it the Hessenberg reduction inside
     either routine runs unblocked, and on a tridiagonal matrix, which is
@@ -476,20 +489,21 @@ def _schur_eigenvalues(entries: np.ndarray, diag: np.ndarray, off: np.ndarray) -
     """
     n = diag.size
     if np.all(diag.imag == 0) and np.all((off.real == 0) | (off.imag == 0)):
-        sites = np.arange(n)
-        image = np.zeros((n, n), order="F")
-        image[sites, sites] = diag.real
-        image[sites[:-1], sites[1:]] = np.abs(off)
-        image[sites[1:], sites[:-1]] = np.where(off.real == 0, -1.0, 1.0) * np.abs(off)
+        image = _fortran_tridiagonal(
+            diag.real, np.abs(off), np.where(off.real == 0, -1.0, 1.0) * np.abs(off)
+        )
         _, _, re, im, _, _, info = dgees(
             lambda *_: None, image, compute_v=0, lwork=3 * n, overwrite_a=1
         )
         return (re + 1j * im, np.flatnonzero(im > 0)) if info == 0 else None
-    _, _, values, _, _, info = zgees(lambda _: None, entries, compute_v=0, lwork=3 * n)
+    _, _, values, _, _, info = zgees(
+        lambda _: None, _fortran_tridiagonal(diag, off, off), compute_v=0, lwork=3 * n,
+        overwrite_a=1,
+    )
     return (values, np.empty(0, dtype=int)) if info == 0 else None
 
 
-def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | None:
+def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum | None:
     """Eigenvalues from one Schur form without Schur vectors
     (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration, one
     per conjugate pair where the Schur form is real
@@ -505,7 +519,7 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     certified by its own residual against the complex ``T``, as every
     other column is.
     """
-    found = _schur_eigenvalues(entries, diag, off)
+    found = _schur_eigenvalues(diag, off)
     if found is None:
         return None
     values, plus = found
@@ -526,13 +540,14 @@ def _tridiagonal_spectrum(entries: np.ndarray, diag, off) -> ComplexSpectrum | N
     return spectrum
 
 
-def matrix_residuals(entries: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``||H v_k - E_k v_k||`` per column, from the full matrix, a block of
-    columns at a time."""
+def matrix_residuals(h, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``||H v_k - E_k v_k||`` per column from the product ``h @ v`` (``h``
+    a dense array, an :class:`OperatorMatrix` or a :class:`ChainMatrix`), a
+    block of columns at a time."""
     residuals = np.empty(values.size)
     for block in _column_blocks(values.size):
         v = vectors[:, block]
-        residuals[block] = np.linalg.norm(entries @ v - v * values[block], axis=0)
+        residuals[block] = np.linalg.norm(h @ v - v * values[block], axis=0)
     return residuals
 
 
@@ -569,17 +584,18 @@ def _kronecker_spectrum(h: OperatorMatrix) -> ComplexSpectrum | None:
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
     vectors = _fix_phases(basis.products(chain.right_eigenvectors, i, j))
-    residuals = matrix_residuals(h.entries, values, vectors)
+    residuals = matrix_residuals(h, values, vectors)
     return ComplexSpectrum(values, vectors, residuals, "kronecker")
 
 
-def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
+def eigendecompose(h: OperatorMatrix | ChainMatrix) -> ComplexSpectrum:
     """Full right eigendecomposition with a residual certificate.
 
-    The route, recorded as ``solver``, follows from the matrix.  An
-    irreducible complex-symmetric tridiagonal matrix (every chain) is
-    ``"tridiagonal"``: one Schur form without Schur vectors and O(n^2)
-    inverse iteration (:func:`_tridiagonal_spectrum`).  A chain with a
+    The route, recorded as ``solver``, follows from the matrix.  A chain
+    with no zero bond, or an irreducible complex-symmetric tridiagonal
+    dense matrix, is ``"tridiagonal"``, from its two bands: one Schur form
+    without Schur vectors and O(n^2) inverse iteration
+    (:func:`_tridiagonal_spectrum`).  A chain with a
     real diagonal and only real or imaginary bonds (``dimer_1i``) takes
     ``dgees`` on its real gauge image, with one inverse iteration per
     conjugate pair and the partner's column ``g * conj(v)``; a chain with
@@ -589,8 +605,9 @@ def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
     read off its entries (:func:`_kronecker_spectrum`).  If
     either fails the certificate or rejects its own result (exceptional
     points), and for every other matrix, ``"dense"``
-    (:func:`_dense_spectrum`) runs: there a degenerate matrix reads
-    ``condition == inf``, but no experiment builds one.
+    (:func:`_dense_spectrum`) runs on ``h.entries``, assembled only then:
+    there a degenerate matrix reads ``condition == inf``, but no
+    experiment builds one.
 
     Raises
     ------
@@ -602,19 +619,21 @@ def eigendecompose(h: OperatorMatrix) -> ComplexSpectrum:
         ``RESIDUAL_TOL``; the message carries the eigenvector-matrix
         condition number (a large value flags a near-exceptional point).
     """
-    entries = h.entries
-    if entries.shape[0] < 2:
+    if h.dim < 2:
         raise ValueError("eigendecompose needs dim >= 2")
-    if not np.array_equal(entries, entries.T):
+    if isinstance(h, ChainMatrix):  # complex symmetric by construction
+        bands = (h.diag, h.off) if np.all(h.off != 0) else None
+    elif not np.array_equal(h.entries, h.entries.T):
         raise ValueError("matrix is not complex symmetric (H^T != H)")
-    bands = _tridiagonal_bands(entries)
+    else:
+        bands = _tridiagonal_bands(h.entries)
     if bands is not None:
-        spectrum = _tridiagonal_spectrum(entries, *bands)
+        spectrum = _tridiagonal_spectrum(*bands)
     else:
         spectrum = _kronecker_spectrum(h)
     if spectrum is not None and np.all(spectrum.residuals < RESIDUAL_TOL):
         return spectrum
-    spectrum = _dense_spectrum(entries)
+    spectrum = _dense_spectrum(h.entries)
     residuals = spectrum.residuals
     if not np.all(residuals < RESIDUAL_TOL):
         raise EigendecompositionError(
@@ -865,7 +884,7 @@ def spectrum_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def verify_ladder_operator(
-    h: OperatorMatrix,
+    h: OperatorMatrix | ChainMatrix,
     op: SymmetryOp,
     state: ReferenceState,
     expected_shift: complex,
@@ -891,7 +910,7 @@ def verify_ladder_operator(
         )
     e0 = np.conj(state.energy) if op.antiunitary else state.energy
     target = e0 + expected_shift
-    resid = h.entries @ w - target * w
+    resid = h @ w - target * w
     return float(np.linalg.norm(resid[window]))
 
 

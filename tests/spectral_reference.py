@@ -5,13 +5,16 @@ An independent reference for the tridiagonal route of
 ``scipy.linalg.eig`` in the level order written out as a loop, with the
 residuals taken against the full matrix, the condition number from
 ``np.linalg.cond`` (an SVD) and the expansion coefficients from an LU
-solve.  O(n^3), so keep n small.  Also the per-column statistics of
+solve.  O(n^3), so keep n small.  Also the chain eigenvalues of LAPACK
+``zgees`` on the dense matrix in C order, as the tridiagonal route called
+it before it held a chain as its bands, and the per-column statistics of
 ``spectra`` (phase convention, localization center, participation ratio)
 as whole-matrix formulas, the reference of their column blocks.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgees
 
 from starkladder.spectra import leading_amplitude_index
 
@@ -73,3 +76,12 @@ def dense_condition(vectors: np.ndarray) -> float:
 def lu_coefficients(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """``V^-1 psi`` by an LU solve."""
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(vectors), psi)
+
+
+def dense_schur_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``zgees`` without Schur vectors on the dense C-order
+    matrix, which f2py copies into Fortran order, with the 3n workspace."""
+    n = entries.shape[0]
+    _, _, values, _, _, info = zgees(lambda _: None, entries, compute_v=0, lwork=3 * n)
+    assert info == 0
+    return values

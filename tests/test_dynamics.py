@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,26 @@ def test_fidelity_does_not_depend_on_memory_layout():
     c_order = TimeSeries(np.arange(76.0), np.ascontiguousarray(states), labels)
     f_order = TimeSeries(np.arange(76.0), np.asfortranarray(states), labels)
     assert np.array_equal(fidelity(c_order), fidelity(f_order))
+
+
+def test_fidelity_norms_eight_rows_at_a_time():
+    # the whole-table norm formed two (times x dim) complex temporaries, 1.9 MB
+    # each at this size, the L = 40 electron evolve2d's; each row still
+    # reduces over its own contiguous axis, so the curve is the same bit for bit
+    rng = np.random.default_rng(4)
+    states = rng.normal(size=(76, 1600)) + 1j * rng.normal(size=(76, 1600))
+    series = TimeSeries(np.arange(76.0), states, tuple(range(1600)))
+    whole = np.abs(states @ np.conj(states[0])) ** 2 / (
+        np.linalg.norm(states, axis=1) ** 2 * np.linalg.norm(states[0]) ** 2
+    )
+    tracemalloc.start()
+    try:
+        curve = fidelity(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(curve, whole)
+    assert peak < 1e6
 
 
 def test_random_pair_state_has_no_revival():

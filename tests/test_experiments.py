@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import starkladder.experiments as experiments
+import starkladder.lattices as lattices
 import starkladder.pairmap as pairmap
 from starkladder.cli import main
 from starkladder.dynamics import evolve, extract_projected_mu, gaussian_state, projection_time
@@ -19,7 +20,14 @@ from starkladder.experiments import (
     run,
     validate,
 )
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, interior_slice
+from starkladder.lattices import (
+    ChainMatrix,
+    LatticeKind,
+    LatticeSpec,
+    OperatorMatrix,
+    build_chain,
+    interior_slice,
+)
 from starkladder.spectra import (
     RESIDUAL_TOL,
     detect_ladders,
@@ -306,6 +314,88 @@ def test_residual_certificate_is_recomputed_from_the_matrix(tmp_path, monkeypatc
     checks = run(_spectrum_cfg(tmp_path))["checks"]
     assert checks["max_residual"] < RESIDUAL_TOL
     assert checks["residual_certified"] is False
+
+
+def _changed(h):
+    """``h`` with one nonzero changed: one bond of a chain, or one entry of a
+    dense matrix, off the diagonal in its middle row."""
+    if isinstance(h, ChainMatrix):
+        off = h.off.copy()
+        off[h.dim // 2] += 1e-3
+        return ChainMatrix(h.diag, off, h.basis_labels)
+    entries, row = h.entries.copy(), h.dim // 2
+    col = next(c for c in np.flatnonzero(entries[row]) if c != row)
+    entries[row, col] += 1e-3
+    return OperatorMatrix(entries, h.basis_labels)
+
+
+# (model, how the run's matrix is made from the built one, route)
+_ROUTES = [
+    ({"kind": "dimer_1i", "n_sites": 20}, lambda h: h, "tridiagonal"),
+    ({"kind": "pair_2d_electron", "n_sites": 6}, lambda h: h, "kronecker"),
+    # the same lattice without its pair labels: neither tridiagonal nor a pair basis
+    ({"kind": "pair_2d_electron", "n_sites": 6},
+     lambda h: OperatorMatrix(h.entries, tuple(range(h.dim))), "dense"),
+]
+
+
+@pytest.mark.parametrize("model, relabel, route", _ROUTES, ids=[r[2] for r in _ROUTES])
+def test_residual_certificate_reads_one_changed_nonzero(tmp_path, monkeypatch, model,
+                                                        relabel, route):
+    # decompose the matrix, then change one nonzero: residual_certified is the
+    # product against the matrix the run holds, never the route's own formula
+    cfg = _spectrum_cfg(tmp_path, **model)
+    h = relabel(experiments._build_operator(cfg.model))
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == route
+    monkeypatch.setattr(experiments, "eigendecompose", lambda _: spectrum)
+    for matrix, certified in ((h, True), (_changed(h), False)):
+        monkeypatch.setattr(experiments, "_build_operator", lambda _, m=matrix: m)
+        checks = run(cfg)["checks"]
+        assert checks["max_residual"] < RESIDUAL_TOL
+        assert checks["residual_certified"] is certified
+
+
+def test_chain_runs_never_assemble_the_dense_chain(tmp_path, monkeypatch):
+    # a chain is its two bands: the eigensolver, the residual certificate
+    # and the evolution all take them, and only ChainMatrix.entries
+    # assembles the n x n matrix
+    assembled = []
+    original = lattices._tridiagonal
+    monkeypatch.setattr(lattices, "_tridiagonal",
+                        lambda *bands: assembled.append(bands) or original(*bands))
+    for experiment in ("spectrum", "ladder_scan", "evolve1d", "e0_vs_omega"):
+        run(load_config(overrides={
+            "experiment": experiment,
+            "model": {"kind": "dimer_1i", "n_sites": 60, "omega": 0.2},
+            "output": {"directory": str(tmp_path / experiment)},
+        }))
+    assert assembled == []
+    build_chain(LatticeSpec(LatticeKind.DIMER_1I, 8, 0.2)).entries
+    assert len(assembled) == 1  # the count sees an assembly
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates through Python's allocators."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("experiment", ["ladder_scan", "evolve1d"])
+def test_long_chain_runs_stay_below_24_mb(tmp_path, experiment):
+    # V is 16 MB at n = 1000, the rest a block of columns at a time; with
+    # the chain held as a dense 16 MB matrix these runs peaked at 34.5 MB
+    # (ladder_scan) and 35.8 MB (evolve1d)
+    cfg = load_config(overrides={
+        "experiment": experiment,
+        "model": {"kind": "dimer_1i", "n_sites": 1000, "omega": 0.2},
+        "output": {"directory": str(tmp_path)},
+    })
+    assert _traced_peak(lambda: run(cfg)) < 24e6
 
 
 def test_csv_output_is_bit_identical(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starkladder.lattices import (
+    ChainMatrix,
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
@@ -52,6 +53,65 @@ def test_three_site_dimer_1i_with_tilt():
         [[-1, 1, 0], [1, 0, 1j], [0, 1j, 1]], dtype=complex
     )
     np.testing.assert_allclose(build_chain(spec).entries, expected)
+
+
+def _reference_chain_entries(spec: LatticeSpec) -> np.ndarray:
+    """The chain matrix written out site by site and bond by bond."""
+    h = np.zeros((spec.n_sites, spec.n_sites), dtype=complex)
+    for r in range(spec.n_sites):
+        h[r, r] = spec.omega * (r - spec.origin_offset)
+    for b in range(spec.n_sites - 1):
+        h[b, b + 1] = h[b + 1, b] = spec.j_even if b % 2 == 0 else spec.j_odd
+    return h
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from([k for k in LatticeKind if k.is_chain]),
+    n=st.integers(min_value=2, max_value=60),
+    omega=st.floats(min_value=-2, max_value=2, allow_nan=False),
+    offset=st.integers(min_value=-5, max_value=65),
+    hopping=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+)
+def test_chain_entries_equal_the_dense_assembly_bit_for_bit(kind, n, omega, offset, hopping):
+    # a chain holds only its bands; entries, assembled on each read, is the
+    # matrix written out site by site, signed zeros included
+    j_even = 1.0 if kind is LatticeKind.DIMER_1I else hopping
+    spec = LatticeSpec(kind=kind, n_sites=n, omega=omega, j_even=j_even, origin_offset=offset)
+    h = build_chain(spec)
+    assert h.entries.tobytes() == _reference_chain_entries(spec).tobytes()
+    assert h.entries is not h.entries  # never stored
+
+
+def test_chain_product_is_the_band_product():
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=9, omega=0.3,
+                                j_even=0.8 + 0.6j))
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+    np.testing.assert_allclose(h @ x, h.entries @ x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(h @ x[:, 1], h.entries @ x[:, 1], rtol=0, atol=1e-15)
+
+
+def test_chain_bands_are_read_only_and_sized():
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
+    with pytest.raises(ValueError):
+        h.off[0] = 2.0
+    with pytest.raises(ValueError, match="6 sites need 5 bonds"):
+        ChainMatrix(h.diag, h.off[:-1], h.basis_labels)
+    with pytest.raises(ValueError, match="as many labels as sites"):
+        ChainMatrix(h.diag, h.off, h.basis_labels[:-1])
+
+
+def test_long_chain_is_held_as_its_bands():
+    # two bands of 1000 complex numbers; the dense matrix took 16 MB
+    spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
+    tracemalloc.start()
+    try:
+        build_chain(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_chain_labels_are_row_indices():
@@ -248,15 +308,15 @@ def test_pair_basis_of_refuses_other_labels():
 PAIR_KINDS = [k for k in LatticeKind if k.is_pair]
 
 
-def _assert_chain(read: OperatorMatrix, chain: OperatorMatrix, exact: bool) -> None:
-    """``read`` is ``chain``: equal entry by entry (signed zeros aside), or
-    within 1e-15 * max(1, |a|)."""
+def _assert_chain(read: ChainMatrix, chain: ChainMatrix, exact: bool) -> None:
+    """``read`` is ``chain``: the same bands, equal entry by entry (signed
+    zeros aside), or within 1e-15 * max(1, |a|)."""
     assert read.basis_labels == chain.basis_labels
-    if exact:
-        np.testing.assert_array_equal(read.entries, chain.entries)
-    else:
-        error = np.abs(read.entries - chain.entries)
-        assert np.all(error <= 1e-15 * np.maximum(1.0, np.abs(chain.entries)))
+    for got, want in ((read.diag, chain.diag), (read.off, chain.off)):
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)

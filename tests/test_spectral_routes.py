@@ -49,6 +49,7 @@ from sector_reference import reference_kronecker_sum
 from spectral_reference import (
     dense_condition,
     dense_eigenpairs,
+    dense_schur_eigenvalues,
     lu_coefficients,
     reference_level_order,
 )
@@ -200,8 +201,22 @@ def test_schur_workspace_keeps_the_hessenberg_reduction_unblocked(monkeypatch):
 
 
 def test_complex_schur_workspace_keeps_the_hessenberg_reduction_unblocked(monkeypatch):
-    kwargs = {"compute_v": 0, "lwork": 180}
+    # T is built from the chain's bands in Fortran order for zgees to overwrite
+    kwargs = {"compute_v": 0, "lwork": 180, "overwrite_a": 1}
     _assert_schur_workspace(monkeypatch, "zgees", "dgees", JJSTAR_60, kwargs)
+
+
+@pytest.mark.parametrize("omega", [0.05, 0.2])
+def test_complex_schur_form_from_the_bands_equals_the_dense_matrix(omega):
+    # T is built from the bands in Fortran order and overwritten in place,
+    # where zgees took a copy of the dense matrix: the same input bit for bit,
+    # so the same eigenvalues (at omega = 0.05, NEAR_EP, the route then
+    # rejects its own result and the dense route runs)
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=200, omega=omega,
+                                j_even=0.8 + 0.6j))
+    values, plus = spectra._schur_eigenvalues(h.diag, h.off)
+    assert plus.size == 0
+    assert values.tobytes() == dense_schur_eigenvalues(h.entries).tobytes()
 
 
 def test_corrupted_partner_columns_are_refused(monkeypatch):
