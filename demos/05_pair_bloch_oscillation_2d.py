@@ -15,6 +15,7 @@ import numpy as np
 from starkladder import (
     LatticeKind,
     LatticeSpec,
+    PairMatrix,
     build_chain,
     build_pair_product_state,
     eigendecompose,
@@ -44,15 +45,16 @@ mu = extract_projected_mu(seed, ref.energy, t_late)
 print(f"extracted profile after t = {t_late:.1f} "
       f"(suppression of decaying family: {np.exp(2 * ref.energy.imag * t_late):.1e})")
 
-# 2) Pair state: second factor is the gauge image of the conjugated profile.
-basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, side)
-phi0 = build_pair_product_state(mu, basis)
+# 2) Pair state on the electron lattice, the chain's Kronecker sum with
+#    itself: second factor is the gauge image of the conjugated profile.
+lattice = PairMatrix(chain, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side))
+phi0 = build_pair_product_state(mu, lattice.basis)
 
 # 3) Fidelity over one period window, plus the two period candidates.
 times = np.unique(np.concatenate([
     np.linspace(0.0, 1.1 * period, 45), [period / 2, period],
 ]))
-series = evolve_pair(chain, phi0, basis, times)
+series = evolve_pair(lattice, phi0, times)
 f_curve = fidelity(series)
 
 for name, t in (("pi/(2w)", period / 2), ("pi/w", period)):

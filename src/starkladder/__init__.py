@@ -15,6 +15,7 @@ from .lattices import (  # noqa: F401
     LatticeSpec,
     OperatorMatrix,
     PairBasis,
+    PairMatrix,
     SymmetryOp,
     apply_symmetry,
     build_chain,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ChainMatrix, OperatorMatrix, PairBasis, gauge_op
+from .lattices import ChainMatrix, OperatorMatrix, PairBasis, PairMatrix, gauge_op
 from .spectra import CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose
 
 __all__ = [
@@ -81,7 +81,7 @@ def _check_state(psi0: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _own_spectrum(
-    h: OperatorMatrix | ChainMatrix, spectrum: ComplexSpectrum | None
+    h: OperatorMatrix | ChainMatrix | PairMatrix, spectrum: ComplexSpectrum | None
 ) -> ComplexSpectrum:
     """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
     dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
@@ -113,7 +113,7 @@ def _integrate(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    h: OperatorMatrix | ChainMatrix,
+    h: OperatorMatrix | ChainMatrix | PairMatrix,
     psi0: np.ndarray,
     times,
     spectrum: ComplexSpectrum | None = None,
@@ -147,42 +147,33 @@ def evolve(
     )
 
 
-def evolve_pair(
-    chain: OperatorMatrix | ChainMatrix,
-    phi0: np.ndarray,
-    basis: PairBasis,
-    times,
-) -> TimeSeries:
-    """Propagate a pair state on the Kronecker-sum lattice of ``chain``.
+def evolve_pair(h: PairMatrix, phi0: np.ndarray, times) -> TimeSeries:
+    """Propagate a pair state on the Kronecker-sum lattice ``h``.
 
-    The electron pair lattice is ``H1 x 1 + 1 x H1`` (``H1`` the chain, as
+    The pair lattice is ``H1 x 1 + 1 x H1`` (``H1 = h.chain``, as
     :func:`starkladder.lattices.build_pair_lattice` builds it), so the pair
     amplitude matrix evolves as ``Psi(t) = U(t) Psi0 U(t)^T`` with
     ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` and
     ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C * exp(-i (e_i + e_j) t)) V^T``:
     O(L^3) per sample from the chain's spectrum, never an ``L^2 x L^2``
     matrix.  Fermion and boson states are embedded as (anti)symmetric
-    amplitude matrices and restricted back to ``basis.labels``
+    amplitude matrices and restricted back to ``h.basis``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
 
     The chain's spectrum is computed here.  The pair basis is ``V x V``, and
     ``kappa(V x V) = kappa(V)^2`` is the ``TimeSeries.condition`` reported;
-    above ``CONDITION_LIMIT`` the matrix ODE ``dPsi/dt = -i (H1 Psi + Psi H1^T)``
-    is integrated instead, as :func:`evolve` does, with the same
-    ``ValueError`` below it; ``TimeSeries.method`` records which path ran.
+    above ``CONDITION_LIMIT`` ``d phi/dt = -i h @ phi`` is integrated
+    instead, as :func:`evolve` does, with the same ``ValueError`` below it;
+    ``TimeSeries.method`` records which path ran.
     """
     times = _check_times(times)
-    phi0 = _check_state(phi0, basis.dim)
-    if chain.dim != basis.side:
-        raise ValueError(
-            f"chain of {chain.dim} sites does not match pair side {basis.side}"
-        )
-    spectrum = eigendecompose(chain)
-    psi0 = basis.embed(phi0)
+    phi0 = _check_state(phi0, h.dim)
+    basis = h.basis
+    spectrum = eigendecompose(h.chain)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:
         v = spectrum.right_eigenvectors
-        c = spectrum.coefficients(spectrum.coefficients(psi0).T).T
+        c = spectrum.coefficients(spectrum.coefficients(basis.embed(phi0)).T).T
         phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
         states = np.empty((times.size, basis.dim), dtype=complex)
         for k, phase in enumerate(phases):  # one L x L amplitude matrix alive
@@ -190,14 +181,7 @@ def evolve_pair(
             states[k] = basis.restrict(w @ c @ w.T)
         method = "spectral"
     else:
-        side = basis.side
-
-        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            psi = y.reshape(side, side)  # psi H1^T = (H1 psi^T)^T
-            return (-1j * (chain @ psi + (chain @ psi.T).T)).ravel()
-
-        psis = _integrate(rhs, psi0.ravel(), times).reshape(-1, side, side)
-        states = basis.restrict(psis)
+        states = _integrate(lambda _t, y: -1j * (h @ y), phi0, times)
         method = f"integrator (eigenvector condition {condition:.2e})"
     states[0] = phi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(times, states, basis.labels, method, spectrum.solver, condition)

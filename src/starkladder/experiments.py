@@ -40,7 +40,6 @@ from .lattices import (
     build_pair_lattice,
     in_window,
     interior_slice,
-    pair_basis,
     pt_commutator_deviation,
 )
 from .pairmap import (
@@ -761,8 +760,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
                 f"profile {key} {seed[key]!r} does not match {want!r}, the {key} of "
                 "the pair lattice's chain; refusing to mix parameters"
             )
-    basis = pair_basis(cfg.model.kind, spec.n_sites)
-    phi0 = build_pair_product_state(payload["mu"], basis)
+    h = build_pair_lattice(cfg.model)
+    phi0 = build_pair_product_state(payload["mu"], h.basis)
 
     omega = spec.omega
     candidates = {
@@ -775,7 +774,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    series = evolve_pair(build_chain(spec), phi0, basis, times)
+    series = evolve_pair(h, phi0, times)
     f_curve = fidelity(series)
 
     # every candidate and snapshot time is one of the sampled times, exactly
@@ -800,14 +799,14 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     # the snapshot rows only, not a (times x dim) table of which they keep five
     probs = dirac_probability(replace(series, times=series.times[shots],
                                       states=series.states[shots]), 0.0)
-    x, y = basis.layout[:2]
+    x, y = h.basis.layout[:2]
     files.append(
         _write_table(
             outdir,
             "snapshots",
             {**meta, "period": t_pair},
             {
-                "t": np.repeat(series.times[shots], basis.dim),
+                "t": np.repeat(series.times[shots], h.dim),
                 "x": np.tile(x, len(shots)),
                 "y": np.tile(y, len(shots)),
                 "value": probs.ravel(),
@@ -840,32 +839,32 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         entry = {"side": side, "omega": omega}
         specs = _pair_specs(side, omega)
         lattices = {kind: build_pair_lattice(spec) for kind, spec in specs.items()}
+        dense = {kind: h.entries for kind, h in lattices.items()}  # each assembled once
         oracles = {kind: oracle_pair_hamiltonian(kind, side, omega) for kind in lattices}
-        for kind, built in lattices.items():
+        for kind, entries in dense.items():
             entry[f"oracle_deviation_{kind.value}"] = float(
-                np.abs(built.entries - oracles[kind].entries).max()
+                np.abs(entries - oracles[kind].entries).max()
             )
         electron = lattices[LatticeKind.PAIR_2D_ELECTRON]
         h_sym, h_anti = sector_decompose(electron)
         entry["sector_deviation_symmetric"] = float(
-            np.abs(h_sym.entries - lattices[LatticeKind.PAIR_2D_BOSON].entries).max()
+            np.abs(h_sym.entries - dense[LatticeKind.PAIR_2D_BOSON]).max()
         )
         entry["sector_deviation_antisymmetric"] = float(
-            np.abs(h_anti.entries - lattices[LatticeKind.PAIR_2D_FERMION].entries).max()
+            np.abs(h_anti.entries - dense[LatticeKind.PAIR_2D_FERMION]).max()
         )
         merged = np.concatenate(
             [np.linalg.eigvals(h_sym.entries), np.linalg.eigvals(h_anti.entries)]
         )
         entry["spectra_merge_deviation"] = spectrum_multiset_distance(
-            np.linalg.eigvals(electron.entries), merged
+            np.linalg.eigvals(dense[LatticeKind.PAIR_2D_ELECTRON]), merged
         )
         entry["pt_commutator"] = pt_commutator_deviation(electron)
 
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        chain = build_chain(specs[LatticeKind.PAIR_2D_ELECTRON].chain)  # as evolve2d builds it
-        direct = evolve_pair(chain, psi0, pair_basis(LatticeKind.PAIR_2D_ELECTRON, side), times)
+        direct = evolve_pair(electron, psi0, times)  # on the chain evolve2d evolves on
         entry["evolution_distance"] = lift_1d_evolution(
             direct, oracles[LatticeKind.PAIR_2D_ELECTRON]
         )

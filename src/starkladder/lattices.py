@@ -32,6 +32,7 @@ __all__ = [
     "LatticeSpec",
     "OperatorMatrix",
     "ChainMatrix",
+    "PairMatrix",
     "PairBasis",
     "SymmetryOp",
     "build_chain",
@@ -49,8 +50,6 @@ __all__ = [
     "ramped_translation_deviation",
     "gauge_conjugation_deviation",
     "pt_commutator_deviation",
-    "pair_basis_of",
-    "pair_chain_of",
     "electron_side",
 ]
 
@@ -74,7 +73,6 @@ class LatticeKind(str, Enum):
         return self in _PAIR_KINDS
 
 
-# in the order pair_basis_of tries them
 _PAIR_KINDS = (LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION,
                LatticeKind.PAIR_2D_BOSON)
 
@@ -169,9 +167,10 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix on an explicitly labelled finite basis: the pair
-    lattices, their sectors and the oracle.  A chain is a :class:`ChainMatrix`;
-    both multiply as ``h @ x``."""
+    """Dense complex matrix on an explicitly labelled finite basis: the
+    oracle, the swap sectors and test matrices.  A chain is a
+    :class:`ChainMatrix` and a pair lattice a :class:`PairMatrix`; all three
+    multiply as ``h @ x``."""
 
     entries: np.ndarray
     basis_labels: tuple
@@ -364,87 +363,76 @@ def pair_basis(kind: LatticeKind, side: int) -> PairBasis:
     return PairBasis(kind=kind, side=side, labels=labels)
 
 
-def pair_basis_of(labels: tuple) -> PairBasis | None:
-    """The pair basis, of any kind, whose labels are ``labels``; None if none is.
-
-    The size alone cannot tell: the fermion basis at ``L = 9`` and the boson
-    basis at ``L = 8`` both have 36 = 6 x 6 labels.
-    """
-    twice = math.isqrt(2 * len(labels))  # L(L - 1)/2 fermion labels give L - 1, bosons L
-    sides = (math.isqrt(len(labels)), twice + 1, twice)
-    bases = (pair_basis(kind, side) for kind, side in zip(_PAIR_KINDS, sides))
-    return next((basis for basis in bases if basis.labels == labels), None)
-
-
-def pair_chain_of(h: OperatorMatrix, basis: PairBasis | None = None) -> ChainMatrix | None:
-    """The chain ``H1`` of a pair-labelled ``h = H1 x 1 + 1 x H1``, read off
-    its entries; None off the pair bases of side >= 4 (:func:`pair_basis_of`).
-    A caller that has recognized ``h``'s basis already passes it as ``basis``.
-
-    Bond ``(b, b+1)`` is an entry that moves one particle across it while the
-    other sits on neither site, so the boson sqrt(2) never enters.  ``a_x`` is
-    half the ``x == y`` diagonal, or on the fermion basis, which has none,
-    ``(d(x, p) + d(x, q) - d(p, q)) / 2`` from pair sums ``d(x, y) = a_x + a_y``
-    with neighbours ``p``, ``q``.  Whether ``h`` is a Kronecker sum is left to
-    the caller's certificate.
-    """
-    if basis is None:
-        basis = pair_basis_of(h.basis_labels)
-    if basis is None or basis.side < 4:
-        return None
-    n, (x, y) = basis.side, basis.layout[:2]
-    at = np.zeros((n, n), dtype=int)  # the row of label (x, y), or else of (y, x)
-    at[y, x] = at[x, y] = np.arange(basis.dim)  # at[y, x] first: electrons hold both
-    b = np.arange(n - 1)
-    spectator = np.where(b < n - 2, n - 1, 0)
-    bonds = h.entries[at[spectator, b], at[spectator, b + 1]]
-    d, sites = h.entries.diagonal(), np.arange(n)
-    if basis.kind is LatticeKind.PAIR_2D_FERMION:
-        p = np.where(sites == 0, 2, sites - 1)
-        q = np.where(sites == n - 1, n - 3, sites + 1)
-        diag = (d[at[sites, p]] + d[at[sites, q]] - d[at[p, q]]) / 2
-    else:
-        diag = d[at[sites, sites]] / 2
-    return ChainMatrix(diag, bonds, range(n))
-
-
 def electron_side(labels: tuple) -> int:
     """Side ``L`` of the electron pair basis ``labels``; ``ValueError`` for any
-    other basis (:func:`pair_basis_of`)."""
-    basis = pair_basis_of(labels)
-    if basis is None or basis.kind is not LatticeKind.PAIR_2D_ELECTRON:
+    other basis."""
+    side = math.isqrt(len(labels))
+    if pair_basis(LatticeKind.PAIR_2D_ELECTRON, side).labels != labels:
         raise ValueError(
             f"not an electron pair lattice: its {len(labels)} basis labels "
             f"({labels[0]!r} ... {labels[-1]!r}) are not the full L x L square "
             "of (x, y) pairs"
         )
-    return basis.side
+    return side
 
 
-def build_pair_lattice(spec: LatticeSpec) -> OperatorMatrix:
-    """2D square-lattice matrix encoding a two-particle chain problem.
+@dataclass(frozen=True)
+class PairMatrix:
+    """Pair lattice ``H1 x 1 + 1 x H1`` held as its chain ``H1`` and its pair
+    basis.  ``h @ x`` is ``basis.restrict(H1 Psi + Psi H1^T)`` with
+    ``Psi = basis.embed(x)``, by the chain's band product; ``entries``, the
+    dense matrix, is assembled on each read and never stored."""
 
-    The electron lattice is the full ``L x L`` grid with the bond pattern
-    of the chain ``H1 = build_chain(spec.chain)`` (:attr:`LatticeSpec.chain`)
-    along both axes and potential ``omega * ((x - o) + (y - o))``: the
-    Kronecker sum ``H1 x 1 + 1 x H1``, from which :func:`pair_chain_of`
-    reads ``H1`` back.  Every kind takes that sum's entries on its own basis,
-    ``H[k, l] = H1[x_k, x_l] [y_k == y_l] + [x_k == x_l] H1[y_k, y_l]``, so
-    the fermion lattice (``x > y``) and the boson lattice (``x >= y``) are
-    never cut out of the full ``L^2 x L^2`` matrix.  The boson lattice
-    scales each bond with exactly one endpoint on the diagonal ``x == y``
-    by sqrt(2).
+    chain: ChainMatrix
+    basis: PairBasis
+
+    def __post_init__(self) -> None:
+        if self.chain.dim != self.basis.side:
+            raise ValueError(
+                f"chain of {self.chain.dim} sites does not match pair side {self.basis.side}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+    @property
+    def basis_labels(self) -> tuple:
+        return self.basis.labels
+
+    @property
+    def entries(self) -> np.ndarray:
+        """``H[k, l] = H1[x_k, x_l] [y_k == y_l] + [x_k == x_l] H1[y_k, y_l]``
+        on the basis's own labels, so the fermion lattice (``x > y``) and the
+        boson lattice (``x >= y``) are never cut out of the full
+        ``L^2 x L^2`` matrix; the boson lattice scales each bond with exactly
+        one endpoint on the diagonal ``x == y`` by sqrt(2)."""
+        h1 = self.chain.entries
+        x, y = self.basis.layout[:2]
+        h = h1[np.ix_(x, x)] * (y[:, None] == y) + (x[:, None] == x) * h1[np.ix_(y, y)]
+        if self.basis.kind is LatticeKind.PAIR_2D_BOSON:
+            on_diag = x == y
+            h = np.where(on_diag[:, None] ^ on_diag, math.sqrt(2.0) * h, h)
+        return h
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # amplitude matrices with the lattice axes first, so that the chain's
+        # band product runs along the first particle's axis
+        psi = np.moveaxis(self.basis.embed(np.asarray(x).T), (-2, -1), (0, 1))
+        out = self.chain @ psi + np.swapaxes(self.chain @ np.swapaxes(psi, 0, 1), 0, 1)
+        return self.basis.restrict(np.moveaxis(out, (0, 1), (-2, -1))).T
+
+
+def build_pair_lattice(spec: LatticeSpec) -> PairMatrix:
+    """2D square lattice encoding a two-particle chain problem: the Kronecker
+    sum ``H1 x 1 + 1 x H1`` of the chain ``H1 = build_chain(spec.chain)``
+    (:attr:`LatticeSpec.chain`) on the pair basis of ``spec.kind``.  The
+    electron lattice is the full ``L x L`` grid with the bond pattern of
+    ``H1`` along both axes and potential ``omega * ((x - o) + (y - o))``.
     """
     if not spec.kind.is_pair:
         raise ValueError(f"build_pair_lattice needs a 2D kind, got {spec.kind.value}")
-    basis = pair_basis(spec.kind, spec.n_sites)
-    h1 = build_chain(spec.chain).entries
-    x, y = basis.layout[:2]
-    h = h1[np.ix_(x, x)] * (y[:, None] == y) + (x[:, None] == x) * h1[np.ix_(y, y)]
-    if spec.kind is LatticeKind.PAIR_2D_BOSON:
-        on_diag = x == y
-        h = np.where(on_diag[:, None] ^ on_diag, math.sqrt(2.0) * h, h)
-    return OperatorMatrix(h, basis.labels)
+    return PairMatrix(build_chain(spec.chain), pair_basis(spec.kind, spec.n_sites))
 
 
 def translation_op(dim: int, n0: int) -> SymmetryOp:
@@ -554,7 +542,7 @@ def gauge_conjugation_deviation(h: OperatorMatrix | ChainMatrix) -> float:
     return float(np.linalg.norm(g[:, None] * entries * g - np.conj(entries)))
 
 
-def pt_commutator_deviation(h2d: OperatorMatrix) -> float:
+def pt_commutator_deviation(h2d: PairMatrix | OperatorMatrix) -> float:
     """Norm of the commutator of parity-times-conjugation with ``H``.
 
     For antiunitary ``PT``, ``[PT, H] v = (P conj(H) - H P) conj(v)``, so

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .dynamics import TimeSeries
-from .lattices import LatticeKind, OperatorMatrix, electron_side, pair_basis
+from .lattices import LatticeKind, OperatorMatrix, PairMatrix, electron_side, pair_basis
 
 __all__ = [
     "oracle_pair_hamiltonian",
@@ -107,7 +107,9 @@ def oracle_pair_hamiltonian(
 _SECTOR_KINDS = (LatticeKind.PAIR_2D_BOSON, LatticeKind.PAIR_2D_FERMION)
 
 
-def sector_decompose(h_electron: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
+def sector_decompose(
+    h_electron: PairMatrix | OperatorMatrix,
+) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Split the electron lattice into (symmetric, antisymmetric) sectors.
 
     Refuses (raising ``ValueError``) a matrix on any basis other than the
@@ -117,15 +119,15 @@ def sector_decompose(h_electron: OperatorMatrix) -> tuple[OperatorMatrix, Operat
     ``P H P^T`` is taken by index maps (:meth:`PairBasis.restrict` on both
     index pairs), never by a dense projector.
     """
-    side = electron_side(h_electron.basis_labels)
-    h4 = h_electron.entries.reshape(side, side, side, side)
+    side, entries = electron_side(h_electron.basis_labels), h_electron.entries
+    h4 = entries.reshape(side, side, side, side)
     asym = float(np.linalg.norm(h4 - h4.transpose(1, 0, 3, 2)))  # (x, y) -> (y, x)
-    if asym > 1e-12 * max(1.0, float(np.abs(h_electron.entries).max())):
+    if asym > 1e-12 * max(1.0, float(np.abs(entries).max())):
         raise ValueError(
             f"electron lattice is not reflection symmetric (deviation {asym:.3e}); "
             "refusing to decompose"
         )
-    rows = h_electron.entries.reshape(side * side, side, side)
+    rows = entries.reshape(side * side, side, side)
     out = []
     for kind in _SECTOR_KINDS:
         basis = pair_basis(kind, side)
@@ -143,13 +145,14 @@ def _normalized_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _expm_states(h: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``expm(-i H t) psi0`` per time, by ``scipy.linalg.expm``: no eigensolver."""
-    return np.array([scipy.linalg.expm(-1j * t * h.entries) @ psi0 for t in times])
+    entries = h.entries
+    return np.array([scipy.linalg.expm(-1j * t * entries) @ psi0 for t in times])
 
 
 def lift_1d_evolution(direct: TimeSeries, oracle: OperatorMatrix) -> float:
     """Largest normalized distance between a pair evolution and the oracle's.
 
-    ``direct`` is a pair evolution (``evolve_pair`` on the chain); the
+    ``direct`` is a pair evolution (``evolve_pair`` on a pair lattice); the
     oracle is evolved from the same initial state at the same times by
     ``expm``, sharing no code with it.  The two are supposed to be equal,
     so this certifies basis ordering and plumbing end to end.  A

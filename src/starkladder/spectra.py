@@ -21,13 +21,12 @@ from scipy.optimize import linear_sum_assignment
 from .lattices import (
     ChainMatrix,
     OperatorMatrix,
+    PairMatrix,
     SymmetryOp,
     apply_symmetry,
     build_chain,
     in_window,
     interior_slice,
-    pair_basis_of,
-    pair_chain_of,
 )
 
 __all__ = [
@@ -367,19 +366,6 @@ def _level_order(values: np.ndarray) -> np.ndarray:
     return by_real[np.lexsort((values.imag[by_real], group))]
 
 
-def _tridiagonal_bands(entries: np.ndarray) -> tuple | None:
-    """``(diagonal, off_diagonal)`` of an irreducible tridiagonal matrix,
-    complex symmetric as :func:`eigendecompose` checks: off-diagonals all
-    nonzero, nothing outside the three diagonals.  None for any other."""
-    off = np.diagonal(entries, 1)
-    if not np.all(off != 0):
-        return None
-    diag = np.diagonal(entries)
-    if np.count_nonzero(entries) != np.count_nonzero(diag) + 2 * off.size:
-        return None
-    return diag.copy(), off.copy()
-
-
 def _bond_gauge(off: np.ndarray) -> np.ndarray:
     """Gauge signs ``g`` of a chain whose bonds are real or imaginary:
     ``g_0 = 1``, and the sign flips across every imaginary bond.
@@ -542,8 +528,8 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
 
 def matrix_residuals(h, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``||H v_k - E_k v_k||`` per column from the product ``h @ v`` (``h``
-    a dense array, an :class:`OperatorMatrix` or a :class:`ChainMatrix`), a
-    block of columns at a time."""
+    a dense array, an :class:`OperatorMatrix`, a :class:`ChainMatrix` or a
+    :class:`PairMatrix`), a block of columns at a time."""
     residuals = np.empty(values.size)
     for block in _column_blocks(values.size):
         v = vectors[:, block]
@@ -563,51 +549,42 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
     return ComplexSpectrum(values, vectors, matrix_residuals(entries, values, vectors))
 
 
-def _kronecker_spectrum(h: OperatorMatrix) -> ComplexSpectrum | None:
-    """Eigenpairs of a pair-labelled matrix as the Kronecker sum
-    ``H1 x 1 + 1 x H1`` of the chain ``H1`` read off its entries
-    (:func:`pair_chain_of`), whatever its bonds: levels ``e_i + e_j``,
-    vectors ``basis.restrict(v_i x v_j)`` over the basis's own ``(i, j)``
-    layout (:meth:`PairBasis.products`), c-orthogonal inside every
-    degeneracy as ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.
-    None off the pair bases of side >= 4; an ``EigendecompositionError``
-    of ``H1`` propagates.  The residuals against ``h`` certify that ``h``
-    is that sum.
+def _kronecker_spectrum(h: PairMatrix) -> ComplexSpectrum:
+    """Eigenpairs of the pair lattice ``H1 x 1 + 1 x H1`` from those of its
+    chain ``H1``, whatever its bonds: levels ``e_i + e_j``, vectors
+    ``basis.restrict(v_i x v_j)`` over the basis's own ``(i, j)`` layout
+    (:meth:`PairBasis.products`), c-orthogonal inside every degeneracy as
+    ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.  An
+    ``EigendecompositionError`` of ``H1`` propagates.  The residuals are
+    taken by the lattice's own product ``h @ v``.
     """
-    basis = pair_basis_of(h.basis_labels)
-    h1 = pair_chain_of(h, basis)
-    if h1 is None:
-        return None
-    x, y = basis.layout[:2]
-    chain = eigendecompose(h1)
+    x, y = h.basis.layout[:2]
+    chain = eigendecompose(h.chain)
     values = chain.eigenvalues[x] + chain.eigenvalues[y]
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
-    vectors = _fix_phases(basis.products(chain.right_eigenvectors, i, j))
+    vectors = _fix_phases(h.basis.products(chain.right_eigenvectors, i, j))
     residuals = matrix_residuals(h, values, vectors)
     return ComplexSpectrum(values, vectors, residuals, "kronecker")
 
 
-def eigendecompose(h: OperatorMatrix | ChainMatrix) -> ComplexSpectrum:
+def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpectrum:
     """Full right eigendecomposition with a residual certificate.
 
-    The route, recorded as ``solver``, follows from the matrix.  A chain
-    with no zero bond, or an irreducible complex-symmetric tridiagonal
-    dense matrix, is ``"tridiagonal"``, from its two bands: one Schur form
-    without Schur vectors and O(n^2) inverse iteration
-    (:func:`_tridiagonal_spectrum`).  A chain with a
-    real diagonal and only real or imaginary bonds (``dimer_1i``) takes
+    The route, recorded as ``solver``, follows from the type of ``h``.  A
+    :class:`ChainMatrix` with no zero bond is ``"tridiagonal"``, from its
+    two bands: one Schur form without Schur vectors and O(n^2) inverse
+    iteration (:func:`_tridiagonal_spectrum`).  A chain with a real
+    diagonal and only real or imaginary bonds (``dimer_1i``) takes
     ``dgees`` on its real gauge image, with one inverse iteration per
     conjugate pair and the partner's column ``g * conj(v)``; a chain with
-    a complex bond product takes ``zgees``.  A matrix labelled by a pair
-    basis of side >= 4 (every pair lattice and sector, and the Kronecker
-    sum of any chain on such a basis) is ``"kronecker"``, from the chain
-    read off its entries (:func:`_kronecker_spectrum`).  If
+    a complex bond product takes ``zgees``.  A :class:`PairMatrix` is
+    ``"kronecker"``, from its own chain (:func:`_kronecker_spectrum`).  If
     either fails the certificate or rejects its own result (exceptional
-    points), and for every other matrix, ``"dense"``
+    points), and for every :class:`OperatorMatrix`, ``"dense"``
     (:func:`_dense_spectrum`) runs on ``h.entries``, assembled only then:
     there a degenerate matrix reads ``condition == inf``, but no
-    experiment builds one.
+    experiment decomposes one.
 
     Raises
     ------
@@ -621,16 +598,15 @@ def eigendecompose(h: OperatorMatrix | ChainMatrix) -> ComplexSpectrum:
     """
     if h.dim < 2:
         raise ValueError("eigendecompose needs dim >= 2")
-    if isinstance(h, ChainMatrix):  # complex symmetric by construction
-        bands = (h.diag, h.off) if np.all(h.off != 0) else None
+    # chains and pair lattices are complex symmetric by construction
+    if isinstance(h, ChainMatrix):
+        spectrum = _tridiagonal_spectrum(h.diag, h.off) if np.all(h.off != 0) else None
+    elif isinstance(h, PairMatrix):
+        spectrum = _kronecker_spectrum(h)
     elif not np.array_equal(h.entries, h.entries.T):
         raise ValueError("matrix is not complex symmetric (H^T != H)")
     else:
-        bands = _tridiagonal_bands(h.entries)
-    if bands is not None:
-        spectrum = _tridiagonal_spectrum(*bands)
-    else:
-        spectrum = _kronecker_spectrum(h)
+        spectrum = None
     if spectrum is not None and np.all(spectrum.residuals < RESIDUAL_TOL):
         return spectrum
     spectrum = _dense_spectrum(h.entries)
@@ -884,7 +860,7 @@ def spectrum_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def verify_ladder_operator(
-    h: OperatorMatrix | ChainMatrix,
+    h: OperatorMatrix | ChainMatrix | PairMatrix,
     op: SymmetryOp,
     state: ReferenceState,
     expected_shift: complex,
@@ -951,7 +927,7 @@ def select_reference_state(
     offsets = np.abs(centers[candidates] - midpoint)
     tied = offsets <= offsets.min() + 1e-9 * max(1.0, midpoint)
     best = int(candidates[np.argmax(tied)])
-    amps = spectrum.right_eigenvectors[:, best]
+    amps = spectrum.right_eigenvectors[:, best].copy()  # no view keeps V alive
     return ReferenceState(
         energy=complex(values[best]),
         amplitudes=amps,

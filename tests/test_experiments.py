@@ -25,6 +25,7 @@ from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    PairMatrix,
     build_chain,
     interior_slice,
 )
@@ -317,8 +318,11 @@ def test_residual_certificate_is_recomputed_from_the_matrix(tmp_path, monkeypatc
 
 
 def _changed(h):
-    """``h`` with one nonzero changed: one bond of a chain, or one entry of a
-    dense matrix, off the diagonal in its middle row."""
+    """``h`` with one nonzero changed: one bond of a chain or of a pair
+    lattice's chain, or one entry of a dense matrix, off the diagonal in its
+    middle row."""
+    if isinstance(h, PairMatrix):
+        return PairMatrix(_changed(h.chain), h.basis)
     if isinstance(h, ChainMatrix):
         off = h.off.copy()
         off[h.dim // 2] += 1e-3
@@ -333,7 +337,7 @@ def _changed(h):
 _ROUTES = [
     ({"kind": "dimer_1i", "n_sites": 20}, lambda h: h, "tridiagonal"),
     ({"kind": "pair_2d_electron", "n_sites": 6}, lambda h: h, "kronecker"),
-    # the same lattice without its pair labels: neither tridiagonal nor a pair basis
+    # the same lattice as a dense matrix
     ({"kind": "pair_2d_electron", "n_sites": 6},
      lambda h: OperatorMatrix(h.entries, tuple(range(h.dim))), "dense"),
 ]
@@ -373,6 +377,35 @@ def test_chain_runs_never_assemble_the_dense_chain(tmp_path, monkeypatch):
     assert assembled == []
     build_chain(LatticeSpec(LatticeKind.DIMER_1I, 8, 0.2)).entries
     assert len(assembled) == 1  # the count sees an assembly
+
+
+def test_pair_runs_never_assemble_the_dense_pair_lattice(tmp_path, monkeypatch):
+    # a pair lattice is its chain and its basis: the eigensolver, the
+    # residual certificate and the evolution all take them, and only
+    # pair-equivalence, which compares dense matrices, reads PairMatrix.entries
+    assembled = []
+    original = PairMatrix.entries.fget
+    monkeypatch.setattr(PairMatrix, "entries",
+                        property(lambda h: assembled.append(h.basis.kind) or original(h)))
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"n_sites": 12, "omega": 0.2})
+    for kind in ("pair_2d_electron", "pair_2d_fermion", "pair_2d_boson"):
+        for experiment in ("spectrum", "ladder_scan"):
+            run(load_config(overrides={
+                "experiment": experiment,
+                "model": {"kind": kind, "n_sites": 12, "omega": 0.2},
+                "output": {"directory": str(tmp_path / kind / experiment)},
+            }))
+        _pair_run(seed, tmp_path / kind / "evolve2d", kind=kind, n_sites=12)
+    assert assembled == []
+    run(load_config(overrides={"experiment": "pair_equivalence",
+                               "run": {"sides": [4]},
+                               "output": {"directory": str(tmp_path / "equivalence")}}))
+    # each lattice once for the comparisons, the electron one twice more:
+    # for its swap sectors and its PT commutator
+    assert collections.Counter(assembled) == {LatticeKind.PAIR_2D_ELECTRON: 3,
+                                              LatticeKind.PAIR_2D_FERMION: 1,
+                                              LatticeKind.PAIR_2D_BOSON: 1}
 
 
 def _traced_peak(call) -> int:

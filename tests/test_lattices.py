@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,13 @@ from starkladder.lattices import (
     build_chain,
     build_pair_lattice,
     compose,
+    electron_side,
     gauge_conjugation_deviation,
     gauge_op,
     in_window,
     interior_margin,
     interior_slice,
     pair_basis,
-    pair_basis_of,
-    pair_chain_of,
     parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
@@ -30,6 +30,7 @@ from starkladder.lattices import (
 )
 
 from starkladder.pairmap import oracle_pair_hamiltonian, sector_decompose
+from starkladder.spectra import eigendecompose
 
 from sector_reference import reference_pair_lattice
 
@@ -265,7 +266,7 @@ def test_sector_build_never_forms_the_electron_lattice():
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=40, omega=0.2)
     tracemalloc.start()
     try:
-        build_pair_lattice(spec)
+        build_pair_lattice(spec).entries
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,64 +288,95 @@ def test_pair_label_order_is_lexicographic():
 @pytest.mark.parametrize("kind", [k for k in LatticeKind if k.is_pair])
 @pytest.mark.parametrize("side", [2, 3, 4, 6, 8, 9, 13])
 def test_pair_basis_of_recognizes_each_pair_basis(kind, side):
-    basis = pair_basis(kind, side)
-    assert pair_basis_of(basis.labels) == basis
+    # electron_side accepts the electron basis and no other pair basis
+    labels = pair_basis(kind, side).labels
+    if kind is LatticeKind.PAIR_2D_ELECTRON:
+        assert electron_side(labels) == side
+    else:
+        with pytest.raises(ValueError, match="not an electron pair lattice"):
+            electron_side(labels)
 
 
 def test_pair_basis_of_refuses_other_labels():
     # 36 labels: the electron basis at L = 6, fermions at L = 9, bosons at
     # L = 8; only the labels themselves tell them apart
-    kinds = {pair_basis_of(pair_basis(k, s).labels).kind for k, s in
-             [(LatticeKind.PAIR_2D_ELECTRON, 6), (LatticeKind.PAIR_2D_FERMION, 9),
-              (LatticeKind.PAIR_2D_BOSON, 8)]}
-    assert len(kinds) == 3
-    labels = pair_basis(LatticeKind.PAIR_2D_FERMION, 9).labels
-    assert pair_basis_of(tuple(range(36))) is None
-    assert pair_basis_of(labels[::-1]) is None
-    assert pair_basis_of(labels[:-1]) is None
-    assert pair_basis_of(((0, 0), (1, 0), (0, 1), (1, 1))) is None  # not lexicographic
+    labels = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 6).labels
+    others = [pair_basis(LatticeKind.PAIR_2D_FERMION, 9).labels,
+              pair_basis(LatticeKind.PAIR_2D_BOSON, 8).labels,
+              tuple(range(36)), labels[::-1], labels[:-1],
+              ((0, 0), (1, 0), (0, 1), (1, 1))]  # the last not lexicographic
+    for other in others:
+        with pytest.raises(ValueError, match="not an electron pair lattice"):
+            electron_side(other)
 
 
 PAIR_KINDS = [k for k in LatticeKind if k.is_pair]
 
 
-def _assert_chain(read: ChainMatrix, chain: ChainMatrix, exact: bool) -> None:
-    """``read`` is ``chain``: the same bands, equal entry by entry (signed
-    zeros aside), or within 1e-15 * max(1, |a|)."""
+def _assert_chain(read: ChainMatrix, chain: ChainMatrix) -> None:
+    """``read`` is ``chain``: the same bands, equal entry by entry."""
     assert read.basis_labels == chain.basis_labels
-    for got, want in ((read.diag, chain.diag), (read.off, chain.off)):
-        if exact:
-            np.testing.assert_array_equal(got, want)
-        else:
-            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    np.testing.assert_array_equal(read.diag, chain.diag)
+    np.testing.assert_array_equal(read.off, chain.off)
+
+
+def _assert_entries(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.abs(got - want).max() <= 1e-15 * max(1.0, float(np.abs(want).max()))
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 @pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
 def test_pair_chain_of_reads_the_built_chain(kind, side):
-    # electron and boson energies are halves of the exact sums 2 a_x; the
-    # fermion ones come from three rounded sums each
+    # a pair lattice holds the chain it is the Kronecker sum of; the oracle,
+    # which knows no chain, and the electron lattice's swap sectors have its
+    # entries
     for offset in (None, 0, 1):
         for omega in (0.0, 0.2, 1.2):
             spec = LatticeSpec(kind=kind, n_sites=side, omega=omega, origin_offset=offset)
-            chain = build_chain(spec.chain)
-            exact = kind is not LatticeKind.PAIR_2D_FERMION
-            _assert_chain(pair_chain_of(build_pair_lattice(spec)), chain, exact)
-            _assert_chain(pair_chain_of(oracle_pair_hamiltonian(kind, side, omega, offset)),
-                          chain, exact=False)
+            h = build_pair_lattice(spec)
+            _assert_chain(h.chain, build_chain(spec.chain))
+            assert h.basis == pair_basis(kind, side)
+            _assert_entries(oracle_pair_hamiltonian(kind, side, omega, offset).entries,
+                            h.entries)
             if kind is LatticeKind.PAIR_2D_ELECTRON:
-                for sector in sector_decompose(build_pair_lattice(spec)):
-                    _assert_chain(pair_chain_of(sector), chain, exact=False)
+                sectors = sector_decompose(h)
+                for sector, other in zip(sectors, (LatticeKind.PAIR_2D_BOSON,
+                                                   LatticeKind.PAIR_2D_FERMION)):
+                    _assert_entries(sector.entries,
+                                    build_pair_lattice(replace(spec, kind=other)).entries)
 
 
 def test_pair_chain_of_refuses_other_matrices():
-    assert pair_chain_of(build_chain(LatticeSpec(LatticeKind.DIMER_1I, 16, 0.2))) is None
-    for kind in PAIR_KINDS:
-        for side in (2, 3):
-            basis = pair_basis(kind, side)
-            assert pair_chain_of(OperatorMatrix(np.eye(basis.dim), basis.labels)) is None
-    labels = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 4).labels
-    assert pair_chain_of(OperatorMatrix(np.eye(16), labels[::-1])) is None
+    # only a PairMatrix holds a chain: the same lattice as a dense matrix on
+    # its pair labels is decomposed as any dense matrix, its labels unread
+    h = build_pair_lattice(LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 6, 0.2))
+    assert eigendecompose(h).solver == "kronecker"
+    assert eigendecompose(OperatorMatrix(h.entries, h.basis_labels)).solver == "dense"
+
+
+@st.composite
+def _pair_products(draw):
+    """A pair lattice and a vector or a block of 1, 64 or 67 columns."""
+    kind = draw(st.sampled_from(PAIR_KINDS))
+    side = draw(st.integers(4, 14))
+    spec = LatticeSpec(kind=kind, n_sites=side, omega=draw(st.floats(-1.5, 1.5)),
+                       origin_offset=draw(st.integers(0, side - 1)))
+    columns = draw(st.sampled_from([None, 1, 64, 67]))
+    return spec, columns, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pair_products())
+def test_pair_product_is_the_dense_product(case):
+    spec, columns, seed = case
+    h = build_pair_lattice(spec)
+    shape = (h.dim,) if columns is None else (h.dim, columns)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got, want = h @ x, h.entries @ x
+    assert got.shape == want.shape == shape
+    miss = np.linalg.norm(got - want, axis=0)
+    assert np.all(miss <= 1e-14 * np.linalg.norm(want, axis=0))
 
 
 def test_pair_spec_names_its_chain():

@@ -74,7 +74,7 @@ def test_pair_facts_have_one_owner():
     # pair bases are recognized from their labels in lattices alone, and
     # kappa(V x V) = kappa(V)^2 is written in dynamics alone; a pair
     # lattice's chain is the 1/i dimer in lattices alone (LatticeSpec.chain,
-    # read back by pair_chain_of), so the Kronecker route names no spec
+    # held by PairMatrix), so the Kronecker route names no spec
     trees = _trees()
     assert {name for name, tree in trees.items() if "isqrt" in _named(tree)} == {"lattices"}
     assert {name for name, tree in trees.items() if "DIMER_1I" in _named(tree)} == {"lattices"}
@@ -87,6 +87,13 @@ def test_pair_facts_have_one_owner():
         and getattr(node.left, "attr", None) == "condition"
     }
     assert powers == {"dynamics"}
+
+
+def test_eigensolver_routes_by_type_alone():
+    # eigendecompose takes a chain's bands and a pair lattice's chain from
+    # the matrix types; it reads no structure back out of labels or entries
+    named = _named(_trees()["spectra"])
+    assert not named & {"basis_labels", "pair_basis_of", "pair_chain_of", "_tridiagonal_bands"}
 
 
 def test_only_the_block_iterator_reads_the_block_width():

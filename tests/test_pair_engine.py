@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkladder.dynamics as dynamics
-import starkladder.experiments as experiments
-import starkladder.lattices as lattices
 from starkladder.dynamics import evolve_pair
-from starkladder.experiments import load_config, run
-from starkladder.lattices import LatticeKind, LatticeSpec, build_chain, build_pair_lattice
+from starkladder.lattices import (
+    LatticeKind,
+    LatticeSpec,
+    PairMatrix,
+    build_chain,
+    build_pair_lattice,
+)
 from starkladder.pairmap import pair_basis
 from starkladder.spectra import eigendecompose
 
@@ -53,30 +56,27 @@ def test_embed_and_restrict_are_the_sector_projector(kind):
 )
 def test_engine_matches_dense_expm(kind, side, omega, offset_frac, t_frac, seed):
     offset = min(int(offset_frac * side), side - 1)  # every site can be the origin
-    spec = LatticeSpec(kind=kind, n_sites=side, omega=omega, origin_offset=offset)
-    chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=side,
-                                    omega=omega, origin_offset=offset))
-    basis = pair_basis(kind, side)
-    phi0 = _random_state(basis.dim, seed)
+    h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=omega,
+                                       origin_offset=offset))
+    phi0 = _random_state(h.dim, seed)
     t = t_frac * math.pi / omega
-    series = evolve_pair(chain, phi0, basis, [0.0, t])
+    series = evolve_pair(h, phi0, [0.0, t])
     assert series.method == "spectral"
-    assert series.basis_labels == basis.labels
-    exact = scipy.linalg.expm(-1j * build_pair_lattice(spec).entries * t) @ phi0
+    assert series.basis_labels == pair_basis(kind, side).labels
+    exact = scipy.linalg.expm(-1j * h.entries * t) @ phi0
     err = np.linalg.norm(series.states[-1] - exact) / np.linalg.norm(exact)
     assert err <= 1e-9
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
 def test_integrator_branch_agrees_with_spectral(kind, monkeypatch):
-    side, omega = 6, 0.2
-    chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=side, omega=omega))
-    basis = pair_basis(kind, side)
-    phi0 = _random_state(basis.dim, 7)
+    omega = 0.2
+    h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=6, omega=omega))
+    phi0 = _random_state(h.dim, 7)
     times = np.linspace(0.0, math.pi / omega, 9)
-    spectral = evolve_pair(chain, phi0, basis, times)
+    spectral = evolve_pair(h, phi0, times)
     monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
-    integrated = evolve_pair(chain, phi0, basis, times)
+    integrated = evolve_pair(h, phi0, times)
     assert spectral.method == "spectral"
     assert integrated.method.startswith("integrator")
     for a, b in zip(spectral.states, integrated.states):
@@ -111,40 +111,15 @@ def test_engine_reports_the_product_basis(kind, monkeypatch):
     spectrum = eigendecompose(chain)
     single = dynamics.evolve(chain, _random_state(8, 3), [0.0, 1.0])
     assert (single.solver, single.condition) == ("tridiagonal", spectrum.condition)
-    basis = pair_basis(kind, 8)
+    h = PairMatrix(chain, pair_basis(kind, 8))
     for limit in (dynamics.CONDITION_LIMIT, 0.0):
         monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
-        series = evolve_pair(chain, _random_state(basis.dim, 4), basis, [0.0, 1.0])
+        series = evolve_pair(h, _random_state(h.dim, 4), [0.0, 1.0])
         assert series.solver == "tridiagonal"
         assert series.condition == spectrum.condition**2
 
 
 def test_engine_rejects_mismatched_chain():
     chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
-    basis = pair_basis(LatticeKind.PAIR_2D_ELECTRON, 8)
     with pytest.raises(ValueError, match="does not match pair side"):
-        evolve_pair(chain, _random_state(basis.dim, 0), basis, [0.0, 1.0])
-
-
-def test_evolve2d_never_builds_the_pair_lattice(tmp_path, monkeypatch):
-    def refuse(spec):
-        raise AssertionError(f"dense pair lattice built for {spec.kind.value}")
-
-    monkeypatch.setattr(experiments, "build_pair_lattice", refuse)
-    monkeypatch.setattr(lattices, "build_pair_lattice", refuse)
-    seed = tmp_path / "seed"
-    run(load_config(overrides={
-        "experiment": "evolve1d",
-        "model": {"n_sites": 16, "omega": 0.2},
-        "run": {"n_steps": 8},
-        "output": {"directory": str(seed)},
-    }))
-    for kind in PAIR_KINDS:
-        checks = run(load_config(overrides={
-            "experiment": "evolve2d",
-            "model": {"kind": kind.value, "n_sites": 16, "omega": 0.2},
-            "run": {"from_run": str(seed), "n_steps": 16},
-            "output": {"directory": str(tmp_path / kind.value)},
-        }))["checks"]
-        assert checks["method"] == "spectral"
-        assert 0.0 <= checks["fidelity_at_candidates"]["pi_over_omega"] <= 1.0
+        PairMatrix(chain, pair_basis(LatticeKind.PAIR_2D_ELECTRON, 8))

@@ -27,8 +27,10 @@ from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    PairMatrix,
     build_chain,
     build_pair_lattice,
+    pair_basis,
 )
 from starkladder.pairmap import oracle_pair_hamiltonian, sector_decompose
 from starkladder.spectra import (
@@ -40,6 +42,7 @@ from starkladder.spectra import (
     eigendecompose,
     leading_amplitude_index,
     participation_ratio,
+    scan_E0_vs_omega,
     select_reference_state,
     spectrum_multiset_distance,
 )
@@ -422,6 +425,13 @@ def test_long_chain_statistics_form_no_square_temporary(dimer1000):
     assert _traced_peak(lambda: participation_ratio(v)) < 2e6
 
 
+def test_slope_scan_holds_one_eigenvector_matrix():
+    # the reference state copies its column: a view of V kept one slope's
+    # 16 MB V alive through the next decomposition, a peak of 34.4 MB
+    spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
+    assert _traced_peak(lambda: scan_E0_vs_omega(spec, [0.18, 0.2, 0.22])) < 24e6
+
+
 PAIR_KINDS = [LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION, LatticeKind.PAIR_2D_BOSON]
 
 
@@ -431,11 +441,8 @@ def test_pair_lattice_bases_are_c_orthogonal(side):
     # the product basis v_i x v_j is c-orthogonal inside every degeneracy, so
     # V^T V is diagonal, and kappa_2 stays near that of eig's basis (L = 24
     # guards against a basis that inflates it)
-    lattices = [
-        build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=0.2))
-        for kind in PAIR_KINDS
-    ]
-    for h in [*lattices, *sector_decompose(lattices[0])]:
+    for kind in PAIR_KINDS:
+        h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=0.2))
         spectrum = eigendecompose(h)
         assert spectrum.solver == "kronecker"
         assert spectrum.residuals.max() < RESIDUAL_TOL
@@ -449,14 +456,19 @@ def test_pair_lattice_bases_are_c_orthogonal(side):
 
 
 def _pair_lattices(side: int, omega: float, offset) -> list:
-    """Every pair kind, the electron lattice's two swap sectors and the
-    second-quantized oracle of every kind."""
+    """Every pair kind, each checked against the dense matrices that are
+    the same lattice: the second-quantized oracle of its kind, and the
+    electron lattice's swap sector of the boson and fermion kinds."""
     lattices = [
         build_pair_lattice(LatticeSpec(kind=kind, n_sites=side, omega=omega, origin_offset=offset))
         for kind in PAIR_KINDS
     ]
     oracles = [oracle_pair_hamiltonian(kind, side, omega, offset) for kind in PAIR_KINDS]
-    return [*lattices, *sector_decompose(lattices[0]), *oracles]
+    h_sym, h_anti = sector_decompose(lattices[0])
+    for h, same in [*zip(lattices, oracles), (lattices[2], h_sym), (lattices[1], h_anti)]:
+        entries = h.entries
+        assert np.abs(same.entries - entries).max() <= 1e-15 * max(1.0, np.abs(entries).max())
+    return lattices
 
 
 @pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 24])
@@ -486,11 +498,14 @@ def test_pair_lattices_take_the_kronecker_route(side, omega, offset):
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_kronecker_sum_of_any_chain_takes_the_kronecker_route(kind):
-    # the route reads H1 off the matrix: the Kronecker sum of a J/J* chain
-    # is decomposed from that chain, not from a 1/i dimer fitted to its
-    # diagonal (which sent it to eig, condition inf)
+    # the route takes H1 from the pair lattice: the Kronecker sum of a J/J*
+    # chain is decomposed from that chain, not from a 1/i dimer fitted to
+    # its diagonal (which sent it to eig, condition inf)
     h1 = build_chain(LatticeSpec(LatticeKind.DIMER_JJSTAR, 12, 0.2, j_even=0.8 + 0.6j))
-    h = OperatorMatrix(*reference_kronecker_sum(h1.entries, kind))
+    h = PairMatrix(h1, pair_basis(kind, 12))
+    entries, labels = reference_kronecker_sum(h1.entries, kind)
+    assert h.basis_labels == labels
+    assert h.entries.tobytes() == entries.tobytes()
     spectrum = eigendecompose(h)
     assert spectrum.solver == "kronecker"
     assert np.isfinite(spectrum.condition)
@@ -499,6 +514,20 @@ def test_kronecker_sum_of_any_chain_takes_the_kronecker_route(kind):
     rows, cols = linear_sum_assignment(cost)
     scale = np.maximum(1.0, np.abs(spectrum.eigenvalues[rows]))
     assert np.all(cost[rows, cols] <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+@pytest.mark.parametrize("side", [6, 30, 40])
+def test_pair_levels_are_the_sums_of_the_chain_levels(kind, side):
+    # bit for bit the levels e_i + e_j of the chain that evolve2d evolves on,
+    # in level order; a chain whose site energies were rebuilt from pair
+    # sums moved fermion levels by up to 1.8e-14 at L = 40
+    spec = LatticeSpec(kind, side, 0.2)
+    e = eigendecompose(build_chain(spec.chain)).eigenvalues
+    x, y = pair_basis(kind, side).layout[:2]
+    sums = e[x] + e[y]
+    sums = sums[reference_level_order(sums)]
+    assert eigendecompose(build_pair_lattice(spec)).eigenvalues.tobytes() == sums.tobytes()
 
 
 def test_criterion_9_lattice_expands_in_the_chain_product_basis():
@@ -516,8 +545,8 @@ def test_criterion_9_lattice_expands_in_the_chain_product_basis():
 
 def test_perturbed_pair_lattice_falls_back_to_the_dense_route():
     # the bond (1, 1)-(1, 2) moved by 1e-6: no chain's Kronecker sum has it,
-    # the product eigenvectors miss it by about 1e-6, and the dense route
-    # certifies the matrix instead
+    # so it is a dense matrix on the pair labels, and the dense route
+    # certifies it; the route follows from the type, not the labels
     h = build_pair_lattice(LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 6, 0.2))
     entries = h.entries.copy()
     entries[7, 8] += 1e-6
