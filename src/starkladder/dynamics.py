@@ -9,7 +9,7 @@ the runs report it alongside the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,7 +87,7 @@ def _own_spectrum(
     dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
     if spectrum is None:
         return eigendecompose(h)
-    v, e = spectrum.right_eigenvectors[:, 0], spectrum.eigenvalues[0]
+    v, e = spectrum.eigenvectors([0])[:, 0], spectrum.eigenvalues[0]
     tol = max(RESIDUAL_TOL, 2.0 * spectrum.residuals.max())
     if spectrum.dim != h.dim or not np.linalg.norm(h @ v - e * v) < tol:
         raise ValueError(f"the spectrum (dimension {spectrum.dim}) belongs to another matrix")
@@ -136,7 +136,8 @@ def evolve(
     if spectrum.condition <= CONDITION_LIMIT:
         coeffs = spectrum.coefficients(psi0)
         phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
-        states = (spectrum.right_eigenvectors @ (coeffs[:, None] * phases)).T
+        phases *= coeffs[:, None]
+        states = spectrum.vectors_times(phases).T
         method = "spectral"
     else:
         states = _integrate(lambda _t, y: -1j * (h @ y), psi0, times)
@@ -169,10 +170,14 @@ def evolve_pair(h: PairMatrix, phi0: np.ndarray, times) -> TimeSeries:
     times = _check_times(times)
     phi0 = _check_state(phi0, h.dim)
     basis = h.basis
-    spectrum = eigendecompose(h.chain)
+    # the chain's V is L x L, small next to the pair dimension: held whole,
+    # its expansion and synthesis are plain matrix products
+    chain = eigendecompose(h.chain)
+    spectrum = replace(chain, columns=chain.right_eigenvectors, source=None, mirror=None,
+                       gauge=None)
     condition = spectrum.condition**2
     if condition <= CONDITION_LIMIT:
-        v = spectrum.right_eigenvectors
+        v = spectrum.columns
         c = spectrum.coefficients(spectrum.coefficients(basis.embed(phi0)).T).T
         phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
         states = np.empty((times.size, basis.dim), dtype=complex)
@@ -231,7 +236,7 @@ def family_projection(
     keep = np.zeros(spectrum.dim, dtype=complex)
     idx = np.asarray(list(member_indices), dtype=int)
     keep[idx] = coeffs[idx]
-    return spectrum.right_eigenvectors @ keep
+    return spectrum.vectors_times(keep)
 
 
 def extract_projected_mu(

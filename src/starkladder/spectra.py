@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -88,10 +88,19 @@ class ReferenceSelectionError(RuntimeError):
 class ComplexSpectrum:
     """Right eigenpairs of a complex symmetric matrix, residual-certified.
 
-    Eigenvalues are in :func:`_level_order`; ``right_eigenvectors[:, k]`` is
+    Eigenvalues are in :func:`_level_order`; eigenvector ``V[:, k]`` is
     unit-norm with its leading amplitude (:func:`leading_amplitude_index`)
     real positive, so the decomposition is deterministic.  ``solver`` names
     the route of :func:`eigendecompose`: ``"tridiagonal"``, ``"kronecker"`` or ``"dense"``.
+
+    ``V`` is held as its stored ``columns`` ``S`` (n x m): level ``k`` reads
+    column ``source[k]``, and where ``mirror[k]`` is +-1 it is that column's
+    gauge partner ``mirror[k] * gauge * conj(S[:, source[k]])``
+    (:func:`_bond_gauge`), an eigenvector at the conjugate level.  Without
+    ``source`` every level is its own column and ``S`` is ``V``.  Every pass
+    over ``V`` goes through :meth:`vectors_times`, :meth:`transpose_times`,
+    :meth:`per_column` or :meth:`eigenvectors`; ``right_eigenvectors``
+    assembles the whole ``V`` on each read and is never stored.
 
     ``V^T V = D`` is diagonal, so ``V^-1 = D^-1 V^T`` is the one inverse of
     every expansion and of the condition number.  Where two seeded probes
@@ -100,30 +109,108 @@ class ComplexSpectrum:
     """
 
     eigenvalues: np.ndarray
-    right_eigenvectors: np.ndarray
+    columns: np.ndarray
     residuals: np.ndarray
     solver: str = "dense"
+    source: np.ndarray | None = None
+    mirror: np.ndarray | None = None
+    gauge: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
     @cached_property
+    def _partners(self) -> tuple:
+        """``(stored, levels, sources, signs)``: the levels held as the
+        columns of ``S``, in order; the gauge partners, the column each
+        reads and its sign ``mirror``."""
+        if self.source is None:
+            return np.arange(self.dim), *np.empty((3, 0), dtype=int)
+        levels = np.flatnonzero(self.mirror)
+        return (np.flatnonzero(self.mirror == 0), levels, self.source[levels],
+                self.mirror[levels])
+
+    def eigenvectors(self, levels) -> np.ndarray:
+        """``V[:, levels]`` for a slice or an index array: a view of ``S``
+        without partners, else formed from it."""
+        if self.source is None:
+            return self.columns[:, levels]
+        v = np.take(self.columns, self.source[levels], axis=1)  # C order, as S's blocks
+        sign = self.mirror[levels][None, :]
+        partner = sign != 0  # in place: no second copy of the partners
+        np.conjugate(v, out=v, where=partner)
+        np.multiply(v, self.gauge[:, None], out=v, where=partner)
+        np.multiply(v, sign, out=v, where=partner)
+        return v
+
+    @property
+    def right_eigenvectors(self) -> np.ndarray:
+        """The whole ``V``, assembled on each read (n x n)."""
+        return self.eigenvectors(slice(None))
+
+    def per_column(self, function) -> np.ndarray:
+        """One float per level: ``function(E[block], V[:, block])`` over
+        :func:`_column_blocks`, each block formed in turn and dropped before
+        the next.  Statistics of ``|v|`` (:func:`localization_center`,
+        :func:`participation_ratio`) are taken here rather than on ``S``:
+        the centre's gemv rounds a column by its place in the block."""
+        out = np.empty(self.dim)
+        for block in _column_blocks(self.dim):
+            out[block] = function(self.eigenvalues[block], self.eigenvectors(block))
+        return out
+
+    def vectors_times(self, x: np.ndarray) -> np.ndarray:
+        """``V @ x`` for a vector or a matrix ``x``: ``S @ A + g * conj(S @ B)``,
+        ``A`` the rows of the stored levels and ``B`` the conjugated, signed
+        rows of the partners, placed at their columns."""
+        stored, levels, sources, signs = self._partners
+        if not levels.size:
+            return self.columns @ x
+        b = np.zeros((self.columns.shape[1], *x.shape[1:]), dtype=complex)
+        b[sources] = _along_rows(signs, x) * np.conj(x[levels])
+        y = self.columns @ b
+        del b  # one n-row product alive besides y at a time
+        np.conj(y, out=y)
+        y *= _along_rows(self.gauge, y)
+        y += self.columns @ x[stored]
+        return y
+
+    def transpose_times(self, y: np.ndarray) -> np.ndarray:
+        """``V^T @ y`` for a vector or a matrix ``y``: ``S^T y`` for the
+        stored levels, ``sign * conj(S^T conj(g * y))`` for the partners."""
+        stored, levels, sources, signs = self._partners
+        if not levels.size:
+            return self.columns.T @ y
+        out = np.empty((self.dim, *y.shape[1:]), dtype=complex)
+        out[stored] = self.columns.T @ y
+        w = self.columns.T @ np.conj(_along_rows(self.gauge, y) * y)
+        out[levels] = _along_rows(signs, w) * np.conj(w[sources])
+        return out
+
+    @cached_property
     def _gram_diagonal(self) -> np.ndarray | None:
-        """``d = diag(V^T V)`` if two seeded probes show ``V^T V = D``, else None."""
-        v = self.right_eigenvectors
-        d = np.einsum("ij,ij->j", v, v)
+        """``d = diag(V^T V)`` if two seeded probes show ``V^T V = D``, else
+        None; ``d`` is taken on ``S``, a partner's the conjugate of its
+        source's, as ``(g * conj(v))^T (g * conj(v)) = conj(v^T v)``."""
+        s = self.columns
+        d = np.einsum("ij,ij->j", s, s)
+        if self.source is not None:
+            d = d[self.source]
+            levels = self._partners[1]
+            d[levels] = np.conj(d[levels])
         probes = _start_vectors(self.dim, 2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            off = (v.T @ (v @ probes)) / d[:, None] - probes
+            off = self.transpose_times(self.vectors_times(probes)) / d[:, None] - probes
             gap = np.linalg.norm(off)
         return d if gap <= GRAM_TOL * np.linalg.norm(probes) else None
 
     @cached_property
     def _norm(self) -> float:
         """``||V||_2`` by power iteration (:func:`_norm_estimate`), a lower bound."""
-        v = self.right_eigenvectors
-        return _norm_estimate(lambda x: v @ x, lambda y: np.conj(v.T @ np.conj(y)), self.dim)
+        return _norm_estimate(
+            self.vectors_times, lambda y: np.conj(self.transpose_times(np.conj(y))), self.dim
+        )
 
     @cached_property
     def condition(self) -> float:
@@ -137,10 +224,11 @@ class ComplexSpectrum:
         d = self._gram_diagonal
         if d is None:
             return math.inf
-        v = self.right_eigenvectors
         with np.errstate(all="ignore"):  # a near-singular V may overflow
             kappa = self._norm * _norm_estimate(
-                lambda x: (v.T @ x) / d, lambda y: np.conj(v @ (np.conj(y) / d)), self.dim
+                lambda x: self.transpose_times(x) / d,
+                lambda y: np.conj(self.vectors_times(np.conj(y) / d)),
+                self.dim,
             )
         return kappa if math.isfinite(kappa) else math.inf
 
@@ -165,12 +253,10 @@ class ComplexSpectrum:
                 f"{CONDITION_LIMIT:.0e}; the eigenbasis is numerically defective"
             )
         psi = np.asarray(psi, dtype=complex)
-        d = self._gram_diagonal
-        v = self.right_eigenvectors
-        weights = d if psi.ndim == 1 else d[:, None]
-        c = (v.T @ psi) / weights
-        c += (v.T @ (psi - v @ c)) / weights
-        miss = np.linalg.norm(v @ c - psi, axis=0)
+        weights = _along_rows(self._gram_diagonal, psi)
+        c = self.transpose_times(psi) / weights
+        c += self.transpose_times(psi - self.vectors_times(c)) / weights
+        miss = np.linalg.norm(self.vectors_times(c) - psi, axis=0)
         bound = RECONSTRUCTION_TOL * self._norm * np.linalg.norm(c, axis=0)
         if not np.all(miss <= bound):
             raise ValueError(
@@ -184,6 +270,12 @@ def _start_vectors(n: int, count: int) -> np.ndarray:
     """``count`` fixed pseudo-random complex columns of length ``n``."""
     rng = np.random.default_rng(_SEED)
     return rng.standard_normal((n, count)) + 1j * rng.standard_normal((n, count))
+
+
+def _along_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a``, one entry per row of ``x`` (a vector or a matrix), shaped to
+    broadcast against it."""
+    return a.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def _norm_estimate(apply, apply_h, n: int) -> float:
@@ -344,13 +436,16 @@ def leading_amplitude_index(vectors: np.ndarray) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Scale each column, in place, to unit norm with its leading amplitude
-    real positive, a block of columns at a time."""
+    real positive, a block of columns at a time; returns the row of each
+    column's leading amplitude (:func:`leading_amplitude_index`)."""
+    leads = np.empty(vectors.shape[1], dtype=int)
     for block in _column_blocks(vectors.shape[1]):
         v = vectors[:, block]
         v /= np.linalg.norm(v, axis=0)
-        lead = v[leading_amplitude_index(v), np.arange(v.shape[1])]
+        leads[block] = leading_amplitude_index(v)
+        lead = v[leads[block], np.arange(v.shape[1])]
         v *= np.abs(lead) / lead
-    return vectors
+    return leads
 
 
 def _level_order(values: np.ndarray) -> np.ndarray:
@@ -378,9 +473,9 @@ def _bond_gauge(off: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(np.where(off.real == 0, -1.0, 1.0))))
 
 
-def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
-                       partners: np.ndarray):
-    """Eigenvectors of the tridiagonal matrix at the given eigenvalues.
+def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
+    """Eigenvectors of the tridiagonal matrix at the given eigenvalues, one
+    column each, unnormalized.
 
     Inverse iteration per eigenvalue with LAPACK ``zgtsv`` (partial
     pivoting), the shift ``INVERSE_ITERATION_SHIFT`` ulps of the matrix
@@ -391,23 +486,18 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
     from the unit vector, amplitudes far from it decay as the eigenvector
     does.
 
-    Where ``partners[k] >= 0``, level ``partners[k]`` is ``conj(E_k)`` on
-    a chain with real or imaginary bonds only: its column is written in
-    the same step as ``g * conj(v_k)`` (:func:`_bond_gauge`), with no solve
-    of its own, so each conjugate pair costs one inverse iteration and no
-    second block of columns is formed.  Columns come back unnormalized.
-    O(n) per solve, O(n^2) in all.  None if a factorization meets an
-    exactly zero pivot.
+    The caller passes one level per conjugate pair where the Schur form is
+    real: the partner columns ``g * conj(v)`` are not written here, nor
+    anywhere (:class:`ComplexSpectrum` forms them on request).  O(n) per
+    solve, O(n m) for m levels.  None if a factorization meets an exactly
+    zero pivot.
     """
     n = diag.size
     start = _start_vectors(n, 1)
     scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max())
     nudge = INVERSE_ITERATION_SHIFT * np.finfo(float).eps * scale * (1 + 1j)
-    gauge = _bond_gauge(off)
-    mirrored = np.zeros(n, dtype=bool)
-    mirrored[partners[partners >= 0]] = True
-    vectors = np.empty((n, n), dtype=complex)
-    for k in np.flatnonzero(~mirrored).tolist():
+    vectors = np.empty((n, values.size), dtype=complex)
+    for k in range(values.size):
         shifted = diag - (values[k] + nudge)
         _, _, _, x, info = zgtsv(off, shifted, off, start)
         if info != 0:
@@ -420,22 +510,16 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
             if info != 0:
                 return None
         vectors[:, k] = x[:, 0]
-        if partners[k] >= 0:
-            vectors[:, partners[k]] = gauge * np.conj(x[:, 0])
     return vectors
 
 
-def _tridiagonal_residuals(diag, off, values, vectors) -> np.ndarray:
-    """``||T v_k - E_k v_k||`` from the three diagonals of ``T``, a block of
-    columns at a time."""
-    residuals = np.empty(values.size)
-    for block in _column_blocks(values.size):
-        v = vectors[:, block]
-        r = v * (diag[:, None] - values[None, block])
-        r[:-1] += off[:, None] * v[1:]
-        r[1:] += off[:, None] * v[:-1]
-        residuals[block] = np.linalg.norm(r, axis=0)
-    return residuals
+def _tridiagonal_residuals(diag, off, values, v) -> np.ndarray:
+    """``||T v_k - E_k v_k||`` of each column of a block ``v`` from the
+    three diagonals of ``T``."""
+    r = v * (diag[:, None] - values[None, :])
+    r[:-1] += off[:, None] * v[1:]
+    r[1:] += off[:, None] * v[:-1]
+    return np.linalg.norm(r, axis=0)
 
 
 def _fortran_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -461,10 +545,12 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     ``|t|``, subdiagonal ``|t|`` across real and ``-|t|`` across imaginary
     bonds.  LAPACK ``dgees`` takes ``J`` in real arithmetic and returns
     each complex pair as exact conjugates, the one with ``Im > 0`` first.
-    Every chain with a complex bond product ``t^2`` takes ``zgees`` on
-    ``T``, and ``plus`` is empty.  Either matrix is built from the bands in
-    Fortran order and overwritten in place: the one n x n transient of
-    the route.
+    Only the ``plus`` levels get an eigenvector column; each partner's,
+    ``g * conj(v)``, is never written (:class:`ComplexSpectrum` forms it on
+    request), so the route stores n/2 + O(1) columns.  Every chain with a
+    complex bond product ``t^2`` takes ``zgees`` on ``T``, and ``plus`` is
+    empty.  Either matrix is built from the bands in Fortran order and
+    overwritten in place: the one n x n transient of the route.
 
     The workspace is held at 3n.  With it the Hessenberg reduction inside
     either routine runs unblocked, and on a tridiagonal matrix, which is
@@ -491,9 +577,12 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
 
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum | None:
     """Eigenvalues from one Schur form without Schur vectors
-    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration, one
-    per conjugate pair where the Schur form is real
-    (:func:`_inverse_iteration`).
+    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration
+    (:func:`_inverse_iteration`) for every level but the ``Im E < 0``
+    partners of a real Schur form.  Each partner is kept as its source
+    column's gauge image ``g[lead] * g * conj(v)`` (:func:`_bond_gauge`,
+    ``lead`` the source's leading row), which is the column the phase
+    convention makes of ``g * conj(v)``; no partner column is stored.
 
     None if the QR iteration or inverse iteration breaks down, if
     ``V^T V`` is not diagonal (the columns are no basis the transpose
@@ -501,9 +590,8 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     ``1 / EIGENVALUE_CONDITION_LIMIT`` of self-orthogonal,
     ``|v^T v| -> 0``: that is the approach to an exceptional point, where
     the eigenvalues are ill-conditioned and the Schur form and ``eig`` may
-    disagree beyond 1e-10.  Each partner column ``g * conj(v)`` is
-    certified by its own residual against the complex ``T``, as every
-    other column is.
+    disagree beyond 1e-10.  Each partner column is formed and certified by
+    its own residual against the complex ``T``, as every other column is.
     """
     found = _schur_eigenvalues(diag, off)
     if found is None:
@@ -511,15 +599,25 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     values, plus = found
     order = _level_order(values)
     rank = np.argsort(order)  # the level index of each Schur-form index
-    partners = np.full(order.size, -1)
-    partners[rank[plus]] = rank[plus + 1]
     values = values[order]
-    vectors = _inverse_iteration(diag, off, values, partners)
-    if vectors is None:
+    partner = rank[plus + 1]  # the Im E < 0 level of each pair
+    stored = np.setdiff1d(np.arange(values.size), partner)
+    columns = _inverse_iteration(diag, off, values[stored])
+    if columns is None:
         return None
-    _fix_phases(vectors)
-    residuals = _tridiagonal_residuals(diag, off, values, vectors)
-    spectrum = ComplexSpectrum(values, vectors, residuals, solver="tridiagonal")
+    leads = _fix_phases(columns)
+    layout = ()  # zgees: every level is its own column
+    if plus.size:
+        source = np.empty(values.size, dtype=int)
+        source[stored] = np.arange(stored.size)
+        source[partner] = source[rank[plus]]
+        gauge = _bond_gauge(off)
+        mirror = np.zeros(values.size)
+        mirror[partner] = gauge[leads[source[partner]]]
+        layout = (source, mirror, gauge)
+    spectrum = ComplexSpectrum(values, columns, np.empty(values.size), "tridiagonal",
+                               *layout)
+    spectrum.residuals[:] = spectrum.per_column(partial(_tridiagonal_residuals, diag, off))
     d = spectrum._gram_diagonal
     if d is None or np.abs(d).min() < 1.0 / EIGENVALUE_CONDITION_LIMIT:
         return None
@@ -544,8 +642,8 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
     order = _level_order(values)
-    values = values[order]
-    vectors = _fix_phases(vectors[:, order])
+    values, vectors = values[order], vectors[:, order]
+    _fix_phases(vectors)
     return ComplexSpectrum(values, vectors, matrix_residuals(entries, values, vectors))
 
 
@@ -563,7 +661,8 @@ def _kronecker_spectrum(h: PairMatrix) -> ComplexSpectrum:
     values = chain.eigenvalues[x] + chain.eigenvalues[y]
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
-    vectors = _fix_phases(h.basis.products(chain.right_eigenvectors, i, j))
+    vectors = h.basis.products(chain.right_eigenvectors, i, j)  # the chain's V: L x L
+    _fix_phases(vectors)
     residuals = matrix_residuals(h, values, vectors)
     return ComplexSpectrum(values, vectors, residuals, "kronecker")
 
@@ -576,10 +675,11 @@ def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpect
     two bands: one Schur form without Schur vectors and O(n^2) inverse
     iteration (:func:`_tridiagonal_spectrum`).  A chain with a real
     diagonal and only real or imaginary bonds (``dimer_1i``) takes
-    ``dgees`` on its real gauge image, with one inverse iteration per
-    conjugate pair and the partner's column ``g * conj(v)``; a chain with
-    a complex bond product takes ``zgees``.  A :class:`PairMatrix` is
-    ``"kronecker"``, from its own chain (:func:`_kronecker_spectrum`).  If
+    ``dgees`` on its real gauge image, with one inverse iteration and one
+    stored column per conjugate pair, the partner's column ``g * conj(v)``
+    formed on request; a chain with a complex bond product takes
+    ``zgees``.  A :class:`PairMatrix` is ``"kronecker"``, from its own
+    chain (:func:`_kronecker_spectrum`).  If
     either fails the certificate or rejects its own result (exceptional
     points), and for every :class:`OperatorMatrix`, ``"dense"``
     (:func:`_dense_spectrum`) runs on ``h.entries``, assembled only then:
@@ -915,7 +1015,7 @@ def select_reference_state(
     sign = 1.0 if im_sign == "+" else -1.0
     sign_ok = spectrum_is_real | (sign * values.imag > 1e-9 * scale)
 
-    centers = localization_center(spectrum.right_eigenvectors)
+    centers = spectrum.per_column(lambda _, v: localization_center(v))
     candidates = np.flatnonzero(in_window(centers, win) & sign_ok)
     if candidates.size == 0:
         raise ReferenceSelectionError(
@@ -927,7 +1027,7 @@ def select_reference_state(
     offsets = np.abs(centers[candidates] - midpoint)
     tied = offsets <= offsets.min() + 1e-9 * max(1.0, midpoint)
     best = int(candidates[np.argmax(tied)])
-    amps = spectrum.right_eigenvectors[:, best].copy()  # no view keeps V alive
+    amps = spectrum.eigenvectors([best])[:, 0]  # formed: no view keeps S alive
     return ReferenceState(
         energy=complex(values[best]),
         amplitudes=amps,

@@ -20,7 +20,7 @@ def synthetic_spectrum(values) -> ComplexSpectrum:
     n = values.size
     return ComplexSpectrum(
         eigenvalues=values,
-        right_eigenvectors=np.eye(n, dtype=complex),
+        columns=np.eye(n, dtype=complex),
         residuals=np.zeros(n),
     )
 

@@ -7,15 +7,18 @@ residuals taken against the full matrix, the condition number from
 ``np.linalg.cond`` (an SVD) and the expansion coefficients from an LU
 solve.  O(n^3), so keep n small.  Also the chain eigenvalues of LAPACK
 ``zgees`` on the dense matrix in C order, as the tridiagonal route called
-it before it held a chain as its bands, and the per-column statistics of
+it before it held a chain as its bands; the per-column statistics of
 ``spectra`` (phase convention, localization center, participation ratio)
-as whole-matrix formulas, the reference of their column blocks.
+as whole-matrix formulas, the reference of their column blocks; and the
+``dimer_1i`` eigenvectors as the tridiagonal route wrote them when it
+stored every partner column.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import zgees
 
+from starkladder import spectra
 from starkladder.spectra import leading_amplitude_index
 
 
@@ -85,3 +88,26 @@ def dense_schur_eigenvalues(entries: np.ndarray) -> np.ndarray:
     _, _, values, _, _, info = zgees(lambda _: None, entries, compute_v=0, lwork=3 * n)
     assert info == 0
     return values
+
+
+def reference_dimer_1i_eigenvectors(h) -> np.ndarray:
+    """The n x n eigenvector matrix of a ``dimer_1i`` chain ``h`` as the
+    tridiagonal route formed it when it stored every column: inverse
+    iteration at every level but the ``Im E < 0`` partner of each Schur-form
+    pair, each partner written as ``g * conj(x)`` from its source's raw
+    column ``x`` with ``g_j = (-1)**(j // 2)``, then the phase convention on
+    the whole matrix."""
+    n = h.dim
+    values, plus = spectra._schur_eigenvalues(h.diag, h.off)
+    order = reference_level_order(values)
+    rank = np.argsort(order)
+    partner_of = dict(zip(rank[plus].tolist(), rank[plus + 1].tolist()))
+    solved = sorted(set(range(n)) - set(partner_of.values()))
+    raw = spectra._inverse_iteration(h.diag, h.off, values[order][solved])
+    g = (-1.0) ** (np.arange(n) // 2)
+    vectors = np.empty((n, n), dtype=complex)
+    for column, k in enumerate(solved):
+        vectors[:, k] = raw[:, column]
+        if k in partner_of:
+            vectors[:, partner_of[k]] = g * np.conj(raw[:, column])
+    return reference_fix_phases(vectors)

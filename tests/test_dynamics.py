@@ -412,6 +412,24 @@ def test_fidelity_norms_eight_rows_at_a_time():
     assert peak < 1e6
 
 
+def test_chain_synthesis_forms_no_temporary_wider_than_the_product(dimer1000):
+    # V @ X as S @ A + g * conj(S @ B): n x T products and half-width rows,
+    # no gathered copy of S (8 MB here) nor an assembled V (16 MB); the
+    # whole product is 0.32 MB at n = 1000, T = 20
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=OMEGA))
+    psi0 = gaussian_state(0.3, 500, 1000)
+    times = np.linspace(0.0, PERIOD, 20)
+    dimer1000.coefficients(psi0)  # the condition number and D, cached
+    tracemalloc.start()
+    try:
+        series = evolve(h, psi0, times, spectrum=dimer1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.method == "spectral"
+    assert peak < 8 * 1000 * times.size * 16
+
+
 def test_random_pair_state_has_no_revival():
     # mixed growing/decaying sectors: no full return within three periods
     side = 16

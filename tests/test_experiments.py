@@ -31,6 +31,7 @@ from starkladder.lattices import (
 )
 from starkladder.spectra import (
     RESIDUAL_TOL,
+    ComplexSpectrum,
     detect_ladders,
     eigendecompose,
     select_reference_state,
@@ -379,6 +380,35 @@ def test_chain_runs_never_assemble_the_dense_chain(tmp_path, monkeypatch):
     assert len(assembled) == 1  # the count sees an assembly
 
 
+# the paper's two chains: dimer_1i stores one column per conjugate pair,
+# the J/J* dimer (zgees) every column
+_GUARDED_CHAINS = [{"kind": "dimer_1i", "n_sites": 60, "omega": 0.2},
+                   {"kind": "dimer_jjstar", "n_sites": 60, "omega": 0.2, "j_even": [0.5, 0.5]}]
+
+
+@pytest.mark.parametrize("model", _GUARDED_CHAINS, ids=lambda m: m["kind"])
+def test_chain_runs_never_assemble_a_whole_eigenvector_matrix(tmp_path, monkeypatch, model):
+    # every pass over V goes through the stored columns: products, column
+    # blocks and per-level statistics; only right_eigenvectors assembles V
+    assembled = []
+    original = ComplexSpectrum.right_eigenvectors.fget
+    monkeypatch.setattr(ComplexSpectrum, "right_eigenvectors",
+                        property(lambda s: assembled.append(s.dim) or original(s)))
+    for experiment, settings in (("spectrum", {}), ("ladder_scan", {}), ("evolve1d", {}),
+                                 ("evolve1d", {"project": True}), ("e0_vs_omega", {})):
+        checks = run(load_config(overrides={
+            "experiment": experiment,
+            "model": model,
+            "run": settings,
+            "output": {"directory": str(tmp_path / f"{experiment}{len(settings)}")},
+        }))["checks"]
+        assert checks.get("eigensolver", "tridiagonal") == "tridiagonal"
+    assert assembled == []
+    hopping = complex(*model.get("j_even", (1.0, 0.0)))
+    eigendecompose(build_chain(LatticeSpec(model["kind"], 8, 0.2, hopping))).right_eigenvectors
+    assert assembled == [8]  # the count sees an assembly
+
+
 def test_pair_runs_never_assemble_the_dense_pair_lattice(tmp_path, monkeypatch):
     # a pair lattice is its chain and its basis: the eigensolver, the
     # residual certificate and the evolution all take them, and only
@@ -401,9 +431,9 @@ def test_pair_runs_never_assemble_the_dense_pair_lattice(tmp_path, monkeypatch):
     run(load_config(overrides={"experiment": "pair_equivalence",
                                "run": {"sides": [4]},
                                "output": {"directory": str(tmp_path / "equivalence")}}))
-    # each lattice once for the comparisons, the electron one twice more:
-    # for its swap sectors and its PT commutator
-    assert collections.Counter(assembled) == {LatticeKind.PAIR_2D_ELECTRON: 3,
+    # each lattice once: its swap sectors and its PT commutator take the
+    # electron matrix the comparisons hold
+    assert collections.Counter(assembled) == {LatticeKind.PAIR_2D_ELECTRON: 1,
                                               LatticeKind.PAIR_2D_FERMION: 1,
                                               LatticeKind.PAIR_2D_BOSON: 1}
 
@@ -419,16 +449,17 @@ def _traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize("experiment", ["ladder_scan", "evolve1d"])
-def test_long_chain_runs_stay_below_24_mb(tmp_path, experiment):
-    # V is 16 MB at n = 1000, the rest a block of columns at a time; with
-    # the chain held as a dense 16 MB matrix these runs peaked at 34.5 MB
-    # (ladder_scan) and 35.8 MB (evolve1d)
+def test_long_chain_runs_stay_below_13_mb(tmp_path, experiment):
+    # the stored columns S are 8.0 MB at n = 1000, the rest a block of
+    # columns or an n x T product at a time; with the whole 16 MB V these
+    # runs peaked at 18.5 MB (ladder_scan) and 19.8 MB (evolve1d), and with
+    # the chain held as a dense 16 MB matrix as well at 34.5 and 35.8 MB
     cfg = load_config(overrides={
         "experiment": experiment,
         "model": {"kind": "dimer_1i", "n_sites": 1000, "omega": 0.2},
         "output": {"directory": str(tmp_path)},
     })
-    assert _traced_peak(lambda: run(cfg)) < 24e6
+    assert _traced_peak(lambda: run(cfg)) < 13e6
 
 
 def test_csv_output_is_bit_identical(tmp_path):

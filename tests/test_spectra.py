@@ -293,8 +293,10 @@ def test_column_blocks_match_the_whole_matrix_bit_for_bit(columns, rows, order):
     amps = np.asarray(amps, order=order)
     assert np.array_equal(localization_center(amps), reference_localization_center(amps))
     assert np.array_equal(participation_ratio(amps), reference_participation_ratio(amps))
-    fixed = spectra._fix_phases(amps.copy(order="K"))
+    fixed = amps.copy(order="K")
+    leads = spectra._fix_phases(fixed)
     assert np.array_equal(fixed, reference_fix_phases(amps))
+    assert np.array_equal(leads, leading_amplitude_index(fixed))
 
 
 # ---------------------------------------------------------------------------

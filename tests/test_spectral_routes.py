@@ -4,8 +4,8 @@ reference.
 Chains take one Schur form without Schur vectors plus inverse iteration:
 ``dgees`` on the real gauge image of a chain with a real diagonal and only
 real or imaginary bonds, which pairs its levels as exact conjugates and
-writes each partner's column as ``g * conj(v)``, one inverse iteration per
-pair; ``zgees`` on every chain with a complex bond product.  Pair lattices
+stores one column per pair, the partner's ``g * conj(v)`` formed on
+request; ``zgees`` on every chain with a complex bond product.  Pair lattices
 take the sums and products of their chain's eigenpairs.  Both routes use
 the transpose inverse ``V^-1 = D^-1 V^T`` and a power-iteration estimate
 of kappa_2.  The reference (``tests/spectral_reference.py``) takes ``eig``,
@@ -41,6 +41,7 @@ from starkladder.spectra import (
     _start_vectors,
     eigendecompose,
     leading_amplitude_index,
+    localization_center,
     participation_ratio,
     scan_E0_vs_omega,
     select_reference_state,
@@ -54,6 +55,7 @@ from spectral_reference import (
     dense_eigenpairs,
     dense_schur_eigenvalues,
     lu_coefficients,
+    reference_dimer_1i_eigenvectors,
     reference_level_order,
 )
 
@@ -249,6 +251,55 @@ def test_partner_columns_are_gauge_conjugates():
     np.testing.assert_allclose(partner * (np.abs(lead) / lead), v[:, minus], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [40, 60, 1000])
+def test_partner_columns_equal_the_stored_route_value_for_value(n):
+    # only the Im E >= 0 columns are stored; each partner, formed on request
+    # as g[lead] * g * conj(v), is the column the route wrote when it stored
+    # all n: g * conj(x) of the raw column, then the phase convention (exact
+    # zeros may differ in sign)
+    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=n, omega=0.2))
+    spectrum = eigendecompose(h)
+    assert spectrum.columns.shape == (n, n // 2 + 1)  # two real levels
+    assert np.array_equal(spectrum.right_eigenvectors, reference_dimer_1i_eigenvectors(h))
+
+
+@st.composite
+def _partnered_chains(draw):
+    kind = draw(st.sampled_from([LatticeKind.DIMER_1I, LatticeKind.DIMER_JJSTAR]))
+    n = draw(st.integers(4, 80))
+    hopping = 1.0
+    if kind is LatticeKind.DIMER_JJSTAR:
+        hopping = complex(np.exp(1j * draw(st.floats(0.1, 1.5))))
+    return LatticeSpec(kind=kind, n_sites=n, omega=draw(st.floats(0.0, 1.5)),
+                       j_even=hopping, origin_offset=draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_partnered_chains())
+@example(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=61, omega=0.2, origin_offset=7))
+def test_products_with_the_stored_columns_match_the_assembled_matrix(spec):
+    # V @ X as S @ A + g * conj(S @ B) and V^T @ X likewise: the rounding of
+    # one matrix product; the expansion inherits it, amplified by kappa_2
+    spectrum = eigendecompose(build_chain(spec))
+    v = spectrum.right_eigenvectors
+    whole = ComplexSpectrum(spectrum.eigenvalues, v, spectrum.residuals, spectrum.solver)
+    rng = np.random.default_rng(spec.n_sites)
+    for x in (rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites),
+              rng.normal(size=(spec.n_sites, 3)) + 1j * rng.normal(size=(spec.n_sites, 3))):
+        ulp = np.finfo(float).eps * np.linalg.norm(v) * np.linalg.norm(x)
+        assert np.abs(spectrum.vectors_times(x) - v @ x).max() <= 4 * ulp
+        assert np.abs(spectrum.transpose_times(x) - v.T @ x).max() <= 4 * ulp
+        if spectrum.condition > CONDITION_LIMIT:
+            for basis in (spectrum, whole):
+                with pytest.raises(ValueError):
+                    basis.coefficients(x)
+            continue
+        bound = 32 * np.finfo(float).eps * spectrum.condition * np.linalg.norm(x)
+        assert np.abs(spectrum.coefficients(x) - whole.coefficients(x)).max() <= bound
+    centers = spectrum.per_column(lambda _, block: localization_center(block))
+    assert np.array_equal(centers, localization_center(v))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -410,9 +461,10 @@ def _traced_peak(call) -> int:
 
 
 def test_long_chain_decomposition_stays_below_20_mb():
-    # V is 16 MB at n = 1000; the phase convention and the residuals go a
-    # block of columns at a time, so nothing else is n x n (whole-matrix
-    # phases peaked at 32 MB, the dense route at 48 MB)
+    # the stored columns are 8 MB at n = 1000, half of V; the phase
+    # convention and the residuals go a block of columns at a time, so
+    # nothing else is that large (whole-matrix phases peaked at 32 MB, the
+    # dense route at 48 MB)
     h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2))
     assert _traced_peak(lambda: eigendecompose(h)) < 20e6
 
