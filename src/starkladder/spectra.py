@@ -603,7 +603,9 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     rank = np.argsort(order)  # the level index of each Schur-form index
     values = values[order]
     partner = rank[plus + 1]  # the Im E < 0 level of each pair
-    stored = np.setdiff1d(np.arange(values.size), partner)
+    mirror = np.zeros(values.size)
+    mirror[partner] = 1.0  # its sign is set below, from its source's lead
+    stored = np.flatnonzero(mirror == 0)
     columns = _inverse_iteration(diag, off, values[stored])
     if columns is None:
         return None
@@ -614,7 +616,6 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
         source[stored] = np.arange(stored.size)
         source[partner] = source[rank[plus]]
         gauge = _bond_gauge(off)
-        mirror = np.zeros(values.size)
         mirror[partner] = gauge[leads[source[partner]]]
         layout = (source, mirror, gauge)
     spectrum = ComplexSpectrum(values, columns, np.empty(values.size), "tridiagonal",
