@@ -55,7 +55,6 @@ from .dynamics import (  # noqa: F401
     build_pair_product_state,
     dirac_probability,
     evolve,
-    evolve_pair,
     extract_projected_mu,
     family_projection,
     fidelity,

@@ -19,7 +19,6 @@ from .spectra import CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecomp
 __all__ = [
     "TimeSeries",
     "evolve",
-    "evolve_pair",
     "gaussian_state",
     "site_state",
     "dirac_probability",
@@ -81,7 +80,7 @@ def _check_state(psi0: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _own_spectrum(
-    h: OperatorMatrix | ChainMatrix | PairMatrix, spectrum: ComplexSpectrum | None
+    h: OperatorMatrix | ChainMatrix, spectrum: ComplexSpectrum | None
 ) -> ComplexSpectrum:
     """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
     dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
@@ -94,24 +93,6 @@ def _own_spectrum(
     return spectrum
 
 
-def _integrate(rhs, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Adaptive fourth-order integration of ``dy/dt = rhs(t, y)``; rows per time."""
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(times[-1])),
-        y0,
-        t_eval=times,
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integrator fallback failed: {sol.message}")
-    return sol.y.T.astype(complex)
-
-
 def evolve(
     h: OperatorMatrix | ChainMatrix | PairMatrix,
     psi0: np.ndarray,
@@ -122,74 +103,73 @@ def evolve(
 
     Default path is spectral synthesis: expand in right eigenvectors,
     attach ``exp(-i E t)`` per mode, re-synthesize -- exact to eigensolver
-    precision at arbitrary ``t``.  A near-defective eigenvector matrix
-    (``spectrum.condition`` above ``CONDITION_LIMIT``) falls back to an
-    adaptive fourth-order integrator; ``TimeSeries.method`` records which
-    path ran, ``solver`` and ``condition`` the spectrum's.  A basis below
-    that limit whose transpose inverse misses its backward error raises
-    ``ValueError`` (:meth:`ComplexSpectrum.coefficients`), as does a
-    ``spectrum`` of another matrix (:func:`_own_spectrum`).
+    precision at arbitrary ``t``.  A :class:`PairMatrix` expands in its
+    chain's eigenvectors (:func:`_pair_synthesis`), and its basis ``V x V``
+    has the condition number ``kappa(V)^2``.  A near-defective eigenvector
+    matrix (condition above ``CONDITION_LIMIT``) falls back to an adaptive
+    fourth-order integrator; ``TimeSeries.method`` records which path ran,
+    ``solver`` and ``condition`` the basis's.  A basis below that limit
+    whose transpose inverse misses its backward error raises ``ValueError``
+    (:meth:`ComplexSpectrum.coefficients`), as does a ``spectrum`` of
+    another matrix than ``h``, or than a pair lattice's chain
+    (:func:`_own_spectrum`).
     """
     times = _check_times(times)
     psi0 = _check_state(psi0, h.dim)
-    spectrum = _own_spectrum(h, spectrum)
-    if spectrum.condition <= CONDITION_LIMIT:
-        coeffs = spectrum.coefficients(psi0)
-        phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
-        phases *= coeffs[:, None]
-        states = spectrum.vectors_times(phases).T
-        method = "spectral"
-    else:
-        states = _integrate(lambda _t, y: -1j * (h @ y), psi0, times)
-        method = f"integrator (eigenvector condition {spectrum.condition:.2e})"
-    states[0] = psi0  # t = 0 is the initial snapshot, exactly
-    return TimeSeries(
-        times, states, h.basis_labels, method, spectrum.solver, spectrum.condition
-    )
+    pair = isinstance(h, PairMatrix)
+    spectrum = _own_spectrum(h.chain if pair else h, spectrum)
+    if pair:  # the chain's V is L x L, small next to the pair dimension: held
+        # whole, its expansion and synthesis are plain matrix products
+        spectrum = replace(spectrum, columns=spectrum.right_eigenvectors, source=None,
+                           mirror=None, gauge=None)
+    condition = spectrum.condition**2 if pair else spectrum.condition
+    method = "spectral"
+    if condition > CONDITION_LIMIT:  # adaptive fourth-order integration
+        from scipy.integrate import solve_ivp
 
-
-def evolve_pair(h: PairMatrix, phi0: np.ndarray, times) -> TimeSeries:
-    """Propagate a pair state on the Kronecker-sum lattice ``h``.
-
-    The pair lattice is ``H1 x 1 + 1 x H1`` (``H1 = h.chain``, as
-    :func:`starkladder.lattices.build_pair_lattice` builds it), so the pair
-    amplitude matrix evolves as ``Psi(t) = U(t) Psi0 U(t)^T`` with
-    ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` and
-    ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C * exp(-i (e_i + e_j) t)) V^T``:
-    O(L^3) per sample from the chain's spectrum, never an ``L^2 x L^2``
-    matrix.  Fermion and boson states are embedded as (anti)symmetric
-    amplitude matrices and restricted back to ``h.basis``
-    (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
-
-    The chain's spectrum is computed here.  The pair basis is ``V x V``, and
-    ``kappa(V x V) = kappa(V)^2`` is the ``TimeSeries.condition`` reported;
-    above ``CONDITION_LIMIT`` ``d phi/dt = -i h @ phi`` is integrated
-    instead, as :func:`evolve` does, with the same ``ValueError`` below it;
-    ``TimeSeries.method`` records which path ran.
-    """
-    times = _check_times(times)
-    phi0 = _check_state(phi0, h.dim)
-    basis = h.basis
-    # the chain's V is L x L, small next to the pair dimension: held whole,
-    # its expansion and synthesis are plain matrix products
-    chain = eigendecompose(h.chain)
-    spectrum = replace(chain, columns=chain.right_eigenvectors, source=None, mirror=None,
-                       gauge=None)
-    condition = spectrum.condition**2
-    if condition <= CONDITION_LIMIT:
-        v = spectrum.columns
-        c = spectrum.coefficients(spectrum.coefficients(basis.embed(phi0)).T).T
-        phases = np.exp(-1j * np.outer(times, spectrum.eigenvalues))
-        states = np.empty((times.size, basis.dim), dtype=complex)
-        for k, phase in enumerate(phases):  # one L x L amplitude matrix alive
-            w = v * phase  # V diag(exp(-i e t))
-            states[k] = basis.restrict(w @ c @ w.T)
-        method = "spectral"
-    else:
-        states = _integrate(lambda _t, y: -1j * (h @ y), phi0, times)
+        sol = solve_ivp(
+            lambda _t, y: -1j * (h @ y),
+            (0.0, float(times[-1])),
+            psi0,
+            t_eval=times,
+            method="RK45",
+            rtol=1e-10,
+            atol=1e-12,
+        )
+        if not sol.success:
+            raise RuntimeError(f"integrator fallback failed: {sol.message}")
+        states = sol.y.T.astype(complex)
         method = f"integrator (eigenvector condition {condition:.2e})"
-    states[0] = phi0  # t = 0 is the initial snapshot, exactly
-    return TimeSeries(times, states, basis.labels, method, spectrum.solver, condition)
+    elif pair:
+        states = _pair_synthesis(h.basis, spectrum, psi0, times)
+    else:
+        phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
+        phases *= spectrum.coefficients(psi0)[:, None]
+        states = spectrum.vectors_times(phases).T
+    states[0] = psi0  # t = 0 is the initial snapshot, exactly
+    return TimeSeries(times, states, h.basis_labels, method, spectrum.solver, condition)
+
+
+def _pair_synthesis(basis: PairBasis, chain: ComplexSpectrum, phi0: np.ndarray,
+                    times: np.ndarray) -> np.ndarray:
+    """Rows ``phi(t)`` on the Kronecker-sum lattice ``H1 x 1 + 1 x H1``.
+
+    The pair amplitude matrix evolves as ``Psi(t) = U(t) Psi0 U(t)^T`` with
+    ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` (``chain``, its
+    ``V`` held whole) and ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C *
+    exp(-i (e_i + e_j) t)) V^T``: O(L^3) per sample, never an ``L^2 x L^2``
+    matrix.  Fermion and boson states are embedded as (anti)symmetric
+    amplitude matrices and restricted back to ``basis``
+    (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
+    """
+    v = chain.columns
+    c = chain.coefficients(chain.coefficients(basis.embed(phi0)).T).T
+    phases = np.exp(-1j * np.outer(times, chain.eigenvalues))
+    states = np.empty((times.size, basis.dim), dtype=complex)
+    for k, phase in enumerate(phases):  # one L x L amplitude matrix alive
+        w = v * phase  # V diag(exp(-i e t))
+        states[k] = basis.restrict(w @ c @ w.T)
+    return states
 
 
 def gaussian_state(alpha: float, j0: int, dim: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, NamedTuple
 
@@ -26,7 +25,6 @@ from .dynamics import (
     build_pair_product_state,
     dirac_probability,
     evolve,
-    evolve_pair,
     extract_projected_mu,
     family_projection,
     fidelity,
@@ -100,6 +98,11 @@ def _real(value) -> bool:
 
 def _reals(values) -> bool:
     return isinstance(values, tuple) and all(_real(v) for v in values)
+
+
+def _complex_pair(value) -> bool:
+    """An ``[re, im]`` pair of finite numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and _reals(tuple(value))
 
 
 def _integer(value) -> bool:
@@ -215,7 +218,7 @@ def _parse_complex(value, where: str) -> complex:
             return complex(value.replace(" ", ""))
         except ValueError as exc:
             raise ConfigError(f"{where}: cannot parse complex value {value!r}") from exc
-    if isinstance(value, (list, tuple)) and len(value) == 2 and _reals(tuple(value)):
+    if _complex_pair(value):
         return complex(float(value[0]), float(value[1]))
     raise ConfigError(
         f"{where}: expected number, 're+imj' string, or [re, im] of finite reals"
@@ -480,26 +483,28 @@ def _run_spectrum(cfg: ExperimentConfig, outdir: Path) -> tuple:
     for any supported lattice."""
     h = _build_operator(cfg.model)
     spectrum = eigendecompose(h)
+
+    def statistics(values, v):  # each column block formed once for all three
+        rows = [matrix_residuals(h, values, v)]
+        if cfg.model.kind.is_chain:
+            rows += [localization_center(v), participation_ratio(v)]
+        return np.stack(rows)
+
+    residuals, *profile = spectrum.per_column(statistics)
     columns = {
         "index": np.arange(spectrum.dim),
         "re": spectrum.eigenvalues.real,
         "im": spectrum.eigenvalues.imag,
         "residual": spectrum.residuals,
     }
-    if cfg.model.kind.is_chain:
-        columns["center"] = spectrum.per_column(lambda _, v: localization_center(v))
-        columns["participation_ratio"] = spectrum.per_column(
-            lambda _, v: participation_ratio(v)
-        )
+    columns.update(zip(("center", "participation_ratio"), profile))
     files = [
         _write_table(outdir, "eigenvalues", _model_meta(cfg), columns, cfg.output.format)
     ]
     checks = {
         "dim": spectrum.dim,
         "max_residual": float(spectrum.residuals.max()),
-        "residual_certified": bool(
-            spectrum.per_column(partial(matrix_residuals, h)).max() < RESIDUAL_TOL
-        ),
+        "residual_certified": bool(residuals.max() < RESIDUAL_TOL),
         "conjugation_closure_deviation": conjugation_closure_deviation(
             spectrum.eigenvalues
         ),
@@ -706,15 +711,15 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     return files, checks
 
 
-# Every mu.json key evolve2d reads -> (check, what the check asks of a value);
-# ``origin_offset`` may be absent, and then is the chain's default.
+# Every mu.json key evolve2d requires -> (check, what the check asks of a
+# value); ``origin_offset`` alone may be absent, and then is the chain's default.
 _MU_KEYS = {
     "kind": (lambda v: isinstance(v, str), "must be a string"),
     "n_sites": (_integer, "must be an integer"),
     "omega": (_real, "must be a finite number"),
     "origin_offset": (_integer, "must be an integer"),
-    "mu": (lambda v: isinstance(v, list)
-           and all(isinstance(a, list) and len(a) == 2 and _reals(tuple(a)) for a in v),
+    "e0": (_complex_pair, "must be an [re, im] pair of finite numbers"),
+    "mu": (lambda v: isinstance(v, list) and all(map(_complex_pair, v)),
            "must be a list of [re, im] pairs of finite numbers"),
 }
 
@@ -729,10 +734,9 @@ def _load_mu(from_run: str) -> dict:
             "run evolve1d first (non-Hermitian model) or point at its directory"
         )
     data = _read_json_object(path)
-    for key in ("mu", "kind", "omega", "n_sites", "e0"):
-        if key not in data:
-            raise ConfigError(f"{path}: missing key {key!r}")
     for key, (check, need) in _MU_KEYS.items():
+        if key not in data and key != "origin_offset":
+            raise ConfigError(f"{path}: missing key {key!r}")
         if key in data and not check(data[key]):
             raise ConfigError(f"{path}: {key} {need}")
     data["mu"] = np.array([complex(re, im) for re, im in data["mu"]])
@@ -778,7 +782,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    series = evolve_pair(h, phi0, times)
+    series = evolve(h, phi0, times)
     f_curve = fidelity(series)
 
     # every candidate and snapshot time is one of the sampled times, exactly
@@ -871,7 +875,7 @@ def _run_pair_equivalence(cfg: ExperimentConfig, outdir: Path) -> tuple:
         times = np.linspace(0.0, 4.0, 5)
         psi0 = rng.normal(size=electron.dim) + 1j * rng.normal(size=electron.dim)
         psi0 /= np.linalg.norm(psi0)
-        direct = evolve_pair(electron, psi0, times)  # on the chain evolve2d evolves on
+        direct = evolve(electron, psi0, times)  # the engine evolve2d runs
         entry["evolution_distance"] = lift_1d_evolution(
             direct, oracles[LatticeKind.PAIR_2D_ELECTRON]
         )

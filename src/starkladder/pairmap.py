@@ -152,7 +152,7 @@ def _expm_states(h: OperatorMatrix, psi0: np.ndarray, times: np.ndarray) -> np.n
 def lift_1d_evolution(direct: TimeSeries, oracle: OperatorMatrix) -> float:
     """Largest normalized distance between a pair evolution and the oracle's.
 
-    ``direct`` is a pair evolution (``evolve_pair`` on a pair lattice); the
+    ``direct`` is a pair evolution (``evolve`` on a pair lattice); the
     oracle is evolved from the same initial state at the same times by
     ``expm``, sharing no code with it.  The two are supposed to be equal,
     so this certifies basis ordering and plumbing end to end.  A

@@ -152,15 +152,15 @@ class ComplexSpectrum:
         return self.eigenvectors(slice(None))
 
     def per_column(self, function) -> np.ndarray:
-        """One float per level: ``function(E[block], V[:, block])`` over
-        :func:`_column_blocks`, each block formed in turn and dropped before
-        the next.  Statistics of ``|v|`` (:func:`localization_center`,
-        :func:`participation_ratio`) are taken here rather than on ``S``:
-        the centre's gemv rounds a column by its place in the block."""
-        out = np.empty(self.dim)
-        for block in _column_blocks(self.dim):
-            out[block] = function(self.eigenvalues[block], self.eigenvectors(block))
-        return out
+        """``function(E[block], V[:, block])`` over :func:`_column_blocks`,
+        each block formed in turn and dropped before the next, the results
+        joined along their last axis: one value per level, or ``(k, dim)``
+        where ``function`` returns ``k`` rows.  Statistics of ``|v|``
+        (:func:`localization_center`, :func:`participation_ratio`) are taken
+        here rather than on ``S``: the centre's gemv rounds a column by its
+        place in the block."""
+        return np.concatenate([function(self.eigenvalues[block], self.eigenvectors(block))
+                               for block in _column_blocks(self.dim)], axis=-1)
 
     def vectors_times(self, x: np.ndarray) -> np.ndarray:
         """``V @ x`` for a vector or a matrix ``x``: ``S @ A + g * conj(S @ B)``,

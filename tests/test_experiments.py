@@ -11,7 +11,14 @@ import starkladder.experiments as experiments
 import starkladder.lattices as lattices
 import starkladder.pairmap as pairmap
 from starkladder.cli import main
-from starkladder.dynamics import evolve, extract_projected_mu, gaussian_state, projection_time
+from starkladder.dynamics import (
+    build_pair_product_state,
+    evolve,
+    extract_projected_mu,
+    fidelity,
+    gaussian_state,
+    projection_time,
+)
 from starkladder.experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -27,6 +34,7 @@ from starkladder.lattices import (
     OperatorMatrix,
     PairMatrix,
     build_chain,
+    build_pair_lattice,
     interior_slice,
 )
 from starkladder.spectra import (
@@ -714,8 +722,8 @@ def test_evolve2d_refuses_seed_from_another_chain_kind(tmp_path):
 
 # (mu.json key, value): each key is present but its value is malformed.
 # Unchecked, these raise a TypeError (omega None or "0.2"), slip past the
-# slope or size comparison (NaN, 8.0 == 8) and run, or fail numerically
-# (NaN or inf in mu)
+# slope or size comparison (NaN, 8.0 == 8) and run, as any e0 did, or fail
+# numerically (NaN or inf in mu)
 _BAD_MU_VALUES = [
     ("omega", None),
     ("omega", "0.2"),
@@ -730,6 +738,9 @@ _BAD_MU_VALUES = [
     ("mu", [float("nan"), 0.0]),
     ("mu", [True, 0.0]),
     ("mu", [0.5, float("inf")]),
+    ("e0", None),
+    ("e0", "x"),
+    ("e0", [float("nan"), 0.0]),
 ]
 
 
@@ -776,6 +787,19 @@ def test_evolve2d_revives_at_pi_over_omega_on_every_statistics(tmp_path):
         assert checks["eigenvector_condition"] == chain["eigenvector_condition"] ** 2
 
 
+def test_evolve2d_revival_is_the_revival_evolve_computes(tmp_path):
+    # evolve2d and a plain evolve on the electron lattice (criterion 9's
+    # call) run one engine, so they read one fidelity at pi / omega
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"n_sites": 40, "omega": 0.2})
+    checks = _pair_run(seed, tmp_path / "pair", n_sites=40)["checks"]
+    mu = np.array([complex(*a) for a in json.loads((seed / "mu.json").read_text())["mu"]])
+    h = build_pair_lattice(LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 40, 0.2))
+    times = [0.0, np.pi / (2 * 0.2), np.pi / 0.2]
+    revival = fidelity(evolve(h, build_pair_product_state(mu, h.basis), times))[2]
+    assert abs(checks["fidelity_at_candidates"]["pi_over_omega"] - revival) <= 1e-15
+
+
 def test_pair_equivalence_run(tmp_path):
     cfg = load_config(
         overrides={
@@ -812,8 +836,8 @@ def test_pair_equivalence_evolves_and_splits_each_lattice_once(tmp_path, monkeyp
                                  "run": {"sides": [4, 6, 8]},
                                  "output": {"directory": str(tmp_path)}})
     run(cfg)
-    # per side three spectra merged; evolve_pair and the expm certificates
-    # run no eig
+    # per side three spectra merged; the pair evolution and the expm
+    # certificates run no eig
     assert calls == collections.Counter(eig=0, eigvals=9, sector_decompose=3)
 
 

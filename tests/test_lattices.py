@@ -346,7 +346,7 @@ def test_pair_chain_of_reads_the_built_chain(kind, side):
                                     build_pair_lattice(replace(spec, kind=other)).entries)
 
 
-def test_pair_chain_of_refuses_other_matrices():
+def test_only_a_pair_matrix_takes_the_kronecker_route():
     # only a PairMatrix holds a chain: the same lattice as a dense matrix on
     # its pair labels is decomposed as any dense matrix, its labels unread
     h = build_pair_lattice(LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 6, 0.2))

@@ -1,6 +1,8 @@
 """Kronecker-sum pair engine against the dense pair lattices it replaces."""
 
+import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkladder.dynamics as dynamics
-from starkladder.dynamics import evolve_pair
+from starkladder.dynamics import evolve
 from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
@@ -60,7 +62,7 @@ def test_engine_matches_dense_expm(kind, side, omega, offset_frac, t_frac, seed)
                                        origin_offset=offset))
     phi0 = _random_state(h.dim, seed)
     t = t_frac * math.pi / omega
-    series = evolve_pair(h, phi0, [0.0, t])
+    series = evolve(h, phi0, [0.0, t])
     assert series.method == "spectral"
     assert series.basis_labels == pair_basis(kind, side).labels
     exact = scipy.linalg.expm(-1j * h.entries * t) @ phi0
@@ -74,9 +76,9 @@ def test_integrator_branch_agrees_with_spectral(kind, monkeypatch):
     h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=6, omega=omega))
     phi0 = _random_state(h.dim, 7)
     times = np.linspace(0.0, math.pi / omega, 9)
-    spectral = evolve_pair(h, phi0, times)
+    spectral = evolve(h, phi0, times)
     monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
-    integrated = evolve_pair(h, phi0, times)
+    integrated = evolve(h, phi0, times)
     assert spectral.method == "spectral"
     assert integrated.method.startswith("integrator")
     for a, b in zip(spectral.states, integrated.states):
@@ -109,12 +111,12 @@ def test_engine_reports_the_product_basis(kind, monkeypatch):
     # the pair basis is V x V: the chain's route and kappa(V)^2, on both paths
     chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=8, omega=0.2))
     spectrum = eigendecompose(chain)
-    single = dynamics.evolve(chain, _random_state(8, 3), [0.0, 1.0])
+    single = evolve(chain, _random_state(8, 3), [0.0, 1.0])
     assert (single.solver, single.condition) == ("tridiagonal", spectrum.condition)
     h = PairMatrix(chain, pair_basis(kind, 8))
     for limit in (dynamics.CONDITION_LIMIT, 0.0):
         monkeypatch.setattr(dynamics, "CONDITION_LIMIT", limit)
-        series = evolve_pair(h, _random_state(h.dim, 4), [0.0, 1.0])
+        series = evolve(h, _random_state(h.dim, 4), [0.0, 1.0])
         assert series.solver == "tridiagonal"
         assert series.condition == spectrum.condition**2
 
@@ -123,3 +125,47 @@ def test_engine_rejects_mismatched_chain():
     chain = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=6, omega=0.2))
     with pytest.raises(ValueError, match="does not match pair side"):
         PairMatrix(chain, pair_basis(LatticeKind.PAIR_2D_ELECTRON, 8))
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
+def test_engine_decomposes_the_chain_only(kind, monkeypatch):
+    # evolve synthesizes a pair lattice from its chain's L x L spectrum:
+    # no eigendecomposition of the L^2 x L^2 lattice, and no L^2 x L^2 basis
+    # in memory (the Kronecker-route basis peaked at 30 to 83 MB at L = 40)
+    calls = collections.Counter()
+
+    def counted(h):
+        calls[type(h).__name__] += 1
+        return eigendecompose(h)
+
+    monkeypatch.setattr(dynamics, "eigendecompose", counted)
+    small = build_pair_lattice(LatticeSpec(kind=kind, n_sites=6, omega=0.2))
+    dynamics._own_spectrum(small, None)  # the counter sees a pair lattice's call
+    assert calls == collections.Counter(PairMatrix=1)
+    calls.clear()
+
+    omega = 0.2
+    h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=40, omega=omega))
+    phi0 = _random_state(h.dim, 9)
+    times = [0.0, math.pi / (2 * omega), math.pi / omega]
+    tracemalloc.start()
+    try:
+        series = evolve(h, phi0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.method == "spectral"
+    assert calls == collections.Counter(ChainMatrix=1)
+    assert peak < 2e6
+
+
+def test_engine_takes_the_chain_spectrum_only():
+    # a given spectrum must be the chain's, the one the synthesis expands
+    # in; the lattice's own Kronecker-route spectrum has another dimension
+    h = build_pair_lattice(LatticeSpec(kind=LatticeKind.PAIR_2D_ELECTRON, n_sites=6,
+                                       omega=0.2))
+    phi0, times = _random_state(h.dim, 8), [0.0, 1.0, 2.0]
+    given = evolve(h, phi0, times, spectrum=eigendecompose(h.chain))
+    assert given.states.tobytes() == evolve(h, phi0, times).states.tobytes()
+    with pytest.raises(ValueError, match="belongs to another matrix"):
+        evolve(h, phi0, times, spectrum=eigendecompose(h))

@@ -298,6 +298,12 @@ def test_products_with_the_stored_columns_match_the_assembled_matrix(spec):
         assert np.abs(spectrum.coefficients(x) - whole.coefficients(x)).max() <= bound
     centers = spectrum.per_column(lambda _, block: localization_center(block))
     assert np.array_equal(centers, localization_center(v))
+    # k rows per block join into a (k, dim) array, one pass for k statistics
+    rows = spectrum.per_column(lambda _, block: np.stack(
+        [localization_center(block), participation_ratio(block)]))
+    assert rows.shape == (2, spectrum.dim)
+    assert np.array_equal(rows[0], centers)
+    assert np.array_equal(rows[1], participation_ratio(v))
 
 
 @pytest.mark.parametrize(
@@ -584,7 +590,7 @@ def test_pair_levels_are_the_sums_of_the_chain_levels(kind, side):
 
 def test_criterion_9_lattice_expands_in_the_chain_product_basis():
     # the 1600-level electron lattice: kappa_2 of V x V is kappa_2(V)^2, the
-    # number evolve2d reports, and evolve stays spectral
+    # number evolve2d reports, and evolve, evolve2d's engine, stays spectral
     spec = LatticeSpec(LatticeKind.PAIR_2D_ELECTRON, 40, 0.2)
     h = build_pair_lattice(spec)
     spectrum = eigendecompose(h)
@@ -592,7 +598,7 @@ def test_criterion_9_lattice_expands_in_the_chain_product_basis():
     assert spectrum.solver == "kronecker"
     assert spectrum.condition == pytest.approx(chain.condition**2, rel=0.01)
     psi0 = _start_vectors(h.dim, 1)[:, 0]
-    assert evolve(h, psi0, [0.0, 1.0], spectrum=spectrum).method == "spectral"
+    assert evolve(h, psi0, [0.0, 1.0]).method == "spectral"
 
 
 def test_perturbed_pair_lattice_falls_back_to_the_dense_route():
