@@ -120,8 +120,8 @@ def evolve(
     spectrum = _own_spectrum(h.chain if pair else h, spectrum)
     if pair:  # the chain's V is L x L, small next to the pair dimension: held
         # whole, its expansion and synthesis are plain matrix products
-        spectrum = replace(spectrum, columns=spectrum.right_eigenvectors, source=None,
-                           mirror=None, gauge=None)
+        spectrum = replace(spectrum, windows=((0, spectrum.right_eigenvectors),),
+                           source=None, mirror=None, gauge=None)
     condition = spectrum.condition**2 if pair else spectrum.condition
     method = "spectral"
     if condition > CONDITION_LIMIT:  # adaptive fourth-order integration
@@ -162,7 +162,7 @@ def _pair_synthesis(basis: PairBasis, chain: ComplexSpectrum, phi0: np.ndarray,
     amplitude matrices and restricted back to ``basis``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
     """
-    v = chain.columns
+    v = chain.right_eigenvectors
     c = chain.coefficients(chain.coefficients(basis.embed(phi0)).T).T
     phases = np.exp(-1j * np.outer(times, chain.eigenvalues))
     states = np.empty((times.size, basis.dim), dtype=complex)

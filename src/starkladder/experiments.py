@@ -724,7 +724,8 @@ _MU_KEYS = {
 }
 
 
-def _load_mu(from_run: str) -> dict:
+def _load_mu(from_run: str) -> tuple:
+    """``(path, data)``: the seed file and its checked values."""
     path = Path(from_run)
     if path.is_dir():
         path = path / "mu.json"
@@ -744,14 +745,14 @@ def _load_mu(from_run: str) -> dict:
         raise ConfigError(
             f"{path}: mu has {data['mu'].size} amplitudes for n_sites {data['n_sites']}"
         )
-    return data
+    return path, data
 
 
 def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     """Two-particle Bloch oscillation on the square-lattice encoding:
     probability snapshots over one period and the fidelity revival that
     identifies the pair period."""
-    payload = _load_mu(cfg.run.from_run)
+    path, payload = _load_mu(cfg.run.from_run)
     # the pair lattice is the Kronecker sum of this chain with itself
     spec = cfg.model.chain
     seed = {"origin_offset": payload["n_sites"] // 2, **payload}
@@ -769,6 +770,10 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
                 "the pair lattice's chain; refusing to mix parameters"
             )
     h = build_pair_lattice(cfg.model)
+    chain = eigendecompose(h.chain)
+    e0, level = complex(*payload["e0"]), select_reference_state(chain).energy
+    if not abs(e0 - level) <= 1e-9 * max(1.0, abs(level)):
+        raise ConfigError(f"{path}: e0 {e0} is not {level}, the chain's + reference level")
     phi0 = build_pair_product_state(payload["mu"], h.basis)
 
     omega = spec.omega
@@ -782,7 +787,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     extra = [f * t for t in candidates.values() for f in snapshot_fracs]
     times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
 
-    series = evolve(h, phi0, times)
+    series = evolve(h, phi0, times, spectrum=chain)
     f_curve = fidelity(series)
 
     # every candidate and snapshot time is one of the sampled times, exactly

@@ -93,14 +93,17 @@ class ComplexSpectrum:
     real positive, so the decomposition is deterministic.  ``solver`` names
     the route of :func:`eigendecompose`: ``"tridiagonal"``, ``"kronecker"`` or ``"dense"``.
 
-    ``V`` is held as its stored ``columns`` ``S`` (n x m): level ``k`` reads
-    column ``source[k]``, and where ``mirror[k]`` is +-1 it is that column's
-    gauge partner ``mirror[k] * gauge * conj(S[:, source[k]])``
-    (:func:`_bond_gauge`), an eigenvector at the conjugate level.  Without
-    ``source`` every level is its own column and ``S`` is ``V``.  Every pass
-    over ``V`` goes through :meth:`vectors_times`, :meth:`transpose_times`,
-    :meth:`per_column` or :meth:`eigenvectors`; ``right_eigenvectors``
-    assembles the whole ``V`` on each read and is never stored.
+    ``V`` is held as its stored columns ``S`` (n x m) in row ``windows``:
+    one ``(first, block)`` per run of columns, ``block`` their rows from
+    ``first`` to the last nonzero one, every other row exact zeros; one per
+    :func:`_column_blocks` slice on the tridiagonal route, one of the whole
+    ``V`` on the others.  Level ``k`` reads column ``source[k]``, and where
+    ``mirror[k]`` is +-1 it is that column's gauge partner ``mirror[k] *
+    gauge * conj(S[:, source[k]])`` (:func:`_bond_gauge`), an eigenvector at
+    the conjugate level.  Without ``source`` every level is its own column
+    and ``S`` is ``V``.  Every pass over ``V`` goes through
+    :meth:`vectors_times`, :meth:`transpose_times`, :meth:`per_column` or
+    :meth:`eigenvectors`; ``right_eigenvectors`` assembles the whole ``V``.
 
     ``V^T V = D`` is diagonal, so ``V^-1 = D^-1 V^T`` is the one inverse of
     every expansion and of the condition number.  Where two seeded probes
@@ -109,7 +112,7 @@ class ComplexSpectrum:
     """
 
     eigenvalues: np.ndarray
-    columns: np.ndarray
+    windows: tuple
     residuals: np.ndarray
     solver: str = "dense"
     source: np.ndarray | None = None
@@ -119,6 +122,11 @@ class ComplexSpectrum:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """The first column of ``S`` in each window, and ``m`` after them."""
+        return np.cumsum([0, *(block.shape[1] for _, block in self.windows)])
 
     @cached_property
     def _partners(self) -> tuple:
@@ -132,11 +140,18 @@ class ComplexSpectrum:
                 self.mirror[levels])
 
     def eigenvectors(self, levels) -> np.ndarray:
-        """``V[:, levels]`` for a slice or an index array: a view of ``S``
-        without partners, else formed from it."""
+        """``V[:, levels]`` for a slice or an index array: a view of a whole
+        ``V`` window, else formed in C order from the windows."""
+        (_, whole), *rest = self.windows
+        if self.source is None and not rest and len(whole) == self.dim:
+            return whole[:, levels]  # a view: statistics round by eig's Fortran layout
+        cols = np.arange(self.dim)[levels] if self.source is None else self.source[levels]
+        v = np.zeros((self.dim, cols.size), dtype=complex)
+        for (first, block), start in zip(self.windows, self._starts):
+            at = np.flatnonzero((cols >= start) & (cols < start + block.shape[1]))
+            v[first:first + len(block), at] = block[:, cols[at] - start]
         if self.source is None:
-            return self.columns[:, levels]
-        v = np.take(self.columns, self.source[levels], axis=1)  # C order, as S's blocks
+            return v
         sign = self.mirror[levels]
         partners = np.flatnonzero(sign)
         w = np.take(v, partners, axis=1)  # masked ufuncs over all of v take 4x as long
@@ -157,10 +172,28 @@ class ComplexSpectrum:
         joined along their last axis: one value per level, or ``(k, dim)``
         where ``function`` returns ``k`` rows.  Statistics of ``|v|``
         (:func:`localization_center`, :func:`participation_ratio`) are taken
-        here rather than on ``S``: the centre's gemv rounds a column by its
-        place in the block."""
+        here rather than on the windows: the centre's gemv rounds a column
+        by its place in the block."""
         return np.concatenate([function(self.eigenvalues[block], self.eigenvectors(block))
                                for block in _column_blocks(self.dim)], axis=-1)
+
+    def _stored_times(self, take, y: np.ndarray | None = None) -> np.ndarray:
+        """``S @ a``, or ``y + S @ a`` in place, by windows; ``take(cols)`` is
+        ``a[cols]``.  A new product's first window is assigned, not added to
+        zeros: a whole-matrix window gives ``S @ a`` bit for bit, ``-0.0`` too."""
+        for (first, block), start in zip(self.windows, self._starts):
+            part = block @ take(slice(start, start + block.shape[1]))
+            if y is None:
+                y = np.zeros((self.dim, *part.shape[1:]), dtype=complex)
+                y[first:first + len(block)] = part
+            else:
+                y[first:first + len(block)] += part
+        return y
+
+    def _stored_transpose_times(self, y: np.ndarray) -> np.ndarray:
+        """``S^T @ y``, each window against its own rows of ``y``."""
+        return np.concatenate([block.T @ y[first:first + len(block)]
+                               for first, block in self.windows])
 
     def vectors_times(self, x: np.ndarray) -> np.ndarray:
         """``V @ x`` for a vector or a matrix ``x``: ``S @ A + g * conj(S @ B)``,
@@ -168,25 +201,24 @@ class ComplexSpectrum:
         rows of the partners, placed at their columns."""
         stored, levels, sources, signs = self._partners
         if not levels.size:
-            return self.columns @ x
-        b = np.zeros((self.columns.shape[1], *x.shape[1:]), dtype=complex)
+            return self._stored_times(lambda cols: x[cols])
+        b = np.zeros((self._starts[-1], *x.shape[1:]), dtype=complex)
         b[sources] = _along_rows(signs, x) * np.conj(x[levels])
-        y = self.columns @ b
+        y = self._stored_times(lambda cols: b[cols])
         del b  # one n-row product alive besides y at a time
         np.conj(y, out=y)
         y *= _along_rows(self.gauge, y)
-        y += self.columns @ x[stored]
-        return y
+        return self._stored_times(lambda cols: x[stored[cols]], y)
 
     def transpose_times(self, y: np.ndarray) -> np.ndarray:
         """``V^T @ y`` for a vector or a matrix ``y``: ``S^T y`` for the
         stored levels, ``sign * conj(S^T conj(g * y))`` for the partners."""
         stored, levels, sources, signs = self._partners
         if not levels.size:
-            return self.columns.T @ y
+            return self._stored_transpose_times(y)
         out = np.empty((self.dim, *y.shape[1:]), dtype=complex)
-        out[stored] = self.columns.T @ y
-        w = self.columns.T @ np.conj(_along_rows(self.gauge, y) * y)
+        out[stored] = self._stored_transpose_times(y)
+        w = self._stored_transpose_times(np.conj(_along_rows(self.gauge, y) * y))
         out[levels] = _along_rows(signs, w) * np.conj(w[sources])
         return out
 
@@ -195,8 +227,7 @@ class ComplexSpectrum:
         """``d = diag(V^T V)`` if two seeded probes show ``V^T V = D``, else
         None; ``d`` is taken on ``S``, a partner's the conjugate of its
         source's, as ``(g * conj(v))^T (g * conj(v)) = conj(v^T v)``."""
-        s = self.columns
-        d = np.einsum("ij,ij->j", s, s)
+        d = np.concatenate([np.einsum("ij,ij->j", block, block) for _, block in self.windows])
         if self.source is not None:
             d = d[self.source]
             levels = self._partners[1]
@@ -606,19 +637,23 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     mirror = np.zeros(values.size)
     mirror[partner] = 1.0  # its sign is set below, from its source's lead
     stored = np.flatnonzero(mirror == 0)
-    columns = _inverse_iteration(diag, off, values[stored])
-    if columns is None:
-        return None
-    leads = _fix_phases(columns)
+    windows, leads = [], []
+    for block in _column_blocks(stored.size):  # one n x _BLOCK array at a time
+        columns = _inverse_iteration(diag, off, values[stored[block]])
+        if columns is None:
+            return None
+        leads.append(_fix_phases(columns))
+        rows = np.flatnonzero(np.any(columns != 0, axis=1))
+        windows.append((int(rows[0]), columns[rows[0]:rows[-1] + 1].copy()))
     layout = ()  # zgees: every level is its own column
     if plus.size:
         source = np.empty(values.size, dtype=int)
         source[stored] = np.arange(stored.size)
         source[partner] = source[rank[plus]]
         gauge = _bond_gauge(off)
-        mirror[partner] = gauge[leads[source[partner]]]
+        mirror[partner] = gauge[np.concatenate(leads)[source[partner]]]
         layout = (source, mirror, gauge)
-    spectrum = ComplexSpectrum(values, columns, np.empty(values.size), "tridiagonal",
+    spectrum = ComplexSpectrum(values, tuple(windows), np.empty(values.size), "tridiagonal",
                                *layout)
     spectrum.residuals[:] = spectrum.per_column(partial(_tridiagonal_residuals, diag, off))
     d = spectrum._gram_diagonal
@@ -647,7 +682,7 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
     order = _level_order(values)
     values, vectors = values[order], vectors[:, order]
     _fix_phases(vectors)
-    return ComplexSpectrum(values, vectors, matrix_residuals(entries, values, vectors))
+    return ComplexSpectrum(values, ((0, vectors),), matrix_residuals(entries, values, vectors))
 
 
 def _kronecker_spectrum(h: PairMatrix) -> ComplexSpectrum:
@@ -667,7 +702,7 @@ def _kronecker_spectrum(h: PairMatrix) -> ComplexSpectrum:
     vectors = h.basis.products(chain.right_eigenvectors, i, j)  # the chain's V: L x L
     _fix_phases(vectors)
     residuals = matrix_residuals(h, values, vectors)
-    return ComplexSpectrum(values, vectors, residuals, "kronecker")
+    return ComplexSpectrum(values, ((0, vectors),), residuals, "kronecker")
 
 
 def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpectrum:

@@ -1,7 +1,25 @@
+import tracemalloc
+
 import pytest
 
 from starkladder.lattices import LatticeKind, LatticeSpec, build_chain
 from starkladder.spectra import eigendecompose
+
+
+def _traced_peak(call) -> tuple:
+    """``(call(), peak)``: what ``call()`` returns, and the peak bytes it
+    allocates through Python's allocators."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """The memory guards' one tracer: ``traced_peak(call)`` is ``(call(), peak)``."""
+    return _traced_peak
 
 
 @pytest.fixture(scope="session")

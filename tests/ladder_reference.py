@@ -20,7 +20,7 @@ def synthetic_spectrum(values) -> ComplexSpectrum:
     n = values.size
     return ComplexSpectrum(
         eigenvalues=values,
-        columns=np.eye(n, dtype=complex),
+        windows=((0, np.eye(n, dtype=complex)),),
         residuals=np.zeros(n),
     )
 

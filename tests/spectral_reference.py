@@ -10,8 +10,8 @@ solve.  O(n^3), so keep n small.  Also the chain eigenvalues of LAPACK
 it before it held a chain as its bands; the per-column statistics of
 ``spectra`` (phase convention, localization center, participation ratio)
 as whole-matrix formulas, the reference of their column blocks; and the
-``dimer_1i`` eigenvectors as the tridiagonal route wrote them when it
-stored every partner column.
+chain eigenvectors as the tridiagonal route wrote them when it stored
+every column in one n x n array.
 """
 
 import numpy as np
@@ -90,13 +90,15 @@ def dense_schur_eigenvalues(entries: np.ndarray) -> np.ndarray:
     return values
 
 
-def reference_dimer_1i_eigenvectors(h) -> np.ndarray:
-    """The n x n eigenvector matrix of a ``dimer_1i`` chain ``h`` as the
-    tridiagonal route formed it when it stored every column: inverse
+def reference_chain_eigenvectors(h) -> np.ndarray:
+    """The n x n eigenvector matrix of a chain ``h`` as the tridiagonal
+    route formed it when it stored every column in one n x n array: inverse
     iteration at every level but the ``Im E < 0`` partner of each Schur-form
-    pair, each partner written as ``g * conj(x)`` from its source's raw
-    column ``x`` with ``g_j = (-1)**(j // 2)``, then the phase convention on
-    the whole matrix."""
+    pair of ``dgees`` (``dimer_1i``), each partner written as
+    ``g * conj(x)`` from its source's raw column ``x`` with
+    ``g_j = (-1)**(j // 2)``, then the phase convention on the whole
+    matrix.  A chain that takes ``zgees`` (J/J*) has no partners: every
+    level is solved."""
     n = h.dim
     values, plus = spectra._schur_eigenvalues(h.diag, h.off)
     order = reference_level_order(values)

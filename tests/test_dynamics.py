@@ -1,5 +1,4 @@
 import collections
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,7 +391,7 @@ def test_fidelity_does_not_depend_on_memory_layout():
     assert np.array_equal(fidelity(c_order), fidelity(f_order))
 
 
-def test_fidelity_norms_eight_rows_at_a_time():
+def test_fidelity_norms_eight_rows_at_a_time(traced_peak):
     # the whole-table norm formed two (times x dim) complex temporaries, 1.9 MB
     # each at this size, the L = 40 electron evolve2d's; each row still
     # reduces over its own contiguous axis, so the curve is the same bit for bit
@@ -402,30 +401,20 @@ def test_fidelity_norms_eight_rows_at_a_time():
     whole = np.abs(states @ np.conj(states[0])) ** 2 / (
         np.linalg.norm(states, axis=1) ** 2 * np.linalg.norm(states[0]) ** 2
     )
-    tracemalloc.start()
-    try:
-        curve = fidelity(series)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    curve, peak = traced_peak(lambda: fidelity(series))
     assert np.array_equal(curve, whole)
     assert peak < 1e6
 
 
-def test_chain_synthesis_forms_no_temporary_wider_than_the_product(dimer1000):
+def test_chain_synthesis_forms_no_temporary_wider_than_the_product(dimer1000, traced_peak):
     # V @ X as S @ A + g * conj(S @ B): n x T products and half-width rows,
-    # no gathered copy of S (8 MB here) nor an assembled V (16 MB); the
-    # whole product is 0.32 MB at n = 1000, T = 20
+    # no gathered copy of S (8 MB here, 4.3 MB in its row windows) nor an
+    # assembled V (16 MB); the whole product is 0.32 MB at n = 1000, T = 20
     h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=OMEGA))
     psi0 = gaussian_state(0.3, 500, 1000)
     times = np.linspace(0.0, PERIOD, 20)
     dimer1000.coefficients(psi0)  # the condition number and D, cached
-    tracemalloc.start()
-    try:
-        series = evolve(h, psi0, times, spectrum=dimer1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    series, peak = traced_peak(lambda: evolve(h, psi0, times, spectrum=dimer1000))
     assert series.method == "spectral"
     assert peak < 8 * 1000 * times.size * 16
 

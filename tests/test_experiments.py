@@ -1,7 +1,6 @@
 import collections
 import csv
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,28 +445,20 @@ def test_pair_runs_never_assemble_the_dense_pair_lattice(tmp_path, monkeypatch):
                                               LatticeKind.PAIR_2D_BOSON: 1}
 
 
-def _traced_peak(call) -> int:
-    """Peak bytes that ``call()`` allocates through Python's allocators."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("experiment", ["ladder_scan", "evolve1d"])
-def test_long_chain_runs_stay_below_13_mb(tmp_path, experiment):
-    # the stored columns S are 8.0 MB at n = 1000, the rest a block of
-    # columns or an n x T product at a time; with the whole 16 MB V these
-    # runs peaked at 18.5 MB (ladder_scan) and 19.8 MB (evolve1d), and with
-    # the chain held as a dense 16 MB matrix as well at 34.5 and 35.8 MB
+def test_long_chain_runs_stay_below_10_mb(tmp_path, experiment, traced_peak):
+    # the one n x n array is the 8 MB Schur image; the stored columns' row
+    # windows are 4.3 MB at n = 1000, the rest a block of columns or an
+    # n x T product at a time.  With the stored columns whole (8.0 MB) these
+    # runs peaked at 9.4 MB (ladder_scan) and 12.0 MB (evolve1d), with the
+    # whole 16 MB V at 18.5 and 19.8 MB, and with the chain held as a dense
+    # 16 MB matrix as well at 34.5 and 35.8 MB
     cfg = load_config(overrides={
         "experiment": experiment,
         "model": {"kind": "dimer_1i", "n_sites": 1000, "omega": 0.2},
         "output": {"directory": str(tmp_path)},
     })
-    assert _traced_peak(lambda: run(cfg)) < 13e6
+    assert traced_peak(lambda: run(cfg))[1] < 10e6
 
 
 def test_csv_output_is_bit_identical(tmp_path):
@@ -571,16 +562,12 @@ def test_ladder_scan_has_no_bulk_on_pair_lattices(tmp_path):
     assert run(cfg)["checks"]["max_bulk_spacing_deviation"] is None
 
 
-def test_bulk_spacing_deviation_forms_no_square_temporary(dimer1000):
+def test_bulk_spacing_deviation_forms_no_square_temporary(dimer1000, traced_peak):
     # the centres of all columns a block at a time, indexed by family: the
     # copy V[:, members] and its centres peaked at 11.8 MB at n = 1000
     families = detect_ladders(dimer1000, 0.4).families
-    tracemalloc.start()
-    try:
-        deviation = experiments._bulk_spacing_deviation(dimer1000, families, 0.4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    deviation, peak = traced_peak(
+        lambda: experiments._bulk_spacing_deviation(dimer1000, families, 0.4))
     assert 0 < deviation < 1e-6
     assert peak < 2e6
 
@@ -718,6 +705,25 @@ def test_evolve2d_refuses_seed_from_another_chain_kind(tmp_path):
     assert json.loads((seed / "mu.json").read_text())["kind"] == "dimer_jjstar"
     with pytest.raises(ConfigError, match="dimer_jjstar"):
         _pair_run(seed, tmp_path / "pair")
+
+
+@pytest.mark.parametrize("move", [lambda re, im: [re, -im], lambda re, im: [re + 1e-6, im]],
+                         ids=["conjugate", "shifted"])
+def test_evolve2d_refuses_a_seed_of_another_reference_level(tmp_path, capsys, move):
+    # e0 must be the + reference level of the pair lattice's chain: its
+    # conjugate, the - level, or a level 1e-6 away is another run's seed
+    seed = tmp_path / "seed"
+    _seed_run(seed, {"n_sites": 16, "omega": 0.2})
+    path = seed / "mu.json"
+    data = json.loads(path.read_text())
+    data["e0"] = move(*data["e0"])
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    code = main(["evolve2d", "--model", "pair_2d_electron", "--sites", "16",
+                 "--omega", "0.2", "--from-run", str(seed), "--out", str(out)])
+    assert code == 2
+    assert f"config error: {path}: e0 " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (mu.json key, value): each key is present but its value is malformed.
@@ -958,18 +964,21 @@ def test_cli_config_error_exit_code(capsys):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    # a single-site profile has no fermionic pair component: numerical error
+    # a single-site profile has no fermionic pair component: numerical error;
+    # e0 is the chain's reference level, which evolve2d checks first
     seed = tmp_path / "seed"
     seed.mkdir()
     mu = [[0.0, 0.0]] * 8
     mu[2] = [1.0, 0.0]
+    e0 = select_reference_state(eigendecompose(build_chain(
+        LatticeSpec(LatticeKind.DIMER_1I, 8, 0.2)))).energy
     (seed / "mu.json").write_text(
         json.dumps(
             {
                 "kind": "dimer_1i",
                 "n_sites": 8,
                 "omega": 0.2,
-                "e0": [0.0, 0.7],
+                "e0": [e0.real, e0.imag],
                 "t_late": 40.0,
                 "mu": mu,
             }

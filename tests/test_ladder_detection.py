@@ -1,7 +1,6 @@
 """Sorted-window ladder detection against the full-scan reference detector."""
 
 import cmath
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,20 +150,15 @@ def test_detection_makes_as_many_window_queries_at_every_size(monkeypatch, dimer
     assert counts[0] == counts[1] > 0
 
 
-def test_detection_allocates_no_square_array():
+def test_detection_allocates_no_square_array(traced_peak):
     # two interleaved 5000-rung ladders, where an n x n float matrix would
     # take 800 MB; real levels, so the conjugate pairing has nothing to match
     n = 10_000
     rungs = np.arange(n // 2) * 0.4
     values = np.concatenate([rungs, rungs + 0.2]).astype(complex)
     # only the levels are read; an identity eigenbasis would itself be n x n
-    spectrum = ComplexSpectrum(values, np.empty((n, 0)), np.zeros(n))
-    tracemalloc.start()
-    try:
-        report = detect_ladders(spectrum, 0.4, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    spectrum = ComplexSpectrum(values, ((0, np.empty((n, 0))),), np.zeros(n))
+    report, peak = traced_peak(lambda: detect_ladders(spectrum, 0.4, 1e-6))
     assert [f.rung_count for f in report.families] == [n // 2, n // 2]
     assert peak < 50e6
 
@@ -197,18 +191,13 @@ def test_conjugate_pairing_equals_assignment(values):
     assert _conjugate_pairing(values, 1e-6) == reference_conjugate_pairing(values, 1e-6)
 
 
-def test_conjugate_pairing_allocates_no_square_array():
+def test_conjugate_pairing_allocates_no_square_array(traced_peak):
     # two conjugate 3000-rung ladders: the dense cost matrix peaked at 217 MB
     n = 6000
     rungs = np.arange(n // 2) * 0.4 + 0.764j
     values = np.concatenate([rungs, np.conj(rungs)])
-    spectrum = ComplexSpectrum(values, np.empty((n, 0)), np.zeros(n))
-    tracemalloc.start()
-    try:
-        report = detect_ladders(spectrum, 0.4, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    spectrum = ComplexSpectrum(values, ((0, np.empty((n, 0))),), np.zeros(n))
+    report, peak = traced_peak(lambda: detect_ladders(spectrum, 0.4, 1e-6))
     assert report.conjugate_pairing == tuple((k, k + n // 2, 0.0) for k in range(n // 2))
     assert peak < 10e6
 
@@ -227,33 +216,26 @@ def test_multiset_distance_equals_assignment(values):
     )
 
 
-def test_multiset_distance_allocates_no_square_array():
+def test_multiset_distance_allocates_no_square_array(traced_peak):
     # a conjugate ladder of 3000 levels: the dense cost matrix peaked at 216 MB
     rungs = np.arange(1500) * 0.4 + 0.764j
     values = np.concatenate([rungs, np.conj(rungs)])
-    tracemalloc.start()
-    try:
-        deviation = conjugation_closure_deviation(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    deviation, peak = traced_peak(lambda: conjugation_closure_deviation(values))
     assert deviation == 0.0
     assert peak < 10e6
 
 
-def test_oversized_dense_assignment_is_refused():
+def test_oversized_dense_assignment_is_refused(traced_peak):
     # 10^5 levels whose conjugate partners are equidistant: the exact ties
     # leave the mutual nearest neighbours short of a cover, and the dense
     # cost matrix would be 5e4 x 5e4, 37 GiB; the guard raises first
     k = np.arange(50_000)
     values = np.concatenate([0.4 * k + 0.764j, 0.4 * k + 0.2 - 0.764j])
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="50000 to 50000 levels"):
             _conjugate_pairing(values, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert 50_000**2 > spectra.ASSIGNMENT_LIMIT
     assert peak < 20e6
 

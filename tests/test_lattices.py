@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -103,16 +102,10 @@ def test_chain_bands_are_read_only_and_sized():
         ChainMatrix(h.diag, h.off, h.basis_labels[:-1])
 
 
-def test_long_chain_is_held_as_its_bands():
+def test_long_chain_is_held_as_its_bands(traced_peak):
     # two bands of 1000 complex numbers; the dense matrix took 16 MB
     spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
-    tracemalloc.start()
-    try:
-        build_chain(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    assert traced_peak(lambda: build_chain(spec))[1] < 1e6
 
 
 def test_chain_labels_are_row_indices():
@@ -261,16 +254,10 @@ def test_pair_lattice_equals_kronecker_reference_bitwise(side, kind, offset):
     assert h.entries.tobytes() == entries.tobytes()
 
 
-def test_sector_build_never_forms_the_electron_lattice():
+def test_sector_build_never_forms_the_electron_lattice(traced_peak):
     # the 1600 x 1600 complex electron matrix alone takes 41 MB
     spec = LatticeSpec(kind=LatticeKind.PAIR_2D_FERMION, n_sites=40, omega=0.2)
-    tracemalloc.start()
-    try:
-        build_pair_lattice(spec).entries
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    assert traced_peak(lambda: build_pair_lattice(spec).entries)[1] < 40e6
 
 
 def test_pair_lattice_rejects_small_side():

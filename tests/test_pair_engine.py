@@ -2,7 +2,6 @@
 
 import collections
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +127,7 @@ def test_engine_rejects_mismatched_chain():
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
-def test_engine_decomposes_the_chain_only(kind, monkeypatch):
+def test_engine_decomposes_the_chain_only(kind, monkeypatch, traced_peak):
     # evolve synthesizes a pair lattice from its chain's L x L spectrum:
     # no eigendecomposition of the L^2 x L^2 lattice, and no L^2 x L^2 basis
     # in memory (the Kronecker-route basis peaked at 30 to 83 MB at L = 40)
@@ -148,12 +147,7 @@ def test_engine_decomposes_the_chain_only(kind, monkeypatch):
     h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=40, omega=omega))
     phi0 = _random_state(h.dim, 9)
     times = [0.0, math.pi / (2 * omega), math.pi / omega]
-    tracemalloc.start()
-    try:
-        series = evolve(h, phi0, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    series, peak = traced_peak(lambda: evolve(h, phi0, times))
     assert series.method == "spectral"
     assert calls == collections.Counter(ChainMatrix=1)
     assert peak < 2e6

@@ -12,8 +12,6 @@ of kappa_2.  The reference (``tests/spectral_reference.py``) takes ``eig``,
 LU and an SVD.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -55,7 +53,7 @@ from spectral_reference import (
     dense_eigenpairs,
     dense_schur_eigenvalues,
     lu_coefficients,
-    reference_dimer_1i_eigenvectors,
+    reference_chain_eigenvectors,
     reference_level_order,
 )
 
@@ -170,6 +168,9 @@ def _spied(monkeypatch, name: str, info=None) -> list:
 # dimer_1i takes dgees on its real gauge image, a generic J/J* dimer zgees
 DIMER_1I_60 = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=0.2)
 JJSTAR_60 = LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=60, omega=0.2, j_even=0.8 + 0.6j)
+# the long chains whose columns are exact zeros far from their centres
+DIMER_1I_1000 = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
+JJSTAR_1000 = LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=1000, omega=0.2, j_even=0.5 + 0.5j)
 
 
 def _assert_failed_schur_takes_the_dense_route(monkeypatch, name, spec):
@@ -251,6 +252,10 @@ def test_partner_columns_are_gauge_conjugates():
     np.testing.assert_allclose(partner * (np.abs(lead) / lead), v[:, minus], rtol=0, atol=1e-15)
 
 
+def _stored_columns(spectrum: ComplexSpectrum) -> int:
+    return sum(block.shape[1] for _, block in spectrum.windows)
+
+
 @pytest.mark.parametrize("n", [40, 60, 1000])
 def test_partner_columns_equal_the_stored_route_value_for_value(n):
     # only the Im E >= 0 columns are stored; each partner, formed on request
@@ -259,8 +264,49 @@ def test_partner_columns_equal_the_stored_route_value_for_value(n):
     # zeros may differ in sign)
     h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=n, omega=0.2))
     spectrum = eigendecompose(h)
-    assert spectrum.columns.shape == (n, n // 2 + 1)  # two real levels
-    assert np.array_equal(spectrum.right_eigenvectors, reference_dimer_1i_eigenvectors(h))
+    assert _stored_columns(spectrum) == n // 2 + 1  # two real levels
+    assert np.array_equal(spectrum.right_eigenvectors, reference_chain_eigenvectors(h))
+
+
+def test_zgees_columns_equal_the_whole_matrix_route_value_for_value():
+    # a J/J* chain stores every column, in row windows: dropping the exact
+    # zeros outside them loses no digit of the columns the route wrote into
+    # one n x n array
+    h = build_chain(JJSTAR_1000)
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == "tridiagonal"
+    assert _stored_columns(spectrum) == 1000
+    assert np.array_equal(spectrum.right_eigenvectors, reference_chain_eigenvectors(h))
+
+
+def _check_products(spectrum: ComplexSpectrum) -> None:
+    """The products, the expansion and the per-column statistics of
+    ``spectrum``'s windows against those of the assembled V."""
+    n = spectrum.dim
+    v = spectrum.right_eigenvectors
+    whole = ComplexSpectrum(spectrum.eigenvalues, ((0, v),), spectrum.residuals,
+                            spectrum.solver)
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(size=n) + 1j * rng.normal(size=n),
+              rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
+        ulp = np.finfo(float).eps * np.linalg.norm(v) * np.linalg.norm(x)
+        assert np.abs(spectrum.vectors_times(x) - v @ x).max() <= 4 * ulp
+        assert np.abs(spectrum.transpose_times(x) - v.T @ x).max() <= 4 * ulp
+        if spectrum.condition > CONDITION_LIMIT:
+            for basis in (spectrum, whole):
+                with pytest.raises(ValueError):
+                    basis.coefficients(x)
+            continue
+        bound = 32 * np.finfo(float).eps * spectrum.condition * np.linalg.norm(x)
+        assert np.abs(spectrum.coefficients(x) - whole.coefficients(x)).max() <= bound
+    centers = spectrum.per_column(lambda _, block: localization_center(block))
+    assert np.array_equal(centers, localization_center(v))
+    # k rows per block join into a (k, dim) array, one pass for k statistics
+    rows = spectrum.per_column(lambda _, block: np.stack(
+        [localization_center(block), participation_ratio(block)]))
+    assert rows.shape == (2, spectrum.dim)
+    assert np.array_equal(rows[0], centers)
+    assert np.array_equal(rows[1], participation_ratio(v))
 
 
 @st.composite
@@ -280,30 +326,20 @@ def _partnered_chains(draw):
 def test_products_with_the_stored_columns_match_the_assembled_matrix(spec):
     # V @ X as S @ A + g * conj(S @ B) and V^T @ X likewise: the rounding of
     # one matrix product; the expansion inherits it, amplified by kappa_2
+    _check_products(eigendecompose(build_chain(spec)))
+
+
+@pytest.mark.parametrize("spec, most_bytes", [(DIMER_1I_1000, 4.5e6), (JJSTAR_1000, 7.5e6)],
+                         ids=["dimer_1i", "jjstar"])
+def test_trimmed_windows_match_the_assembled_matrix(spec, most_bytes):
+    # at n = 1000 the columns are exact zeros beyond about 250 sites of
+    # their centre, so most windows are shorter than the chain: the products
+    # sum only their nonzero rows, and still agree to the rounding of one
+    # product with the assembled V (n <= 80 above keeps every window whole)
     spectrum = eigendecompose(build_chain(spec))
-    v = spectrum.right_eigenvectors
-    whole = ComplexSpectrum(spectrum.eigenvalues, v, spectrum.residuals, spectrum.solver)
-    rng = np.random.default_rng(spec.n_sites)
-    for x in (rng.normal(size=spec.n_sites) + 1j * rng.normal(size=spec.n_sites),
-              rng.normal(size=(spec.n_sites, 3)) + 1j * rng.normal(size=(spec.n_sites, 3))):
-        ulp = np.finfo(float).eps * np.linalg.norm(v) * np.linalg.norm(x)
-        assert np.abs(spectrum.vectors_times(x) - v @ x).max() <= 4 * ulp
-        assert np.abs(spectrum.transpose_times(x) - v.T @ x).max() <= 4 * ulp
-        if spectrum.condition > CONDITION_LIMIT:
-            for basis in (spectrum, whole):
-                with pytest.raises(ValueError):
-                    basis.coefficients(x)
-            continue
-        bound = 32 * np.finfo(float).eps * spectrum.condition * np.linalg.norm(x)
-        assert np.abs(spectrum.coefficients(x) - whole.coefficients(x)).max() <= bound
-    centers = spectrum.per_column(lambda _, block: localization_center(block))
-    assert np.array_equal(centers, localization_center(v))
-    # k rows per block join into a (k, dim) array, one pass for k statistics
-    rows = spectrum.per_column(lambda _, block: np.stack(
-        [localization_center(block), participation_ratio(block)]))
-    assert rows.shape == (2, spectrum.dim)
-    assert np.array_equal(rows[0], centers)
-    assert np.array_equal(rows[1], participation_ratio(v))
+    assert min(len(block) for _, block in spectrum.windows) < spectrum.dim
+    assert sum(block.nbytes for _, block in spectrum.windows) < most_bytes
+    _check_products(spectrum)
 
 
 @pytest.mark.parametrize(
@@ -369,7 +405,19 @@ def _counted_lu(monkeypatch) -> list:
 
 def _basis(vectors: np.ndarray) -> ComplexSpectrum:
     n = vectors.shape[0]
-    return ComplexSpectrum(np.arange(n, dtype=complex), vectors, np.zeros(n))
+    return ComplexSpectrum(np.arange(n, dtype=complex), ((0, vectors),), np.zeros(n))
+
+
+def test_a_whole_matrix_window_multiplies_as_its_matrix():
+    # the dense and Kronecker routes hold V as one window: its products are
+    # V @ X and V^T @ X bit for bit, each -0.0 included, which a product
+    # added into zeros would turn into +0.0
+    v = np.array([[-1.0, -1.0], [1.0, -1.0]], dtype=complex)
+    x = np.zeros((2, 3), dtype=complex)
+    assert np.signbit((v @ x).real).all()
+    spectrum = _basis(v)
+    assert spectrum.vectors_times(x).tobytes() == (v @ x).tobytes()
+    assert spectrum.transpose_times(x).tobytes() == (v.T @ x).tobytes()
 
 
 def test_refinement_rescues_a_nearly_transpose_orthogonal_basis(monkeypatch):
@@ -456,38 +504,29 @@ def test_exceptional_point_falls_back_to_dense_route():
     assert spectrum.residuals.max() < RESIDUAL_TOL
 
 
-def _traced_peak(call) -> int:
-    """Peak bytes that ``call()`` allocates through Python's allocators."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_long_chain_decomposition_stays_below_10_mb(traced_peak):
+    # the Schur image is 8 MB at n = 1000, the one n x n array; inverse
+    # iteration, the phase convention and the residuals go a block of
+    # columns at a time, and the stored columns' row windows take 4.3 MB
+    # (the stored columns whole took 8 MB, whole-matrix phases peaked at
+    # 32 MB, the dense route at 48 MB)
+    h = build_chain(DIMER_1I_1000)
+    assert traced_peak(lambda: eigendecompose(h))[1] < 10e6
 
 
-def test_long_chain_decomposition_stays_below_20_mb():
-    # the stored columns are 8 MB at n = 1000, half of V; the phase
-    # convention and the residuals go a block of columns at a time, so
-    # nothing else is that large (whole-matrix phases peaked at 32 MB, the
-    # dense route at 48 MB)
-    h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2))
-    assert _traced_peak(lambda: eigendecompose(h)) < 20e6
-
-
-def test_long_chain_statistics_form_no_square_temporary(dimer1000):
+def test_long_chain_statistics_form_no_square_temporary(dimer1000, traced_peak):
     # one n x 64 block at a time: whole-matrix formulas took 8 MB for the
     # centers of select_reference_state and 16 MB for participation ratios
     v = dimer1000.right_eigenvectors
-    assert _traced_peak(lambda: select_reference_state(dimer1000)) < 2e6
-    assert _traced_peak(lambda: participation_ratio(v)) < 2e6
+    assert traced_peak(lambda: select_reference_state(dimer1000))[1] < 2e6
+    assert traced_peak(lambda: participation_ratio(v))[1] < 2e6
 
 
-def test_slope_scan_holds_one_eigenvector_matrix():
+def test_slope_scan_holds_one_eigenvector_matrix(traced_peak):
     # the reference state copies its column: a view of V kept one slope's
     # 16 MB V alive through the next decomposition, a peak of 34.4 MB
     spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=0.2)
-    assert _traced_peak(lambda: scan_E0_vs_omega(spec, [0.18, 0.2, 0.22])) < 24e6
+    assert traced_peak(lambda: scan_E0_vs_omega(spec, [0.18, 0.2, 0.22]))[1] < 24e6
 
 
 PAIR_KINDS = [LatticeKind.PAIR_2D_ELECTRON, LatticeKind.PAIR_2D_FERMION, LatticeKind.PAIR_2D_BOSON]

@@ -1,7 +1,5 @@
 """Shift-and-sign symmetry operators against their dense matrices."""
 
-import tracemalloc
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,16 +128,11 @@ def test_deviations_equal_dense_formulas_on_chains():
         assert abs(gauge - reference) <= 1e-13 * max(1.0, reference)
 
 
-def test_symmetry_ops_stay_linear_in_memory():
+def test_symmetry_ops_stay_linear_in_memory(traced_peak):
     # dense 10^5 x 10^5 operators would take 80 GB each
     n = 10**5
     vec = np.ones(n, dtype=complex)
-    tracemalloc.start()
-    try:
-        op = compose(translation_op(n, 2), gauge_op(n))
-        out = apply_symmetry(op, vec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(
+        lambda: apply_symmetry(compose(translation_op(n, 2), gauge_op(n)), vec))
     assert peak < 20e6
     np.testing.assert_array_equal(out[:6], [0, 0, 1, 1, -1, -1])
