@@ -142,10 +142,9 @@ def evolve(
         method = f"integrator (eigenvector condition {condition:.2e})"
     elif pair:
         states = _pair_synthesis(h.basis, spectrum, psi0, times)
-    else:
-        phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
-        phases *= spectrum.coefficients(psi0)[:, None]
-        states = spectrum.vectors_times(phases).T
+    else:  # each window's phase rows exp(-i E t) c, formed with its columns
+        e, c = spectrum.eigenvalues, spectrum.coefficients(psi0)[:, None]
+        states = spectrum.vectors_times(lambda k: np.exp(-1j * np.outer(e[k], times)) * c[k]).T
     states[0] = psi0  # t = 0 is the initial snapshot, exactly
     return TimeSeries(times, states, h.basis_labels, method, spectrum.solver, condition)
 
@@ -199,8 +198,9 @@ def dirac_probability(series: TimeSeries, lam: float) -> np.ndarray:
     index in 1D, ``(x, y)`` on pair lattices, where ``lam = 0`` is the
     conventional choice).
     """
-    damp = np.exp(-2.0 * lam * series.times)
-    return damp[:, None] * np.abs(series.states) ** 2
+    p = np.abs(series.states)
+    np.square(p, out=p)
+    return np.multiply(p, np.exp(-2.0 * lam * series.times)[:, None], out=p)
 
 
 def family_projection(

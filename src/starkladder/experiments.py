@@ -417,10 +417,10 @@ def _cells(col: np.ndarray) -> list:
 
 
 def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -> Path:
-    """Write ``columns`` (header -> one value per row) as ``<name>.csv`` or
-    ``<name>.json``."""
+    """Write ``columns`` (header -> its values, an array read in row order)
+    as ``<name>.csv`` or ``<name>.json``."""
     if fmt == "json":
-        cells = [np.asarray(col).tolist() for col in columns.values()]
+        cells = [np.ravel(col).tolist() for col in columns.values()]
         rows = [list(row) for row in zip(*cells)]
         return _write_json(outdir, name, {"meta": meta, "columns": list(columns), "rows": rows})
     outdir.mkdir(parents=True, exist_ok=True)
@@ -430,8 +430,8 @@ def _write_table(outdir: Path, name: str, meta: dict, columns: dict, fmt: str) -
         for key in sorted(meta):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(",".join(map(_csv_field, columns)) + "\r\n")
-        for start in range(0, len(cols[0]), _ROWS_PER_WRITE):
-            block = zip(*(_cells(col[start:start + _ROWS_PER_WRITE]) for col in cols))
+        for start in range(0, cols[0].size, _ROWS_PER_WRITE):
+            block = zip(*(_cells(col.flat[start:start + _ROWS_PER_WRITE]) for col in cols))
             fh.write("\r\n".join(map(",".join, block)) + "\r\n")
     return path
 
@@ -656,9 +656,9 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         "alpha": cfg.run.alpha,
     }
     columns = {
-        "t": np.repeat(series.times, model.n_sites),
-        "site": np.tile(np.arange(model.n_sites), series.times.size),
-        "value": probs.ravel(),
+        "t": np.broadcast_to(series.times[:, None], probs.shape),
+        "site": np.broadcast_to(np.arange(model.n_sites), probs.shape),
+        "value": probs,
     }
     files = [_write_table(outdir, "probability", meta, columns, cfg.output.format)]
 

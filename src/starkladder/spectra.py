@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -99,9 +99,9 @@ class ComplexSpectrum:
     :func:`_column_blocks` slice on the tridiagonal route, one of the whole
     ``V`` on the others.  Level ``k`` reads column ``source[k]``, and where
     ``mirror[k]`` is +-1 it is that column's gauge partner ``mirror[k] *
-    gauge * conj(S[:, source[k]])`` (:func:`_bond_gauge`), an eigenvector at
-    the conjugate level.  Without ``source`` every level is its own column
-    and ``S`` is ``V``.  Every pass over ``V`` goes through
+    gauge * conj(S[:, source[k]])`` (:func:`_gauge_image`), an eigenvector
+    at the conjugate level.  Without ``source`` every level is its own
+    column and ``S`` is ``V``.  Every pass over the windows goes through
     :meth:`vectors_times`, :meth:`transpose_times`, :meth:`per_column` or
     :meth:`eigenvectors`; ``right_eigenvectors`` assembles the whole ``V``.
 
@@ -154,11 +154,8 @@ class ComplexSpectrum:
             return v
         sign = self.mirror[levels]
         partners = np.flatnonzero(sign)
-        w = np.take(v, partners, axis=1)  # masked ufuncs over all of v take 4x as long
-        np.conjugate(w, out=w)
-        w *= self.gauge[:, None]
-        w *= sign[partners]
-        v[:, partners] = w
+        # masked ufuncs over all of v take 4x as long
+        v[:, partners] = _gauge_image(np.take(v, partners, axis=1), self.gauge, sign[partners])
         return v
 
     @property
@@ -188,27 +185,35 @@ class ComplexSpectrum:
                 y[first:first + len(block)] = part
             else:
                 y[first:first + len(block)] += part
+            del part  # else two windows' products are alive at the next one
         return y
 
     def _stored_transpose_times(self, y: np.ndarray) -> np.ndarray:
         """``S^T @ y``, each window against its own rows of ``y``."""
-        return np.concatenate([block.T @ y[first:first + len(block)]
-                               for first, block in self.windows])
+        out = np.empty((self._starts[-1], *y.shape[1:]), dtype=complex)
+        for (first, block), start in zip(self.windows, self._starts):
+            out[start:start + block.shape[1]] = block.T @ y[first:first + len(block)]
+        return out
 
-    def vectors_times(self, x: np.ndarray) -> np.ndarray:
-        """``V @ x`` for a vector or a matrix ``x``: ``S @ A + g * conj(S @ B)``,
-        ``A`` the rows of the stored levels and ``B`` the conjugated, signed
-        rows of the partners, placed at their columns."""
+    def vectors_times(self, x) -> np.ndarray:
+        """``V @ x`` for a vector or a matrix ``x``, or ``x(levels)`` its rows,
+        formed per window: ``S @ A + g * conj(S @ B)``, ``A`` the rows of the
+        stored levels, ``B`` the partners' conjugated, signed rows at their columns."""
+        rows = x if callable(x) else x.__getitem__
         stored, levels, sources, signs = self._partners
         if not levels.size:
-            return self._stored_times(lambda cols: x[cols])
-        b = np.zeros((self._starts[-1], *x.shape[1:]), dtype=complex)
-        b[sources] = _along_rows(signs, x) * np.conj(x[levels])
-        y = self._stored_times(lambda cols: b[cols])
-        del b  # one n-row product alive besides y at a time
+            return self._stored_times(rows)
+
+        def partner_rows(cols: slice) -> np.ndarray:  # B's rows of one window
+            at = np.flatnonzero((sources >= cols.start) & (sources < cols.stop))
+            w = rows(levels[at])
+            b = np.zeros((cols.stop - cols.start, *w.shape[1:]), dtype=complex)
+            b[sources[at] - cols.start] = _along_rows(signs[at], w) * np.conj(w)
+            return b
+        y = self._stored_times(partner_rows)
         np.conj(y, out=y)
         y *= _along_rows(self.gauge, y)
-        return self._stored_times(lambda cols: x[stored[cols]], y)
+        return self._stored_times(lambda cols: rows(stored[cols]), y)
 
     def transpose_times(self, y: np.ndarray) -> np.ndarray:
         """``V^T @ y`` for a vector or a matrix ``y``: ``S^T y`` for the
@@ -218,7 +223,8 @@ class ComplexSpectrum:
             return self._stored_transpose_times(y)
         out = np.empty((self.dim, *y.shape[1:]), dtype=complex)
         out[stored] = self._stored_transpose_times(y)
-        w = self._stored_transpose_times(np.conj(_along_rows(self.gauge, y) * y))
+        w = _along_rows(self.gauge, y) * y
+        w = self._stored_transpose_times(np.conj(w, out=w))
         out[levels] = _along_rows(signs, w) * np.conj(w[sources])
         return out
 
@@ -507,8 +513,8 @@ def _bond_gauge(off: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
-    """Eigenvectors of the tridiagonal matrix at the given eigenvalues, one
-    column each, unnormalized.
+    """Eigenvectors of the tridiagonal matrix at the given eigenvalues (the
+    stored levels of :func:`_tridiagonal_spectrum`), one column each, unnormalized.
 
     Inverse iteration per eigenvalue with LAPACK ``zgtsv`` (partial
     pivoting), the shift ``INVERSE_ITERATION_SHIFT`` ulps of the matrix
@@ -519,11 +525,8 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     from the unit vector, amplitudes far from it decay as the eigenvector
     does.
 
-    The caller passes one level per conjugate pair where the Schur form is
-    real: the partner columns ``g * conj(v)`` are not written here, nor
-    anywhere (:class:`ComplexSpectrum` forms them on request).  O(n) per
-    solve, O(n m) for m levels.  None if a factorization meets an exactly
-    zero pivot.
+    O(n) per solve, O(n m) for m levels.  None if a factorization meets an
+    exactly zero pivot.
     """
     n = diag.size
     start = _start_vectors(n, 1)
@@ -555,6 +558,13 @@ def _tridiagonal_residuals(diag, off, values, v) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
+def _gauge_image(v: np.ndarray, gauge: np.ndarray, sign) -> np.ndarray:
+    """``sign * gauge * conj(v)`` in place: each column's gauge partner (:func:`_bond_gauge`)."""
+    np.conjugate(v, out=v)
+    v *= gauge[:, None]
+    return np.multiply(v, sign, out=v)
+
+
 def _fortran_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Tridiagonal matrix in Fortran order, for LAPACK to overwrite in place."""
     n = diag.size
@@ -578,12 +588,10 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     ``|t|``, subdiagonal ``|t|`` across real and ``-|t|`` across imaginary
     bonds.  LAPACK ``dgees`` takes ``J`` in real arithmetic and returns
     each complex pair as exact conjugates, the one with ``Im > 0`` first.
-    Only the ``plus`` levels get an eigenvector column; each partner's,
-    ``g * conj(v)``, is never written (:class:`ComplexSpectrum` forms it on
-    request), so the route stores n/2 + O(1) columns.  Every chain with a
-    complex bond product ``t^2`` takes ``zgees`` on ``T``, and ``plus`` is
-    empty.  Either matrix is built from the bands in Fortran order and
-    overwritten in place: the one n x n transient of the route.
+    Only the ``plus`` levels get a stored column (:func:`_tridiagonal_spectrum`).
+    Every chain with a complex bond product ``t^2`` takes ``zgees`` on
+    ``T``, and ``plus`` is empty.  Either matrix is built from the bands in
+    Fortran order and overwritten in place: the one n x n transient of the route.
 
     The workspace is held at 3n.  With it the Hessenberg reduction inside
     either routine runs unblocked, and on a tridiagonal matrix, which is
@@ -610,21 +618,21 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
 
 def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum | None:
     """Eigenvalues from one Schur form without Schur vectors
-    (:func:`_schur_eigenvalues`), eigenvectors by inverse iteration
-    (:func:`_inverse_iteration`) for every level but the ``Im E < 0``
-    partners of a real Schur form.  Each partner is kept as its source
-    column's gauge image ``g[lead] * g * conj(v)`` (:func:`_bond_gauge`,
-    ``lead`` the source's leading row), which is the column the phase
-    convention makes of ``g * conj(v)``; no partner column is stored.
+    (:func:`_schur_eigenvalues`); eigenvectors by inverse iteration
+    (:func:`_inverse_iteration`), a :func:`_column_blocks` slice at a time,
+    each block phase-fixed, certified by its residuals and cut to its row
+    window while it is alive, for every level but the ``Im E < 0`` partners of
+    a real Schur form.  A partner is its source column's gauge image
+    ``g[lead] * g * conj(v)`` (:func:`_gauge_image`, ``lead`` the source's
+    leading row), the column the phase convention makes of ``g * conj(v)``,
+    never stored: it is formed in place of the block once its window is kept,
+    and certified by its own residual against the complex ``T``.
 
-    None if the QR iteration or inverse iteration breaks down, if
-    ``V^T V`` is not diagonal (the columns are no basis the transpose
-    route can invert), or if some unit eigenvector is within
-    ``1 / EIGENVALUE_CONDITION_LIMIT`` of self-orthogonal,
-    ``|v^T v| -> 0``: that is the approach to an exceptional point, where
-    the eigenvalues are ill-conditioned and the Schur form and ``eig`` may
-    disagree beyond 1e-10.  Each partner column is formed and certified by
-    its own residual against the complex ``T``, as every other column is.
+    None if the QR iteration or inverse iteration breaks down, if ``V^T V`` is
+    not diagonal (the columns are no basis the transpose route can invert), or
+    if some unit eigenvector is within ``1 / EIGENVALUE_CONDITION_LIMIT`` of
+    self-orthogonal, ``|v^T v| -> 0``: the approach to an exceptional point,
+    where the Schur form and ``eig`` may disagree beyond 1e-10.
     """
     found = _schur_eigenvalues(diag, off)
     if found is None:
@@ -637,25 +645,27 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     mirror = np.zeros(values.size)
     mirror[partner] = 1.0  # its sign is set below, from its source's lead
     stored = np.flatnonzero(mirror == 0)
-    windows, leads = [], []
+    source = np.searchsorted(stored, np.arange(values.size))  # a stored level's own column
+    source[partner] = source[rank[plus]]
+    gauge, residuals, windows = _bond_gauge(off), np.empty(values.size), []
     for block in _column_blocks(stored.size):  # one n x _BLOCK array at a time
-        columns = _inverse_iteration(diag, off, values[stored[block]])
+        e = values[stored[block]]
+        columns = _inverse_iteration(diag, off, e)
         if columns is None:
             return None
-        leads.append(_fix_phases(columns))
+        leads = _fix_phases(columns)
+        residuals[stored[block]] = _tridiagonal_residuals(diag, off, e, columns)
         rows = np.flatnonzero(np.any(columns != 0, axis=1))
         windows.append((int(rows[0]), columns[rows[0]:rows[-1] + 1].copy()))
-    layout = ()  # zgees: every level is its own column
-    if plus.size:
-        source = np.empty(values.size, dtype=int)
-        source[stored] = np.arange(stored.size)
-        source[partner] = source[rank[plus]]
-        gauge = _bond_gauge(off)
-        mirror[partner] = gauge[np.concatenate(leads)[source[partner]]]
-        layout = (source, mirror, gauge)
-    spectrum = ComplexSpectrum(values, tuple(windows), np.empty(values.size), "tridiagonal",
-                               *layout)
-    spectrum.residuals[:] = spectrum.per_column(partial(_tridiagonal_residuals, diag, off))
+        here = partner[(source[partner] >= block.start) & (source[partner] < block.stop)]
+        if here.size:  # the partners' columns g[lead] * g * conj(v), in place of the block
+            at = source[here] - block.start
+            mirror[here] = gauge[leads[at]]
+            columns = _gauge_image(columns, gauge, gauge[leads])
+            residuals[here] = _tridiagonal_residuals(diag, off, np.conj(e), columns)[at]
+        del columns  # before the next block's inverse iteration forms its own
+    layout = (source, mirror, gauge) if plus.size else ()  # zgees: every level its own column
+    spectrum = ComplexSpectrum(values, tuple(windows), residuals, "tridiagonal", *layout)
     d = spectrum._gram_diagonal
     if d is None or np.abs(d).min() < 1.0 / EIGENVALUE_CONDITION_LIMIT:
         return None

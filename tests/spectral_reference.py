@@ -113,3 +113,93 @@ def reference_chain_eigenvectors(h) -> np.ndarray:
         if k in partner_of:
             vectors[:, partner_of[k]] = g * np.conj(raw[:, column])
     return reference_fix_phases(vectors)
+
+
+def reference_tridiagonal_spectrum(h) -> spectra.ComplexSpectrum:
+    """The tridiagonal route of a chain ``h`` with its residual certificate
+    taken in a second pass: every stored column formed by inverse iteration,
+    phase-fixed and cut to its row window, then ``||T v - E v||`` over the
+    64-column blocks of ``V``, each block assembled again from the windows
+    with its partners ``g[lead] * g * conj(v)``.  The factor ``d - E`` is a
+    temporary, as it was, so numpy's temporary elision orders each product
+    as the route's did."""
+    diag, off = h.diag, h.off
+    values, plus = spectra._schur_eigenvalues(diag, off)
+    order = spectra._level_order(values)
+    rank = np.argsort(order)
+    values = values[order]
+    partner = rank[plus + 1]
+    mirror = np.zeros(values.size)
+    mirror[partner] = 1.0
+    stored = np.flatnonzero(mirror == 0)
+    windows, leads = [], []
+    for block in spectra._column_blocks(stored.size):
+        columns = spectra._inverse_iteration(diag, off, values[stored[block]])
+        leads.append(spectra._fix_phases(columns))
+        rows = np.flatnonzero(np.any(columns != 0, axis=1))
+        windows.append((int(rows[0]), columns[rows[0]:rows[-1] + 1].copy()))
+    layout = ()
+    if plus.size:
+        source = np.empty(values.size, dtype=int)
+        source[stored] = np.arange(stored.size)
+        source[partner] = source[rank[plus]]
+        gauge = spectra._bond_gauge(off)
+        mirror[partner] = gauge[np.concatenate(leads)[source[partner]]]
+        layout = (source, mirror, gauge)
+    spectrum = spectra.ComplexSpectrum(values, tuple(windows), np.empty(values.size),
+                                       "tridiagonal", *layout)
+    for block in spectra._column_blocks(values.size):
+        v = spectrum.eigenvectors(block)
+        r = v * (diag[:, None] - values[block][None, :])
+        r[:-1] += off[:, None] * v[1:]
+        r[1:] += off[:, None] * v[:-1]
+        spectrum.residuals[block] = np.linalg.norm(r, axis=0)
+    return spectrum
+
+
+def _reference_stored_times(spectrum, a: np.ndarray) -> np.ndarray:
+    """``S @ a`` window by window, the first window assigned."""
+    y = None
+    for (first, block), start in zip(spectrum.windows, spectrum._starts):
+        part = block @ a[start:start + block.shape[1]]
+        if y is None:
+            y = np.zeros((spectrum.dim, *part.shape[1:]), dtype=complex)
+            y[first:first + len(block)] = part
+        else:
+            y[first:first + len(block)] += part
+    return y
+
+
+def reference_vectors_times(spectrum, x: np.ndarray) -> np.ndarray:
+    """``V @ x`` from whole-height operands: ``B``, the partners'
+    conjugated, signed rows of ``x`` at their source columns, placed at
+    once; ``g * conj(S @ B)``, then ``S @ A`` added window by window."""
+    stored, levels, sources, signs = spectrum._partners
+    if not levels.size:
+        return _reference_stored_times(spectrum, x)
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    b = np.zeros((spectrum._starts[-1], *x.shape[1:]), dtype=complex)
+    b[sources] = signs.reshape(shape) * np.conj(x[levels])
+    y = np.conj(_reference_stored_times(spectrum, b))
+    y *= spectrum.gauge.reshape(shape)
+    for (first, block), start in zip(spectrum.windows, spectrum._starts):
+        y[first:first + len(block)] += block @ x[stored[start:start + block.shape[1]]]
+    return y
+
+
+def reference_transpose_times(spectrum, y: np.ndarray) -> np.ndarray:
+    """``V^T @ y`` with every window's product joined by ``np.concatenate``
+    and ``g * y`` conjugated into a new array."""
+    def stored_transpose_times(z):
+        return np.concatenate([block.T @ z[first:first + len(block)]
+                               for first, block in spectrum.windows])
+
+    stored, levels, sources, signs = spectrum._partners
+    if not levels.size:
+        return stored_transpose_times(y)
+    shape = (-1,) + (1,) * (y.ndim - 1)
+    out = np.empty((spectrum.dim, *y.shape[1:]), dtype=complex)
+    out[stored] = stored_transpose_times(y)
+    w = stored_transpose_times(np.conj(spectrum.gauge.reshape(shape) * y))
+    out[levels] = signs.reshape(shape) * np.conj(w[sources])
+    return out

@@ -32,6 +32,7 @@ from starkladder.spectra import (
 )
 
 from sector_reference import reference_projector
+from spectral_reference import reference_vectors_times
 
 OMEGA = 0.2
 PERIOD = np.pi / OMEGA
@@ -407,16 +408,51 @@ def test_fidelity_norms_eight_rows_at_a_time(traced_peak):
 
 
 def test_chain_synthesis_forms_no_temporary_wider_than_the_product(dimer1000, traced_peak):
-    # V @ X as S @ A + g * conj(S @ B): n x T products and half-width rows,
-    # no gathered copy of S (8 MB here, 4.3 MB in its row windows) nor an
-    # assembled V (16 MB); the whole product is 0.32 MB at n = 1000, T = 20
+    # V @ X as S @ A + g * conj(S @ B), a window at a time: the n x T
+    # product, one window's product (up to 630 rows here) and the phase rows
+    # of its own columns, with no n x T phase matrix, no gathered copy of S
+    # (4.3 MB in its row windows) nor an assembled V (16 MB).  The product is
+    # 0.32 MB at n = 1000, T = 20, and the peak 1.75 times that (3.77 with
+    # the phase matrix and two windows' products alive at once)
     h = build_chain(LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=OMEGA))
     psi0 = gaussian_state(0.3, 500, 1000)
     times = np.linspace(0.0, PERIOD, 20)
     dimer1000.coefficients(psi0)  # the condition number and D, cached
     series, peak = traced_peak(lambda: evolve(h, psi0, times, spectrum=dimer1000))
     assert series.method == "spectral"
-    assert peak < 8 * 1000 * times.size * 16
+    assert peak < 2 * 1000 * times.size * 16
+
+
+@pytest.mark.parametrize("kind", ["dimer_1i", "jjstar"])
+def test_chain_synthesis_by_windows_equals_the_phase_matrix(kind, dimer1000):
+    # each window forms the phase rows exp(-i E t) c of its own columns: the
+    # states are those of the whole n x T phase matrix, bit for bit
+    spec = LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=1000, omega=OMEGA)
+    if kind == "jjstar":
+        spec = LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=1000, omega=OMEGA,
+                           j_even=0.5 + 0.5j)
+    h = build_chain(spec)
+    spectrum = dimer1000 if kind == "dimer_1i" else eigendecompose(h)
+    psi0 = gaussian_state(0.3, 500, 1000)
+    times = np.linspace(0.0, PERIOD, 65)
+    phases = np.exp(-1j * np.outer(spectrum.eigenvalues, times))
+    phases *= spectrum.coefficients(psi0)[:, None]
+    expected = reference_vectors_times(spectrum, phases).T
+    expected[0] = psi0
+    assert evolve(h, psi0, times, spectrum=spectrum).states.tobytes() == expected.tobytes()
+
+
+def test_dirac_probability_squares_and_damps_in_place(traced_peak):
+    # one (times x dim) real array: |phi|^2 then the damping, in place; the
+    # values are those of exp(-2 lam t) |phi|^2 formed from new arrays, which
+    # peaked at 2.1 times the table
+    rng = np.random.default_rng(8)
+    states = rng.normal(size=(65, 1000)) + 1j * rng.normal(size=(65, 1000))
+    series = TimeSeries(np.linspace(0.0, PERIOD, 65), states, tuple(range(1000)))
+    probs, peak = traced_peak(lambda: dirac_probability(series, 0.3))
+    expected = np.exp(-2.0 * 0.3 * series.times)[:, None] * np.abs(states) ** 2
+    assert probs.tobytes() == expected.tobytes()
+    assert peak < 1.2 * probs.nbytes
 
 
 def test_random_pair_state_has_no_revival():

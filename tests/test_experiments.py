@@ -533,6 +533,25 @@ def test_table_writer_matches_row_writer(tmp_path, monkeypatch, fmt):
     assert path.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_reads_a_grid_in_row_order(tmp_path, monkeypatch, fmt):
+    # a times x sites table given as (T, n) arrays, t and site as broadcast
+    # views that hold one row or one column: each write block reads its rows
+    # in row order, as the repeated and tiled columns gave them
+    monkeypatch.setattr(experiments, "_ROWS_PER_WRITE", 4)  # 15 rows, blocks across rows of t
+    times, probs = np.array([0.0, 0.5, 1.25]), np.arange(15.0).reshape(3, 5) / 7
+    grid = {
+        "t": np.broadcast_to(times[:, None], probs.shape),
+        "site": np.broadcast_to(np.arange(5), probs.shape),
+        "value": probs,
+    }
+    flat = {"t": np.repeat(times, 5), "site": np.tile(np.arange(5), 3), "value": probs.ravel()}
+    meta = {"model": "dimer_1i"}
+    a = experiments._write_table(tmp_path / "grid", "table", meta, grid, fmt).read_bytes()
+    b = experiments._write_table(tmp_path / "flat", "table", meta, flat, fmt).read_bytes()
+    assert a == b
+
+
 def test_ladder_scan_checks(tmp_path):
     cfg = load_config(
         overrides={

@@ -181,7 +181,8 @@ def _conjugate_levels(draw):
     return np.array([values[k] for k in order], dtype=complex)
 
 
-@settings(max_examples=300, deadline=None)
+# print_blob: a falsifying example prints its @reproduce_failure line
+@settings(max_examples=300, deadline=None, print_blob=True)
 @given(_conjugate_levels())
 # one Im>0 level exactly halfway between two conj(Im<0) levels: the nearest
 # neighbour is a tie, which the assignment breaks by index

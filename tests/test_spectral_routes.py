@@ -55,6 +55,9 @@ from spectral_reference import (
     lu_coefficients,
     reference_chain_eigenvectors,
     reference_level_order,
+    reference_transpose_times,
+    reference_tridiagonal_spectrum,
+    reference_vectors_times,
 )
 
 CHAIN_KINDS = [LatticeKind.UNIFORM_1D, LatticeKind.DIMER_JJSTAR, LatticeKind.DIMER_1I]
@@ -512,6 +515,74 @@ def test_long_chain_decomposition_stays_below_10_mb(traced_peak):
     # 32 MB, the dense route at 48 MB)
     h = build_chain(DIMER_1I_1000)
     assert traced_peak(lambda: eigendecompose(h))[1] < 10e6
+
+
+# the sizes of the long-chain benchmark and of the default runs, and a J/J*
+# chain whose blocks each hold one complex pair among real levels
+CERTIFIED_CHAINS = {
+    "dimer_1i_40": LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=40, omega=0.2),
+    "dimer_1i_60": LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=60, omega=0.2),
+    "dimer_1i_201": LatticeSpec(kind=LatticeKind.DIMER_1I, n_sites=201, omega=0.2),
+    "dimer_1i_1000": DIMER_1I_1000,
+    "jjstar_60": LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=60, omega=0.2,
+                             j_even=0.8 + 0.6j),
+    "jjstar_1000": JJSTAR_1000,
+    "jjstar_i_71": LatticeSpec(kind=LatticeKind.DIMER_JJSTAR, n_sites=71, omega=0.9,
+                               j_even=1j),
+}
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_CHAINS.values(), ids=CERTIFIED_CHAINS.keys())
+def test_block_certificate_equals_the_second_pass(spec):
+    # each block's residuals are taken while it is alive, its partners'
+    # from g[lead] * g * conj(v) formed in place of it; the second pass over
+    # 64-column blocks assembled from the windows gave the same bits
+    h = build_chain(spec)
+    spectrum, reference = eigendecompose(h), reference_tridiagonal_spectrum(h)
+    assert spectrum.solver == "tridiagonal"
+    assert spectrum.residuals.tobytes() == reference.residuals.tobytes()
+    assert spectrum.right_eigenvectors.tobytes() == reference.right_eigenvectors.tobytes()
+    assert spectrum.condition == reference.condition
+
+
+@pytest.mark.parametrize("spec", [DIMER_1I_1000, JJSTAR_1000], ids=["dimer_1i", "jjstar"])
+def test_chain_decomposition_forms_no_column_twice(spec, monkeypatch):
+    # the route certifies every column, partners included, from the block
+    # inverse iteration wrote: no pass forms a column of V from the windows
+    def refuse(*_):
+        raise AssertionError("a column of V formed again from the windows")
+
+    monkeypatch.setattr(ComplexSpectrum, "per_column", refuse)
+    monkeypatch.setattr(ComplexSpectrum, "eigenvectors", refuse)
+    spectrum = eigendecompose(build_chain(spec))
+    assert spectrum.solver == "tridiagonal"
+    assert spectrum.residuals.max() < RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("spec", [DIMER_1I_1000, JJSTAR_1000], ids=["dimer_1i", "jjstar"])
+def test_window_products_equal_the_whole_height_products(spec):
+    # V @ X with each window's operand rows formed for it, given as an array
+    # or as rows(levels), and V^T @ Y into one array: bit for bit the
+    # products from whole-height operands
+    spectrum = eigendecompose(build_chain(spec))
+    rng = np.random.default_rng(5)
+    for shape in ((1000,), (1000, 7)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = reference_vectors_times(spectrum, x)
+        assert spectrum.vectors_times(x).tobytes() == expected.tobytes()
+        assert spectrum.vectors_times(lambda levels: x[levels]).tobytes() == expected.tobytes()
+        assert (spectrum.transpose_times(x).tobytes()
+                == reference_transpose_times(spectrum, x).tobytes())
+
+
+def test_transpose_times_writes_each_window_into_one_array(dimer1000, traced_peak):
+    # g * y conjugated in place and each window's S^T y written into one
+    # array: the concatenated window products and a second n x T temporary
+    # peaked at 3.12 MB for this n x 65 y
+    y = np.random.default_rng(6).normal(size=(1000, 65)) + 0j
+    product, peak = traced_peak(lambda: dimer1000.transpose_times(y))
+    assert product.tobytes() == reference_transpose_times(dimer1000, y).tobytes()
+    assert peak <= 2.8e6
 
 
 def test_long_chain_statistics_form_no_square_temporary(dimer1000, traced_peak):
