@@ -9,12 +9,13 @@ the runs report it alongside the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattices import ChainMatrix, OperatorMatrix, PairBasis, PairMatrix, gauge_op
-from .spectra import CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose
+from .spectra import (CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose,
+                      matrix_residuals)
 
 __all__ = [
     "TimeSeries",
@@ -83,12 +84,13 @@ def _own_spectrum(
     h: OperatorMatrix | ChainMatrix, spectrum: ComplexSpectrum | None
 ) -> ComplexSpectrum:
     """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
-    dimension or ``h`` misses its first eigenpair beyond its certificate (one matvec)."""
+    dimension or ``h`` misses its first eigenpair beyond its certificate
+    (:func:`matrix_residuals` of one column)."""
     if spectrum is None:
         return eigendecompose(h)
-    v, e = spectrum.eigenvectors([0])[:, 0], spectrum.eigenvalues[0]
+    v, e = spectrum.eigenvectors([0]), spectrum.eigenvalues[:1]
     tol = max(RESIDUAL_TOL, 2.0 * spectrum.residuals.max())
-    if spectrum.dim != h.dim or not np.linalg.norm(h @ v - e * v) < tol:
+    if spectrum.dim != h.dim or not matrix_residuals(h, e, v)[0] < tol:
         raise ValueError(f"the spectrum (dimension {spectrum.dim}) belongs to another matrix")
     return spectrum
 
@@ -118,10 +120,6 @@ def evolve(
     psi0 = _check_state(psi0, h.dim)
     pair = isinstance(h, PairMatrix)
     spectrum = _own_spectrum(h.chain if pair else h, spectrum)
-    if pair:  # the chain's V is L x L, small next to the pair dimension: held
-        # whole, its expansion and synthesis are plain matrix products
-        spectrum = replace(spectrum, windows=((0, spectrum.right_eigenvectors),),
-                           source=None, mirror=None, gauge=None)
     condition = spectrum.condition**2 if pair else spectrum.condition
     method = "spectral"
     if condition > CONDITION_LIMIT:  # adaptive fourth-order integration
@@ -154,11 +152,12 @@ def _pair_synthesis(basis: PairBasis, chain: ComplexSpectrum, phi0: np.ndarray,
     """Rows ``phi(t)`` on the Kronecker-sum lattice ``H1 x 1 + 1 x H1``.
 
     The pair amplitude matrix evolves as ``Psi(t) = U(t) Psi0 U(t)^T`` with
-    ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` (``chain``, its
-    ``V`` held whole) and ``C = V^-1 Psi0 V^-T``, ``Psi(t) = V (C *
-    exp(-i (e_i + e_j) t)) V^T``: O(L^3) per sample, never an ``L^2 x L^2``
-    matrix.  Fermion and boson states are embedded as (anti)symmetric
-    amplitude matrices and restricted back to ``basis``
+    ``U(t) = exp(-i H1 t)``.  With ``H1 = V diag(e) V^-1`` (``chain``) and
+    ``C = V^-1 Psi0 V^-T`` from the chain's own :meth:`coefficients
+    <ComplexSpectrum.coefficients>`, ``Psi(t) = V (C * exp(-i (e_i + e_j)
+    t)) V^T``, on the chain's whole L x L ``V``: O(L^3) per sample, never an
+    ``L^2 x L^2`` matrix.  Fermion and boson states are embedded as
+    (anti)symmetric amplitude matrices and restricted back to ``basis``
     (:meth:`starkladder.lattices.PairBasis.embed` and ``restrict``).
     """
     v = chain.right_eigenvectors

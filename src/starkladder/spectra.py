@@ -549,15 +549,6 @@ def _inverse_iteration(diag: np.ndarray, off: np.ndarray, values: np.ndarray):
     return vectors
 
 
-def _tridiagonal_residuals(diag, off, values, v) -> np.ndarray:
-    """``||T v_k - E_k v_k||`` of each column of a block ``v`` from the
-    three diagonals of ``T``."""
-    r = v * (diag[:, None] - values[None, :])
-    r[:-1] += off[:, None] * v[1:]
-    r[1:] += off[:, None] * v[:-1]
-    return np.linalg.norm(r, axis=0)
-
-
 def _gauge_image(v: np.ndarray, gauge: np.ndarray, sign) -> np.ndarray:
     """``sign * gauge * conj(v)`` in place: each column's gauge partner (:func:`_bond_gauge`)."""
     np.conjugate(v, out=v)
@@ -616,13 +607,13 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     return (values, np.empty(0, dtype=int)) if info == 0 else None
 
 
-def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum | None:
+def _tridiagonal_spectrum(h: ChainMatrix) -> ComplexSpectrum | None:
     """Eigenvalues from one Schur form without Schur vectors
     (:func:`_schur_eigenvalues`); eigenvectors by inverse iteration
     (:func:`_inverse_iteration`), a :func:`_column_blocks` slice at a time,
-    each block phase-fixed, certified by its residuals and cut to its row
-    window while it is alive, for every level but the ``Im E < 0`` partners of
-    a real Schur form.  A partner is its source column's gauge image
+    each block phase-fixed, certified by :func:`matrix_residuals` and cut to
+    its row window while it is alive, for every level but the ``Im E < 0``
+    partners of a real Schur form.  A partner is its source column's gauge image
     ``g[lead] * g * conj(v)`` (:func:`_gauge_image`, ``lead`` the source's
     leading row), the column the phase convention makes of ``g * conj(v)``,
     never stored: it is formed in place of the block once its window is kept,
@@ -634,6 +625,7 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
     self-orthogonal, ``|v^T v| -> 0``: the approach to an exceptional point,
     where the Schur form and ``eig`` may disagree beyond 1e-10.
     """
+    diag, off = h.diag, h.off
     found = _schur_eigenvalues(diag, off)
     if found is None:
         return None
@@ -654,7 +646,7 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
         if columns is None:
             return None
         leads = _fix_phases(columns)
-        residuals[stored[block]] = _tridiagonal_residuals(diag, off, e, columns)
+        residuals[stored[block]] = matrix_residuals(h, e, columns)
         rows = np.flatnonzero(np.any(columns != 0, axis=1))
         windows.append((int(rows[0]), columns[rows[0]:rows[-1] + 1].copy()))
         here = partner[(source[partner] >= block.start) & (source[partner] < block.stop)]
@@ -662,7 +654,7 @@ def _tridiagonal_spectrum(diag: np.ndarray, off: np.ndarray) -> ComplexSpectrum 
             at = source[here] - block.start
             mirror[here] = gauge[leads[at]]
             columns = _gauge_image(columns, gauge, gauge[leads])
-            residuals[here] = _tridiagonal_residuals(diag, off, np.conj(e), columns)[at]
+            residuals[here] = matrix_residuals(h, np.conj(e), columns)[at]
         del columns  # before the next block's inverse iteration forms its own
     layout = (source, mirror, gauge) if plus.size else ()  # zgees: every level its own column
     spectrum = ComplexSpectrum(values, tuple(windows), residuals, "tridiagonal", *layout)
@@ -748,7 +740,7 @@ def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpect
         raise ValueError("eigendecompose needs dim >= 2")
     # chains and pair lattices are complex symmetric by construction
     if isinstance(h, ChainMatrix):
-        spectrum = _tridiagonal_spectrum(h.diag, h.off) if np.all(h.off != 0) else None
+        spectrum = _tridiagonal_spectrum(h) if np.all(h.off != 0) else None
     elif isinstance(h, PairMatrix):
         spectrum = _kronecker_spectrum(h)
     elif not np.array_equal(h.entries, h.entries.T):

@@ -118,11 +118,10 @@ def reference_chain_eigenvectors(h) -> np.ndarray:
 def reference_tridiagonal_spectrum(h) -> spectra.ComplexSpectrum:
     """The tridiagonal route of a chain ``h`` with its residual certificate
     taken in a second pass: every stored column formed by inverse iteration,
-    phase-fixed and cut to its row window, then ``||T v - E v||`` over the
-    64-column blocks of ``V``, each block assembled again from the windows
-    with its partners ``g[lead] * g * conj(v)``.  The factor ``d - E`` is a
-    temporary, as it was, so numpy's temporary elision orders each product
-    as the route's did."""
+    phase-fixed and cut to its row window, then ``||T v - E v||`` by
+    ``spectra.matrix_residuals`` over the level blocks of ``V``, each block
+    assembled again from the windows with its partners ``g[lead] * g *
+    conj(v)``."""
     diag, off = h.diag, h.off
     values, plus = spectra._schur_eigenvalues(diag, off)
     order = spectra._level_order(values)
@@ -149,11 +148,8 @@ def reference_tridiagonal_spectrum(h) -> spectra.ComplexSpectrum:
     spectrum = spectra.ComplexSpectrum(values, tuple(windows), np.empty(values.size),
                                        "tridiagonal", *layout)
     for block in spectra._column_blocks(values.size):
-        v = spectrum.eigenvectors(block)
-        r = v * (diag[:, None] - values[block][None, :])
-        r[:-1] += off[:, None] * v[1:]
-        r[1:] += off[:, None] * v[:-1]
-        spectrum.residuals[block] = np.linalg.norm(r, axis=0)
+        spectrum.residuals[block] = spectra.matrix_residuals(
+            h, values[block], spectrum.eigenvectors(block))
     return spectrum
 
 

@@ -1,14 +1,20 @@
 import collections
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import starkladder
 import starkladder.experiments as experiments
 import starkladder.lattices as lattices
 import starkladder.pairmap as pairmap
+import starkladder.spectra as spectra
 from starkladder.cli import main
 from starkladder.dynamics import (
     build_pair_product_state,
@@ -467,6 +473,69 @@ def test_csv_output_is_bit_identical(tmp_path):
     a = (tmp_path / "a" / "out" / "eigenvalues.csv").read_bytes()
     b = (tmp_path / "b" / "out" / "eigenvalues.csv").read_bytes()
     assert a == b
+
+
+# dimer_1i (dgees, one stored column per conjugate pair) and the J/J* dimer
+# (zgees, every column stored), each at the long-chain benchmark's length and
+# at one whose last column block is ragged at every width tried
+_LAYOUT_CHAINS = {
+    "dimer_1i_300": {"kind": "dimer_1i", "n_sites": 300, "omega": 1.0},
+    "dimer_1i_1000": {"kind": "dimer_1i", "n_sites": 1000, "omega": 0.2},
+    "jjstar_413": {"kind": "dimer_jjstar", "n_sites": 413, "omega": 0.2, "j_even": [0.5, 0.5]},
+    "jjstar_1000": {"kind": "dimer_jjstar", "n_sites": 1000, "omega": 0.2,
+                    "j_even": [0.5, 0.5]},
+}
+_PER_COLUMN_TABLES = ("spectrum/eigenvalues.csv", "ladder-scan/rungs.csv",
+                      "ladder-scan/ladder.json")
+
+
+def _chain_tables(out: Path) -> dict:
+    """The per-column tables of the ``spectrum`` and ``ladder-scan`` runs
+    written under ``out``, by name."""
+    return {name: (out / name).read_bytes() for name in _PER_COLUMN_TABLES}
+
+
+@pytest.mark.parametrize("model", _LAYOUT_CHAINS.values(), ids=_LAYOUT_CHAINS.keys())
+def test_per_column_tables_do_not_depend_on_the_block_width(tmp_path, monkeypatch, model):
+    # each column's residual, centre and participation ratio rounds by its
+    # own values, not by the columns that share its block
+    tables = {}
+    for block in (16, 64, 256):
+        monkeypatch.setattr(spectra, "_BLOCK", block)
+        for experiment in ("spectrum", "ladder_scan"):
+            out = tmp_path / str(block) / experiment.replace("_", "-")
+            run(load_config(overrides={
+                "experiment": experiment, "model": model, "output": {"directory": str(out)},
+            }))
+        tables[block] = _chain_tables(tmp_path / str(block))
+    moved = [(block, name) for block in (16, 256) for name in _PER_COLUMN_TABLES
+             if tables[block][name] != tables[64][name]]
+    assert moved == []
+
+
+_TWO_RUNS = """
+import sys
+from starkladder.cli import main
+for command in ("spectrum", "ladder-scan"):
+    assert main([command, "--config", sys.argv[1], "--out", f"{sys.argv[2]}/{command}"]) == 0
+"""
+
+
+def test_per_column_tables_do_not_depend_on_the_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each count runs in a
+    # fresh interpreter
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({"model": _LAYOUT_CHAINS["jjstar_413"]}))
+    src = str(Path(starkladder.__file__).resolve().parents[1])
+    tables = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", _TWO_RUNS, str(config), str(tmp_path / threads)],
+                       capture_output=True, env=env, check=True)
+        tables[threads] = _chain_tables(tmp_path / threads)
+    moved = [name for name in _PER_COLUMN_TABLES if tables["1"][name] != tables["2"][name]]
+    assert moved == []
 
 
 def test_manifest_reruns_identically(tmp_path):

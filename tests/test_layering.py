@@ -5,8 +5,9 @@ Each module of ``src/starkladder`` may import only modules earlier in
 form and no module needs a ``TYPE_CHECKING`` block to name a type from a
 layer above.  The package ``__init__`` re-exports every layer and is exempt.
 No module names an LU kernel or the SVD condition number either, each
-pair fact has one owning module, and one iterator cuts every eigenvector
-matrix into column blocks.
+pair fact has one owning module, one iterator cuts every eigenvector
+matrix into column blocks, only ``spectra`` reads how a spectrum stores its
+columns, and one product multiplies by a chain's bonds.
 """
 
 import ast
@@ -112,6 +113,45 @@ def test_only_the_block_iterator_reads_the_block_width():
         if isinstance(node, ast.FunctionDef) and node.name == "_column_blocks"
     )
     assert sum(map(reads, trees.values())) == reads(iterator) > 0
+
+
+# how ComplexSpectrum stores V: its row windows, the column and partner sign
+# of each level, the gauge, and what is derived from them
+_SPECTRUM_STORAGE = {"windows", "source", "mirror", "gauge", "_partners", "_starts"}
+
+
+def test_only_spectra_reads_the_spectrum_layout():
+    # other modules reach V through eigenvectors, per_column, the products
+    # and right_eigenvectors, so the layout can change in spectra alone
+    readers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if getattr(node, "attr", None) in _SPECTRUM_STORAGE
+        or isinstance(node, ast.keyword) and node.arg in _SPECTRUM_STORAGE
+    }
+    assert readers == {"spectra"}
+
+
+def test_one_product_multiplies_by_the_bonds():
+    # ChainMatrix.__matmul__ writes the band product and every residual
+    # ||H v - E v|| takes it through h @ v (spectra.matrix_residuals), so no
+    # function multiplies by a chain's bonds ``off`` of its own
+    def bonds(node: ast.AST) -> bool:
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return getattr(node, "id", getattr(node, "attr", None)) == "off"
+
+    writers = {
+        (name, function.name)
+        for name, tree in _trees().items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and (bonds(node.left) or bonds(node.right))
+    }
+    assert writers == {("lattices", "__matmul__")}
 
 
 def test_pair_certificates_do_not_run_the_engine():
