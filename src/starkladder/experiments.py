@@ -146,7 +146,8 @@ _RUN_KEYS = {
            "must be a site of the chain, an integer 0 <= j0 < n_sites"),
     "initial_state": ("gaussian", lambda v, m: v in ("gaussian", "site", "random"),
                       "must be gaussian, site or random"),
-    "project": (False, lambda v, m: isinstance(v, bool), "must be true or false"),
+    "project": (False, lambda v, m: v is False or v is True and _ladder_spacing(None, m) > 0,
+                "must be true or false, and true only with a positive ladder step (omega > 0)"),
     "im_sign": ("+", lambda v, m: v in ("+", "-"), "must be '+' or '-'"),
     "t_late": (None, lambda v, m: v is None or _real(v) and v > 0,
                "must be a positive finite number"),
@@ -624,7 +625,7 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     im_e0 = ref.energy.imag
     lam = im_e0 if cfg.run.lam is None else float(cfg.run.lam)
 
-    period = math.pi / model.omega if model.omega > 0 else None
+    period = 2 * math.pi / _ladder_spacing(None, model) if model.omega > 0 else None
     default_span = 2 * period if period else 10.0
     times = _resolved_times(cfg.run, default_span)
     psi0 = _initial_state(cfg.run, model.n_sites)
@@ -776,11 +777,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         raise ConfigError(f"{path}: e0 {e0} is not {level}, the chain's + reference level")
     phi0 = build_pair_product_state(payload["mu"], h.basis)
 
-    omega = spec.omega
-    candidates = {
-        "pi_over_2omega": math.pi / (2 * omega),
-        "pi_over_omega": math.pi / omega,
-    }
+    period = 2 * math.pi / _ladder_spacing(None, spec)  # the chain's Bloch period, pi / omega
+    candidates = {"pi_over_2omega": period / 2, "pi_over_omega": period}
     default_span = 1.1 * candidates["pi_over_omega"]
     times = _resolved_times(cfg.run, default_span)
     snapshot_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)

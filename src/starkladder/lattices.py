@@ -258,15 +258,18 @@ class SymmetryOp:
     factors: tuple["SymmetryOp", ...] = field(default=())
 
 
-def _tridiagonal(diag: np.ndarray, bonds: np.ndarray) -> np.ndarray:
-    """Dense chain matrix with on-site energies ``diag`` and ``bonds[b]`` on
-    both directed entries of bond ``(b, b+1)``."""
+def _tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray | None = None,
+                 order: str = "C") -> np.ndarray:
+    """Dense tridiagonal matrix with ``diag`` on the diagonal, ``upper[b]`` at
+    ``(b, b+1)`` and ``lower[b]`` at ``(b+1, b)``: a chain's bonds on both
+    entries by default, and in Fortran ``order`` for LAPACK to overwrite."""
     n = diag.size
-    h = np.zeros((n, n), dtype=complex)
+    lower = upper if lower is None else lower
+    h = np.zeros((n, n), dtype=np.result_type(diag, upper, lower), order=order)
     sites = np.arange(n)
     h[sites, sites] = diag
-    h[sites[:-1], sites[1:]] = bonds
-    h[sites[1:], sites[:-1]] = bonds
+    h[sites[:-1], sites[1:]] = upper
+    h[sites[1:], sites[:-1]] = lower
     return h
 
 
@@ -332,20 +335,6 @@ class PairBasis:
         if not parity:
             return psi[..., x, y]
         return weight * (psi[..., x, y] + parity * psi[..., y, x])
-
-    def products(self, v: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Columns ``restrict(v[:, i[k]] x v[:, j[k]])``, formed by index (no
-        ``(k, L, L)`` array of products), in C order as ``restrict(...).T``
-        gives them: the rounding of later matrix products depends on it."""
-        x, y, parity, weight = self.layout
-        out = v[x].take(i, axis=1)
-        out *= v[y].take(j, axis=1)
-        if parity:
-            mirror = v[y].take(i, axis=1)
-            mirror *= v[x].take(j, axis=1)
-            out += parity * mirror
-            out *= weight[:, None]
-        return out
 
 
 def pair_basis(kind: LatticeKind, side: int) -> PairBasis:

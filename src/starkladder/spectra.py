@@ -23,6 +23,7 @@ from .lattices import (
     OperatorMatrix,
     PairMatrix,
     SymmetryOp,
+    _tridiagonal,
     apply_symmetry,
     build_chain,
     in_window,
@@ -171,8 +172,8 @@ class ComplexSpectrum:
         (:func:`localization_center`, :func:`participation_ratio`) are taken
         here rather than on the windows: the centre's gemv rounds a column
         by its place in the block."""
-        return np.concatenate([function(self.eigenvalues[block], self.eigenvectors(block))
-                               for block in _column_blocks(self.dim)], axis=-1)
+        return _by_blocks(lambda block: function(self.eigenvalues[block],
+                                                 self.eigenvectors(block)), self.dim)
 
     def _stored_times(self, take, y: np.ndarray | None = None) -> np.ndarray:
         """``S @ a``, or ``y + S @ a`` in place, by windows; ``take(cols)`` is
@@ -424,15 +425,18 @@ def _column_blocks(n: int):
     return map(slice, [0, *stops], [*stops, n])
 
 
+def _by_blocks(function, n: int) -> np.ndarray:
+    """``function(block)`` over the :func:`_column_blocks` slices of ``n``
+    columns, in turn, the results joined along their last axis."""
+    return np.concatenate([function(block) for block in _column_blocks(n)], axis=-1)
+
+
 def _per_column(statistic, amplitudes: np.ndarray) -> float | np.ndarray:
     """``statistic`` of a vector, or of each column of a matrix by blocks."""
     a = np.asarray(amplitudes)
     if a.ndim == 1:
         return float(statistic(a))
-    out = np.empty(a.shape[1])
-    for block in _column_blocks(a.shape[1]):
-        out[block] = statistic(a[:, block])
-    return out
+    return _by_blocks(lambda block: statistic(a[:, block]), a.shape[1])
 
 
 def _center(amplitudes: np.ndarray) -> np.ndarray:
@@ -477,14 +481,14 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Scale each column, in place, to unit norm with its leading amplitude
     real positive, a block of columns at a time; returns the row of each
     column's leading amplitude (:func:`leading_amplitude_index`)."""
-    leads = np.empty(vectors.shape[1], dtype=int)
-    for block in _column_blocks(vectors.shape[1]):
+    def fix(block: slice) -> np.ndarray:
         v = vectors[:, block]
         v /= np.linalg.norm(v, axis=0)
-        leads[block] = leading_amplitude_index(v)
-        lead = v[leads[block], np.arange(v.shape[1])]
+        leads = leading_amplitude_index(v)
+        lead = v[leads, np.arange(v.shape[1])]
         v *= np.abs(lead) / lead
-    return leads
+        return leads
+    return _by_blocks(fix, vectors.shape[1])
 
 
 def _level_order(values: np.ndarray) -> np.ndarray:
@@ -556,17 +560,6 @@ def _gauge_image(v: np.ndarray, gauge: np.ndarray, sign) -> np.ndarray:
     return np.multiply(v, sign, out=v)
 
 
-def _fortran_tridiagonal(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Tridiagonal matrix in Fortran order, for LAPACK to overwrite in place."""
-    n = diag.size
-    sites = np.arange(n)
-    a = np.zeros((n, n), dtype=np.result_type(diag, upper, lower), order="F")
-    a[sites, sites] = diag
-    a[sites[:-1], sites[1:]] = upper
-    a[sites[1:], sites[:-1]] = lower
-    return a
-
-
 def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     """``(values, plus)``: a chain's eigenvalues from one Schur form
     without Schur vectors, and the indices ``plus`` whose conjugate
@@ -593,15 +586,14 @@ def _schur_eigenvalues(diag: np.ndarray, off: np.ndarray) -> tuple | None:
     """
     n = diag.size
     if np.all(diag.imag == 0) and np.all((off.real == 0) | (off.imag == 0)):
-        image = _fortran_tridiagonal(
-            diag.real, np.abs(off), np.where(off.real == 0, -1.0, 1.0) * np.abs(off)
-        )
+        image = _tridiagonal(diag.real, np.abs(off),
+                             np.where(off.real == 0, -1.0, 1.0) * np.abs(off), order="F")
         _, _, re, im, _, _, info = dgees(
             lambda *_: None, image, compute_v=0, lwork=3 * n, overwrite_a=1
         )
         return (re + 1j * im, np.flatnonzero(im > 0)) if info == 0 else None
     _, _, values, _, _, info = zgees(
-        lambda _: None, _fortran_tridiagonal(diag, off, off), compute_v=0, lwork=3 * n,
+        lambda _: None, _tridiagonal(diag, off, order="F"), compute_v=0, lwork=3 * n,
         overwrite_a=1,
     )
     return (values, np.empty(0, dtype=int)) if info == 0 else None
@@ -668,11 +660,10 @@ def matrix_residuals(h, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``||H v_k - E_k v_k||`` per column from the product ``h @ v`` (``h``
     a dense array, an :class:`OperatorMatrix`, a :class:`ChainMatrix` or a
     :class:`PairMatrix`), a block of columns at a time."""
-    residuals = np.empty(values.size)
-    for block in _column_blocks(values.size):
+    def residuals(block: slice) -> np.ndarray:
         v = vectors[:, block]
-        residuals[block] = np.linalg.norm(h @ v - v * values[block], axis=0)
-    return residuals
+        return np.linalg.norm(h @ v - v * values[block], axis=0)
+    return _by_blocks(residuals, values.size)
 
 
 def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
@@ -690,18 +681,21 @@ def _dense_spectrum(entries: np.ndarray) -> ComplexSpectrum:
 def _kronecker_spectrum(h: PairMatrix) -> ComplexSpectrum:
     """Eigenpairs of the pair lattice ``H1 x 1 + 1 x H1`` from those of its
     chain ``H1``, whatever its bonds: levels ``e_i + e_j``, vectors
-    ``basis.restrict(v_i x v_j)`` over the basis's own ``(i, j)`` layout
-    (:meth:`PairBasis.products`), c-orthogonal inside every degeneracy as
-    ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k) (v_j^T v_l)``.  An
-    ``EigendecompositionError`` of ``H1`` propagates.  The residuals are
-    taken by the lattice's own product ``h @ v``.
+    ``basis.restrict(v_i x v_j)`` over the basis's own ``(i, j)`` layout, one
+    :func:`_column_blocks` slice of outer products at a time, c-orthogonal
+    inside every degeneracy as ``(v_i x v_j)^T (v_k x v_l) = (v_i^T v_k)
+    (v_j^T v_l)``.  An ``EigendecompositionError`` of ``H1`` propagates.
+    The residuals are taken by the lattice's own product ``h @ v``.
     """
     x, y = h.basis.layout[:2]
     chain = eigendecompose(h.chain)
     values = chain.eigenvalues[x] + chain.eigenvalues[y]
     order = _level_order(values)
     values, i, j = values[order], x[order], y[order]
-    vectors = h.basis.products(chain.right_eigenvectors, i, j)  # the chain's V: L x L
+    rows = chain.right_eigenvectors.T  # the chain's V: L x L
+    vectors = np.empty((h.dim, values.size), dtype=complex)
+    for block in _column_blocks(values.size):
+        vectors[:, block] = h.basis.restrict(rows[i[block], :, None] * rows[j[block], None, :]).T
     _fix_phases(vectors)
     residuals = matrix_residuals(h, values, vectors)
     return ComplexSpectrum(values, ((0, vectors),), residuals, "kronecker")

@@ -12,7 +12,6 @@ import scipy.linalg
 
 import starkladder
 import starkladder.experiments as experiments
-import starkladder.lattices as lattices
 import starkladder.pairmap as pairmap
 import starkladder.spectra as spectra
 from starkladder.cli import main
@@ -377,11 +376,13 @@ def test_residual_certificate_reads_one_changed_nonzero(tmp_path, monkeypatch, m
 def test_chain_runs_never_assemble_the_dense_chain(tmp_path, monkeypatch):
     # a chain is its two bands: the eigensolver, the residual certificate
     # and the evolution all take them, and only ChainMatrix.entries
-    # assembles the n x n matrix
+    # assembles the n x n matrix (the Schur stage builds its own LAPACK
+    # image); the property is patched on the class, so no name bound at
+    # import time can bypass the count
     assembled = []
-    original = lattices._tridiagonal
-    monkeypatch.setattr(lattices, "_tridiagonal",
-                        lambda *bands: assembled.append(bands) or original(*bands))
+    original = ChainMatrix.entries.fget
+    monkeypatch.setattr(ChainMatrix, "entries",
+                        property(lambda h: assembled.append(h.dim) or original(h)))
     for experiment in ("spectrum", "ladder_scan", "evolve1d", "e0_vs_omega"):
         run(load_config(overrides={
             "experiment": experiment,
@@ -390,7 +391,7 @@ def test_chain_runs_never_assemble_the_dense_chain(tmp_path, monkeypatch):
         }))
     assert assembled == []
     build_chain(LatticeSpec(LatticeKind.DIMER_1I, 8, 0.2)).entries
-    assert len(assembled) == 1  # the count sees an assembly
+    assert assembled == [8]  # the count sees an assembly
 
 
 # the paper's two chains: dimer_1i stores one column per conjugate pair,
@@ -1030,6 +1031,20 @@ def test_evolve1d_projected_periodicity(tmp_path):
     assert deviations and checks["periodicity_interior_deviation"] == max(deviations)
 
 
+def test_evolve1d_uniform_chain_is_periodic_at_its_bloch_period(tmp_path):
+    # the uniform chain's ladder step is omega, so its Bloch period is
+    # 2 pi / omega; the dimers' step 2 omega gives pi / omega
+    checks = run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"kind": "uniform_1d", "n_sites": 80, "omega": 0.5},
+        "output": {"directory": str(tmp_path)},
+    }))["checks"]
+    assert checks["periodicity_interior_deviation"] < 1e-10
+    with open(tmp_path / "probability.csv") as fh:
+        last = fh.readlines()[-1]
+    assert float(last.split(",")[0]) == 2 * (2 * np.pi / 0.5)  # two periods
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -1135,6 +1150,23 @@ def test_cli_evolve2d_refuses_nonpositive_omega(tmp_path, capsys, omega):
     err = capsys.readouterr().err
     assert "config error" in err and "model.omega" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("omega", ["0", "-0.2"])
+def test_cli_evolve1d_refuses_projection_without_a_ladder_step(tmp_path, capsys, monkeypatch,
+                                                                omega):
+    # a ladder family needs a positive step 2 omega: refused at load, as
+    # ladder-scan refuses the slope, before any eigensolve
+    monkeypatch.setattr(experiments, "eigendecompose", None)
+    config = _write(tmp_path, "project.json", {"experiment": "evolve1d",
+                                               "run": {"project": True}})
+    assert main(["validate", "--config", config, "--omega", omega]) == 2
+    assert "config error: run.project " in capsys.readouterr().err
+    assert main(["evolve1d", "--config", config, "--omega", omega,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "config error: run.project " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", "--config", config, "--omega", "0.2"]) == 0
 
 
 def test_cli_runs_spectrum(tmp_path, capsys):

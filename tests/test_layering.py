@@ -6,8 +6,10 @@ form and no module needs a ``TYPE_CHECKING`` block to name a type from a
 layer above.  The package ``__init__`` re-exports every layer and is exempt.
 No module names an LU kernel or the SVD condition number either, each
 pair fact has one owning module, one iterator cuts every eigenvector
-matrix into column blocks, only ``spectra`` reads how a spectrum stores its
-columns, and one product multiplies by a chain's bonds.
+matrix into column blocks and one helper maps over them, only ``embed``
+and ``restrict`` weigh a pair basis's amplitudes, only ``spectra`` reads
+how a spectrum stores its columns, and one product multiplies by a
+chain's bonds.
 """
 
 import ast
@@ -113,6 +115,38 @@ def test_only_the_block_iterator_reads_the_block_width():
         if isinstance(node, ast.FunctionDef) and node.name == "_column_blocks"
     )
     assert sum(map(reads, trees.values())) == reads(iterator) > 0
+
+
+def test_one_iterator_cuts_the_columns():
+    # the column passes map over the blocks through spectra._by_blocks; only
+    # the two routes that fill or append column storage block by block loop
+    # over spectra._column_blocks themselves
+    callers = {
+        function.name
+        for tree in _trees().values()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_column_blocks"
+    }
+    assert callers == {"_by_blocks", "_tridiagonal_spectrum", "_kronecker_spectrum"}
+
+
+def test_only_embed_and_restrict_read_the_pair_weights():
+    # a pair basis's layout maps amplitudes onto the amplitude matrix with
+    # its parity and weights in PairBasis.embed and restrict alone; every
+    # other reader takes only the (x, y) labels of the layout
+    readers = {
+        function.name
+        for tree in _trees().values()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign) and getattr(node.value, "attr", None) == "layout"
+        and {"parity", "weight"} & {getattr(n, "id", None) for n in ast.walk(node.targets[0])}
+    }
+    assert readers == {"embed", "restrict"}
 
 
 # how ComplexSpectrum stores V: its row windows, the column and partner sign

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import starkladder.dynamics as dynamics
+import starkladder.spectra as spectra
 from starkladder.dynamics import evolve
 from starkladder.lattices import (
     LatticeKind,
@@ -86,23 +87,28 @@ def test_integrator_branch_agrees_with_spectral(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
 def test_products_are_the_restricted_kronecker_products(kind):
-    side = 7
-    basis = pair_basis(kind, side)
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    i, j = rng.integers(0, side, size=(2, 30))
-    columns = basis.products(v, i, j)
-    restricted = [basis.restrict(np.outer(v[:, a], v[:, b])) for a, b in zip(i, j)]
-    np.testing.assert_array_equal(columns, np.stack(restricted, axis=1))
-    # the (k, L, L) route it replaces, down to the memory layout, on which
+    # the Kronecker route's columns, against the (k, L, L) route of outer
+    # products restricted all at once, down to the memory layout, on which
     # the rounding of later matrix products depends
-    rows = v.T
-    replaced = basis.restrict(rows[i, :, None] * rows[j, None, :]).T
+    h = build_pair_lattice(LatticeSpec(kind=kind, n_sites=7, omega=0.3))
+    spectrum = eigendecompose(h)
+    assert spectrum.solver == "kronecker"
+    columns = spectrum.eigenvectors(slice(None))
+    chain = eigendecompose(h.chain)
+    x, y = h.basis.layout[:2]
+    order = spectra._level_order(chain.eigenvalues[x] + chain.eigenvalues[y])
+    i, j = x[order], y[order]
+    rows = chain.right_eigenvectors.T
+    replaced = h.basis.restrict(rows[i, :, None] * rows[j, None, :]).T
+    spectra._fix_phases(replaced)
     np.testing.assert_array_equal(columns, replaced)
     assert columns.strides == replaced.strides
-    proj = reference_projector(basis)
+    proj = reference_projector(h.basis)
+    v = chain.right_eigenvectors
     kron = np.stack([np.kron(v[:, a], v[:, b]) for a, b in zip(i, j)], axis=1)
-    np.testing.assert_allclose(columns, proj @ kron, rtol=0, atol=1e-14)
+    dense = proj @ kron
+    spectra._fix_phases(dense)
+    np.testing.assert_allclose(columns, dense, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", PAIR_KINDS, ids=lambda k: k.value)
