@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattices import ChainMatrix, OperatorMatrix, PairBasis, PairMatrix, gauge_op
-from .spectra import (CONDITION_LIMIT, RESIDUAL_TOL, ComplexSpectrum, eigendecompose,
-                      matrix_residuals)
+from .spectra import CONDITION_LIMIT, ComplexSpectrum, eigendecompose
 
 __all__ = [
     "TimeSeries",
@@ -84,13 +83,11 @@ def _own_spectrum(
     h: OperatorMatrix | ChainMatrix, spectrum: ComplexSpectrum | None
 ) -> ComplexSpectrum:
     """``spectrum``, or ``h``'s own if None; ``ValueError`` if it has another
-    dimension or ``h`` misses its first eigenpair beyond its certificate
-    (:func:`matrix_residuals` of one column)."""
+    dimension or ``h`` misses its eigenpairs on a seeded probe
+    (:meth:`ComplexSpectrum.belongs_to`)."""
     if spectrum is None:
         return eigendecompose(h)
-    v, e = spectrum.eigenvectors([0]), spectrum.eigenvalues[:1]
-    tol = max(RESIDUAL_TOL, 2.0 * spectrum.residuals.max())
-    if spectrum.dim != h.dim or not matrix_residuals(h, e, v)[0] < tol:
+    if spectrum.dim != h.dim or not spectrum.belongs_to(h):
         raise ValueError(f"the spectrum (dimension {spectrum.dim}) belongs to another matrix")
     return spectrum
 
@@ -221,14 +218,13 @@ def family_projection(
 def extract_projected_mu(
     series: TimeSeries,
     e0: complex,
-    t_late: float | None = None,
+    t_late: float,
 ) -> np.ndarray:
     """Site profile left after evolution has projected out decaying modes.
 
     Long non-unitary evolution exponentially favors the growing-ladder
     component; the returned profile is the normalized amplitude vector of
-    ``exp(i E0 t) phi(t)`` at the sampled time nearest ``t_late`` (default:
-    the last snapshot).
+    ``exp(i E0 t) phi(t)`` at the sampled time nearest ``t_late``.
 
     Raises
     ------
@@ -242,7 +238,7 @@ def extract_projected_mu(
         raise ValueError(
             "projection by evolution needs Im E0 > 0; Hermitian spectra do not decay"
         )
-    t = float(series.times[-1]) if t_late is None else float(t_late)
+    t = float(t_late)
     suppression = math.exp(2.0 * im0 * t)
     if suppression < PROJECTION_SUPPRESSION:
         raise ValueError(

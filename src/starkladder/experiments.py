@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, NamedTuple
 
@@ -49,6 +49,7 @@ from .pairmap import (
     sector_reassembled_distance,
 )
 from .spectra import (
+    CONDITION_LIMIT,
     DETECTION_TOL,
     RESIDUAL_TOL,
     ReferenceSelectionError,
@@ -133,7 +134,7 @@ def _pair_specs(side: int, omega: float) -> dict:
 # ``extract_projected_mu`` with 5 % to spare, or three Bloch periods if
 # longer), ``t_max`` to the experiment's span,
 # ``j0`` to the middle site, ``expected_spacing`` to the model's ladder step.
-# ``project`` keeps only the detected im_sign family.
+# ``project`` keeps only the ladder family holding the reference level.
 _RUN_KEYS = {
     "times": (None, lambda v, m: v is None or _reals(v) and _ascending(v) and v[0] == 0,
               "must be finite numbers that start at 0 and ascend strictly"),
@@ -625,23 +626,19 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     im_e0 = ref.energy.imag
     lam = im_e0 if cfg.run.lam is None else float(cfg.run.lam)
 
-    period = 2 * math.pi / _ladder_spacing(None, model) if model.omega > 0 else None
+    step = _ladder_spacing(None, model)
+    period = 2 * math.pi / step if model.omega > 0 else None
     default_span = 2 * period if period else 10.0
     times = _resolved_times(cfg.run, default_span)
     psi0 = _initial_state(cfg.run, model.n_sites)
-    if cfg.run.project:
-        report = detect_ladders(spectrum, _ladder_spacing(None, model), cfg.run.tol)
-        sign = 1.0 if cfg.run.im_sign == "+" else -1.0
-        fams = [
-            f
-            for f in report.families
-            if sign * f.reference_energy.imag >= -1e-12
-        ]
-        if not fams:
+    if cfg.run.project:  # the family of the reference level, whose Im E0 is lambda's default
+        report = detect_ladders(spectrum, step, cfg.run.tol)
+        family = next((f for f in report.families if ref.index in f.member_indices), None)
+        if family is None:
             raise ReferenceSelectionError(
-                f"no ladder family with Im sign '{cfg.run.im_sign}' to project onto"
+                f"no ladder family holds the reference level {ref.energy:.6g} to project onto"
             )
-        psi0 = family_projection(spectrum, fams[0].member_indices, psi0)
+        psi0 = family_projection(spectrum, family.member_indices, psi0)
         nrm = np.linalg.norm(psi0)
         if nrm < 1e-12:
             raise ValueError("initial state has no weight in the selected family")
@@ -686,7 +683,10 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     if lam == 0.0:
         checks["total_probability_drift"] = float(np.abs(probs.sum(axis=1) - 1.0).max())
 
-    if im_e0 > 0:
+    if im_e0 > 0 and spectrum.condition > CONDITION_LIMIT:  # the limit of coefficients
+        checks["mu_skipped"] = (f"eigenvector condition {spectrum.condition:.2e} exceeds "
+                                f"{CONDITION_LIMIT:.0e}: an exceptional point")
+    elif im_e0 > 0:
         t_late = cfg.run.t_late
         if t_late is None:
             t_late = projection_time(ref.energy, model.omega)
@@ -782,8 +782,8 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     default_span = 1.1 * candidates["pi_over_omega"]
     times = _resolved_times(cfg.run, default_span)
     snapshot_fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
-    extra = [f * t for t in candidates.values() for f in snapshot_fracs]
-    times = np.unique(np.concatenate([times, list(candidates.values()), extra]))
+    shot_times = [f * t for t in candidates.values() for f in snapshot_fracs]
+    times = np.unique(np.concatenate([times, shot_times]))
 
     series = evolve(h, phi0, times, spectrum=chain)
     f_curve = fidelity(series)
@@ -807,9 +807,7 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         )
     ]
     shots = np.searchsorted(series.times, [frac * t_pair for frac in snapshot_fracs])
-    # the snapshot rows only, not a (times x dim) table of which they keep five
-    probs = dirac_probability(replace(series, times=series.times[shots],
-                                      states=series.states[shots]), 0.0)
+    probs = np.abs(series.states[shots]) ** 2  # the five snapshot rows, at lambda = 0
     x, y = h.basis.layout[:2]
     files.append(
         _write_table(

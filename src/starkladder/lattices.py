@@ -251,7 +251,6 @@ class SymmetryOp:
     order: ``factors[0]`` acts last.
     """
 
-    kind: str
     shift: int = 0
     signs: np.ndarray | None = None
     antiunitary: bool = False
@@ -428,7 +427,7 @@ def translation_op(dim: int, n0: int) -> SymmetryOp:
     """Shift of basis labels by ``n0``; a partial isometry on any truncation."""
     if dim < 1:
         raise ValueError(f"translation needs dim >= 1, got {dim}")
-    return SymmetryOp(kind=f"translate({n0})", shift=int(n0))
+    return SymmetryOp(shift=int(n0))
 
 
 def _gauge_signs(dim: int) -> np.ndarray:
@@ -438,12 +437,12 @@ def _gauge_signs(dim: int) -> np.ndarray:
 
 def gauge_op(dim: int) -> SymmetryOp:
     """Diagonal +-1 gauge with sign ``(-1)**(j // 2)``."""
-    return SymmetryOp(kind="gauge", signs=_gauge_signs(dim))
+    return SymmetryOp(signs=_gauge_signs(dim))
 
 
 def time_reversal_op() -> SymmetryOp:
     """Complex conjugation in the site basis."""
-    return SymmetryOp(kind="time_reversal", antiunitary=True)
+    return SymmetryOp(antiunitary=True)
 
 
 def _parity_2d_signs(side: int) -> np.ndarray:
@@ -454,7 +453,7 @@ def _parity_2d_signs(side: int) -> np.ndarray:
 
 def parity_2d_op(side: int) -> SymmetryOp:
     """Diagonal parity on the electron pair basis: ``(-1)**(x//2 + y//2)``."""
-    return SymmetryOp(kind="parity_2d", signs=_parity_2d_signs(side))
+    return SymmetryOp(signs=_parity_2d_signs(side))
 
 
 def compose(*factors: SymmetryOp) -> SymmetryOp:
@@ -462,8 +461,7 @@ def compose(*factors: SymmetryOp) -> SymmetryOp:
     if not factors:
         raise ValueError("compose needs at least one factor")
     anti = sum(f.antiunitary for f in factors) % 2 == 1
-    kind = " * ".join(f.kind for f in factors)
-    return SymmetryOp(kind=kind, antiunitary=anti, factors=tuple(factors))
+    return SymmetryOp(antiunitary=anti, factors=tuple(factors))
 
 
 def _shifted(vec: np.ndarray, shift: int) -> np.ndarray:

@@ -245,6 +245,15 @@ class ComplexSpectrum:
             gap = np.linalg.norm(off)
         return d if gap <= GRAM_TOL * np.linalg.norm(probes) else None
 
+    def belongs_to(self, h) -> bool:
+        """Whether ``h`` (of this dimension) has these eigenpairs on one seeded
+        probe ``x``: ``||h V x - V (E x)|| <= sum_k |x_k| ||H v_k - E_k v_k||``
+        is below ``max(RESIDUAL_TOL, 2 max residual) ||x||_1``."""
+        x = _start_vectors(self.dim, 1)[:, 0]
+        y = self.vectors_times(np.stack([x, self.eigenvalues * x], axis=1))
+        tol = max(RESIDUAL_TOL, 2.0 * self.residuals.max())
+        return bool(np.linalg.norm(h @ y[:, 0] - y[:, 1]) < tol * np.abs(x).sum())
+
     @cached_property
     def _norm(self) -> float:
         """``||V||_2`` by power iteration (:func:`_norm_estimate`), a lower bound."""
@@ -1024,15 +1033,11 @@ def verify_ladder_operator(
     return float(np.linalg.norm(resid[window]))
 
 
-def select_reference_state(
-    spectrum: ComplexSpectrum,
-    window: slice | None = None,
-    im_sign: str = "+",
-) -> ReferenceState:
+def select_reference_state(spectrum: ComplexSpectrum, im_sign: str = "+") -> ReferenceState:
     """Pick the ladder starting rung from a certified spectrum.
 
-    Among eigenstates whose Dirac-weight center lies inside ``window``
-    (default: the interior window) and whose imaginary part has the
+    Among eigenstates whose Dirac-weight center lies inside the interior
+    window (:func:`interior_slice`) and whose imaginary part has the
     requested sign, returns the one centered nearest the lattice
     midpoint.  Centers within ``1e-9 * max(1, midpoint)`` of the nearest
     one count as tied, and the lowest spectrum index among them wins, so
@@ -1042,7 +1047,7 @@ def select_reference_state(
     if im_sign not in ("+", "-"):
         raise ValueError("im_sign must be '+' or '-'")
     dim = spectrum.dim
-    win = interior_slice(dim) if window is None else window
+    win = interior_slice(dim)
     values = spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(values))))
     spectrum_is_real = float(np.max(np.abs(values.imag))) < 1e-9 * scale

@@ -71,3 +71,29 @@ def test_demo_runs(tmp_path, script, check):
     )
     assert result.returncode == 0, result.stderr
     check(result.stdout)
+
+
+def test_cli_workflow_runs(tmp_path):
+    # the shell demo calls every experiment and the evolve1d -> evolve2d
+    # chain through the `starkladder` command, here a shim onto src/
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "starkladder"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m starkladder.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"}
+    result = subprocess.run(
+        ["bash", str(ROOT / "demos" / "06_cli_workflow.sh")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    runs = sorted(p for p in (tmp_path / "runs").iterdir() if p.is_dir())
+    assert [p.name for p in runs] == ["e0_scan", "equivalence", "ladder", "overdamped",
+                                      "pair_2d", "seed_1d", "spectrum"]
+    for directory in runs:
+        assert (directory / "checks.json").is_file()

@@ -17,6 +17,7 @@ from starkladder.dynamics import (
     site_state,
 )
 from starkladder.lattices import (
+    ChainMatrix,
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
@@ -134,11 +135,25 @@ def test_defective_basis_refuses_expansion():
 )
 def test_spectrum_of_another_matrix_is_refused(dimer60, other, match):
     # a spectrum of another chain is never expanded in silently: a size
-    # mismatch, or a first eigenpair this matrix misses (one matvec)
+    # mismatch, or eigenpairs this matrix misses on a seeded probe
     _, h, _ = dimer60
     foreign = eigendecompose(build_chain(other))
     with pytest.raises(ValueError, match=match):
         evolve(h, gaussian_state(0.3, 30, 60), [0.0, 1.0], spectrum=foreign)
+
+
+@pytest.mark.parametrize("change", [0.5, 1e-3])
+def test_spectrum_of_a_chain_with_one_other_bond_is_refused(dimer60, change):
+    # level 0 sits at one end of the tilted chain, which a middle bond does
+    # not reach; the probe weighs every level, so one changed bond is refused
+    _, h, spectrum = dimer60
+    off = h.off.copy()
+    off[30] += change
+    foreign = eigendecompose(ChainMatrix(h.diag, off, h.basis_labels))
+    psi0 = gaussian_state(0.3, 30, 60)
+    with pytest.raises(ValueError, match="another matrix"):
+        evolve(h, psi0, [0.0, 1.0], spectrum=foreign)
+    evolve(h, psi0, [0.0, 1.0], spectrum=spectrum)
 
 
 def _count_kernels(monkeypatch) -> collections.Counter:

@@ -19,6 +19,7 @@ from starkladder.dynamics import (
     build_pair_product_state,
     evolve,
     extract_projected_mu,
+    family_projection,
     fidelity,
     gaussian_state,
     projection_time,
@@ -1043,6 +1044,49 @@ def test_evolve1d_uniform_chain_is_periodic_at_its_bloch_period(tmp_path):
     with open(tmp_path / "probability.csv") as fh:
         last = fh.readlines()[-1]
     assert float(last.split(",")[0]) == 2 * (2 * np.pi / 0.5)  # two periods
+
+
+def test_evolve1d_projects_onto_the_family_of_the_reference_level(tmp_path):
+    # on the Hermitian J/J* chain with J = 1 the reference level, which sets
+    # e0 and lambda's default, is not in the first detected family; the
+    # projection keeps the family that holds it, as the t = 0 row shows
+    model = {"kind": "dimer_jjstar", "n_sites": 60, "omega": 0.2, "j_even": [1, 0]}
+    run(load_config(overrides={"experiment": "evolve1d", "model": model,
+                               "run": {"project": True, "n_steps": 8},
+                               "output": {"directory": str(tmp_path)}}))
+    spectrum = eigendecompose(build_chain(LatticeSpec(LatticeKind.DIMER_JJSTAR, 60, 0.2, 1)))
+    ref = select_reference_state(spectrum)
+    families = detect_ladders(spectrum, 0.4).families
+    assert ref.index not in families[0].member_indices
+    family = next(f for f in families if ref.index in f.member_indices)
+    psi0 = family_projection(spectrum, family.member_indices, gaussian_state(0.3, 30, 60))
+    with open(tmp_path / "probability.csv") as fh:
+        rows = [line for line in fh if not line.startswith("#")][1:61]
+    first = np.array([float(row.split(",")[2]) for row in rows])
+    assert np.abs(first - np.abs(psi0 / np.linalg.norm(psi0)) ** 2).max() < 1e-12
+
+
+def test_evolve1d_refuses_a_projection_with_no_family_of_the_reference_level(tmp_path):
+    # 8 sites hold no ladder of three rungs
+    cfg = load_config(overrides={"experiment": "evolve1d", "model": {"n_sites": 8},
+                                 "run": {"project": True},
+                                 "output": {"directory": str(tmp_path / "out")}})
+    with pytest.raises(spectra.ReferenceSelectionError, match="no ladder family holds"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+
+def test_evolve1d_finishes_at_the_exceptional_point(tmp_path):
+    # J = i: V is defective, so the run evolves by the integrator and skips
+    # the projected profile, whose t_late would be about 7e8
+    checks = run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"kind": "dimer_jjstar", "n_sites": 60, "omega": 0.2, "j_even": [0, 1]},
+        "output": {"directory": str(tmp_path)},
+    }))["checks"]
+    assert checks["method"].startswith("integrator")
+    assert checks["e0"][1] > 0 and checks["mu_extracted"] is False
+    assert checks["mu_skipped"] == "eigenvector condition inf exceeds 1e+12: an exceptional point"
+    assert not (tmp_path / "mu.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _assert_entries(got: np.ndarray, want: np.ndarray) -> None:
 
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 @pytest.mark.parametrize("side", [4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
-def test_pair_chain_of_reads_the_built_chain(kind, side):
+def test_pair_lattice_holds_its_built_chain(kind, side):
     # a pair lattice holds the chain it is the Kronecker sum of; the oracle,
     # which knows no chain, and the electron lattice's swap sectors have its
     # entries

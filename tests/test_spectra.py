@@ -267,10 +267,11 @@ def test_reference_ties_go_to_lowest_index(spec, expected):
     assert ref.index == expected
 
 
-def test_selection_fails_outside_window(dimer60):
-    _, _, spectrum = dimer60
-    with pytest.raises(ReferenceSelectionError):
-        select_reference_state(spectrum, window=slice(0, 1), im_sign="+")
+def test_selection_fails_outside_window():
+    # every level has Im E < 0, so none inside the interior window is a + level
+    spectrum = eigendecompose(OperatorMatrix(np.diag(np.arange(8.0) - 1j), tuple(range(8))))
+    with pytest.raises(ReferenceSelectionError, match="Im sign '\\+'"):
+        select_reference_state(spectrum, im_sign="+")
 
 
 def test_localization_helpers():
