@@ -26,7 +26,6 @@ from .lattices import (  # noqa: F401
     interior_margin,
     interior_slice,
     pair_basis,
-    parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
     time_reversal_op,

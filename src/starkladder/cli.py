@@ -52,7 +52,7 @@ def _overrides(args: argparse.Namespace) -> dict:
         "run": {
             "lambda": args.lam,
             "alpha": args.alpha,
-            "from_run": getattr(args, "from_run", None),
+            "from_run": args.from_run,
         },
         "output": {
             "directory": args.out,

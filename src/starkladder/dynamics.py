@@ -65,7 +65,7 @@ def _check_times(times: np.ndarray) -> np.ndarray:
         raise ValueError("times must be a non-empty 1D array")
     if times[0] != 0.0:
         raise ValueError("times must start at 0 (the initial state is a snapshot)")
-    if np.any(np.diff(times) <= 0) and times.size > 1:
+    if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly ascending")
     return times
 

@@ -49,7 +49,6 @@ from .pairmap import (
     sector_reassembled_distance,
 )
 from .spectra import (
-    CONDITION_LIMIT,
     DETECTION_TOL,
     RESIDUAL_TOL,
     ReferenceSelectionError,
@@ -606,10 +605,12 @@ def _run_e0_vs_omega(cfg: ExperimentConfig, outdir: Path) -> tuple:
 
 
 def _basis_health(series) -> dict:
-    """Which eigensolver route the evolution took, and the 2-norm condition
-    number of the eigenbasis it expanded in (None if infinite)."""
+    """How the evolution propagated (``method``), which eigensolver route it
+    took, and the 2-norm condition number of the eigenbasis it expanded in
+    (None if infinite)."""
     condition = series.condition
     return {
+        "method": series.method,
         "eigensolver": series.solver,
         "eigenvector_condition": condition if math.isfinite(condition) else None,
     }
@@ -661,7 +662,6 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     files = [_write_table(outdir, "probability", meta, columns, cfg.output.format)]
 
     checks = {
-        "method": series.method,
         **_basis_health(series),
         "lambda": lam,
         "e0": [ref.energy.real, ref.energy.imag],
@@ -683,9 +683,10 @@ def _run_evolve1d(cfg: ExperimentConfig, outdir: Path) -> tuple:
     if lam == 0.0:
         checks["total_probability_drift"] = float(np.abs(probs.sum(axis=1) - 1.0).max())
 
-    if im_e0 > 0 and spectrum.condition > CONDITION_LIMIT:  # the limit of coefficients
-        checks["mu_skipped"] = (f"eigenvector condition {spectrum.condition:.2e} exceeds "
-                                f"{CONDITION_LIMIT:.0e}: an exceptional point")
+    if im_e0 > 0 and series.method != "spectral":  # the route evolve took
+        checks["mu_skipped"] = (
+            f"no eigenbasis to project in: the evolution took the {series.method}"
+        )
     elif im_e0 > 0:
         t_late = cfg.run.t_late
         if t_late is None:
@@ -824,7 +825,6 @@ def _run_evolve2d(cfg: ExperimentConfig, outdir: Path) -> tuple:
         )
     )
     checks = {
-        "method": series.method,
         **_basis_health(series),
         "pair_period_candidates": {k: float(v) for k, v in candidates.items()},
         "fidelity_at_candidates": fid_at,

@@ -41,7 +41,6 @@ __all__ = [
     "translation_op",
     "gauge_op",
     "time_reversal_op",
-    "parity_2d_op",
     "compose",
     "apply_symmetry",
     "interior_slice",
@@ -449,11 +448,6 @@ def _parity_2d_signs(side: int) -> np.ndarray:
     """Diagonal of the electron pair parity: the gauge signs of both particles."""
     signs = _gauge_signs(side)
     return np.outer(signs, signs).ravel()
-
-
-def parity_2d_op(side: int) -> SymmetryOp:
-    """Diagonal parity on the electron pair basis: ``(-1)**(x//2 + y//2)``."""
-    return SymmetryOp(signs=_parity_2d_signs(side))
 
 
 def compose(*factors: SymmetryOp) -> SymmetryOp:

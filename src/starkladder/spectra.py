@@ -10,7 +10,7 @@ reference eigenstate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -421,7 +421,7 @@ class ScanResult:
     slope: float | None
     intercept: float | None
     max_fit_residual: float | None
-    failures: tuple = field(default=())
+    failures: tuple
 
 
 def _column_blocks(n: int):
@@ -714,9 +714,9 @@ def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpect
     """Full right eigendecomposition with a residual certificate.
 
     The route, recorded as ``solver``, follows from the type of ``h``.  A
-    :class:`ChainMatrix` with no zero bond is ``"tridiagonal"``, from its
-    two bands: one Schur form without Schur vectors and O(n^2) inverse
-    iteration (:func:`_tridiagonal_spectrum`).  A chain with a real
+    :class:`ChainMatrix` is ``"tridiagonal"``, from its two bands: one
+    Schur form without Schur vectors and O(n^2) inverse iteration
+    (:func:`_tridiagonal_spectrum`).  A chain with a real
     diagonal and only real or imaginary bonds (``dimer_1i``) takes
     ``dgees`` on its real gauge image, with one inverse iteration and one
     stored column per conjugate pair, the partner's column ``g * conj(v)``
@@ -743,7 +743,7 @@ def eigendecompose(h: OperatorMatrix | ChainMatrix | PairMatrix) -> ComplexSpect
         raise ValueError("eigendecompose needs dim >= 2")
     # chains and pair lattices are complex symmetric by construction
     if isinstance(h, ChainMatrix):
-        spectrum = _tridiagonal_spectrum(h) if np.all(h.off != 0) else None
+        spectrum = _tridiagonal_spectrum(h)
     elif isinstance(h, PairMatrix):
         spectrum = _kronecker_spectrum(h)
     elif not np.array_equal(h.entries, h.entries.T):

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import starkladder
+import starkladder.dynamics as dynamics
 import starkladder.experiments as experiments
 import starkladder.pairmap as pairmap
 import starkladder.spectra as spectra
@@ -652,6 +653,20 @@ def test_ladder_scan_has_no_bulk_on_pair_lattices(tmp_path):
     assert run(cfg)["checks"]["max_bulk_spacing_deviation"] is None
 
 
+def test_ladder_scan_without_a_family_has_no_bulk(tmp_path):
+    # 8 sites hold no ladder of three rungs
+    cfg = load_config(
+        overrides={
+            "experiment": "ladder_scan",
+            "model": {"n_sites": 8},
+            "output": {"directory": str(tmp_path)},
+        }
+    )
+    checks = run(cfg)["checks"]
+    assert checks["n_families"] == 0
+    assert checks["max_bulk_spacing_deviation"] is None
+
+
 def test_bulk_spacing_deviation_forms_no_square_temporary(dimer1000, traced_peak):
     # the centres of all columns a block at a time, indexed by family: the
     # copy V[:, members] and its centres peaked at 11.8 MB at n = 1000
@@ -1085,8 +1100,57 @@ def test_evolve1d_finishes_at_the_exceptional_point(tmp_path):
     }))["checks"]
     assert checks["method"].startswith("integrator")
     assert checks["e0"][1] > 0 and checks["mu_extracted"] is False
-    assert checks["mu_skipped"] == "eigenvector condition inf exceeds 1e+12: an exceptional point"
+    assert checks["mu_skipped"] == (
+        "no eigenbasis to project in: the evolution took the integrator "
+        "(eigenvector condition inf)"
+    )
     assert not (tmp_path / "mu.json").exists()
+
+
+def test_evolve1d_skips_the_profile_where_evolve_took_the_integrator(tmp_path, monkeypatch):
+    # the run reads the route evolve took, not a condition limit of its own:
+    # with the limit at 0 the well-conditioned dimer_1i evolves by RK45 too
+    monkeypatch.setattr(dynamics, "CONDITION_LIMIT", 0.0)
+    checks = run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"n_sites": 40},
+        "output": {"directory": str(tmp_path)},
+    }))["checks"]
+    assert checks["method"].startswith("integrator")
+    assert checks["mu_extracted"] is False
+    assert checks["mu_skipped"] == (
+        f"no eigenbasis to project in: the evolution took the {checks['method']}"
+    )
+    assert not (tmp_path / "mu.json").exists()
+
+
+def _probability_rows(path: Path) -> np.ndarray:
+    """The ``t, site, value`` rows of an evolve1d ``probability.csv``."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+def test_evolve1d_writes_exactly_the_given_times(tmp_path):
+    times = [0.0, 0.5, 2.0, 7.25]
+    run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"n_sites": 12},
+        "run": {"times": times},
+        "output": {"directory": str(tmp_path)},
+    }))
+    rows = _probability_rows(tmp_path / "probability.csv")
+    np.testing.assert_array_equal(rows[:, 0], np.repeat(times, 12))
+
+
+def test_evolve1d_site_state_starts_on_j0(tmp_path):
+    run(load_config(overrides={
+        "experiment": "evolve1d",
+        "model": {"n_sites": 12},
+        "run": {"initial_state": "site", "j0": 3, "n_steps": 4},
+        "output": {"directory": str(tmp_path)},
+    }))
+    first = _probability_rows(tmp_path / "probability.csv")[:12, 2]
+    np.testing.assert_array_equal(first, np.eye(12)[3])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    _parity_2d_signs,
     apply_symmetry,
     build_chain,
     build_pair_lattice,
@@ -21,7 +22,6 @@ from starkladder.lattices import (
     interior_margin,
     interior_slice,
     pair_basis,
-    parity_2d_op,
     pt_commutator_deviation,
     ramped_translation_deviation,
     time_reversal_op,
@@ -396,13 +396,13 @@ def test_translate_is_partial_isometry():
 
 
 def test_parity_2d_floor_arithmetic():
-    p = parity_2d_op(6).signs
+    p = _parity_2d_signs(6)
     label = 2 * 6 + 3  # (x, y) = (2, 3): (-1)**(1 + 1) = +1
     assert p[label] == 1.0
     label = 1 * 6 + 2  # (1, 2): (-1)**(0 + 1) = -1
     assert p[label] == -1.0
     np.testing.assert_array_equal(
-        parity_2d_op(4).signs,
+        _parity_2d_signs(4),
         [1, 1, -1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, -1, 1, 1],
     )
 

@@ -9,7 +9,8 @@ pair fact has one owning module, one iterator cuts every eigenvector
 matrix into column blocks and one helper maps over them, only ``embed``
 and ``restrict`` weigh a pair basis's amplitudes, only ``spectra`` reads
 how a spectrum stores its columns, and one product multiplies by a
-chain's bonds.
+chain's bonds.  The eigensolver routes by type alone, the runs read the
+route ``evolve`` took, and every exported name has a reader.
 """
 
 import ast
@@ -94,9 +95,47 @@ def test_pair_facts_have_one_owner():
 
 def test_eigensolver_routes_by_type_alone():
     # eigendecompose takes a chain's bands and a pair lattice's chain from
-    # the matrix types; it reads no structure back out of labels or entries
-    named = _named(_trees()["spectra"])
+    # the matrix types; it reads no structure back out of labels or entries,
+    # and no band value: the tridiagonal route rejects what it cannot certify
+    tree = _trees()["spectra"]
+    named = _named(tree)
     assert not named & {"basis_labels", "pair_basis_of", "pair_chain_of", "_tridiagonal_bands"}
+    route = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "eigendecompose"
+    )
+    assert not _named(route) & {"off", "diag"}
+
+
+def test_runs_read_the_route_evolve_took():
+    # evolve1d skips its projected profile where evolve took the integrator;
+    # the condition limit is read in spectra and dynamics alone
+    assert "CONDITION_LIMIT" not in _named(_trees()["experiments"])
+
+
+def _loaded(tree: ast.AST) -> set:
+    """Bare (Name) and dotted (Attribute) names that ``tree`` reads."""
+    return {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+    }
+
+
+def test_every_export_has_a_reader():
+    # each name the package exports is read by a module, a demo or the
+    # acceptance test; defining it and listing it in __all__ do not count
+    trees = _trees()
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(trees.pop("__init__"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    root = Path(__file__).resolve().parents[1]
+    scripts = [*sorted((root / "demos").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    readers = [*trees.values(), *(ast.parse(path.read_text()) for path in scripts)]
+    assert sorted(exported - set().union(*map(_loaded, readers))) == []
 
 
 def test_only_the_block_iterator_reads_the_block_width():

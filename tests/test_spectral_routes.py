@@ -22,6 +22,7 @@ from scipy.optimize import linear_sum_assignment
 import starkladder.spectra as spectra
 from starkladder.dynamics import evolve
 from starkladder.lattices import (
+    ChainMatrix,
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
@@ -505,6 +506,36 @@ def test_exceptional_point_falls_back_to_dense_route():
     )
     assert spectrum.solver == "dense"
     assert spectrum.residuals.max() < RESIDUAL_TOL
+
+
+def _with_zero_bond(spec: LatticeSpec, bond: int) -> ChainMatrix:
+    chain = build_chain(spec)
+    off = chain.off.copy()
+    off[bond] = 0.0
+    return ChainMatrix(chain.diag, off, chain.basis_labels)
+
+
+@pytest.mark.parametrize("chain", [
+    _with_zero_bond(LatticeSpec(LatticeKind.DIMER_1I, 10, 0.2), 4),
+    _with_zero_bond(LatticeSpec(LatticeKind.DIMER_JJSTAR, 8, 0.2, j_even=0.5 + 0.5j), 2),
+    build_chain(LatticeSpec(LatticeKind.DIMER_JJSTAR, 10, 0.2, j_even=0.0)),
+    build_chain(LatticeSpec(LatticeKind.UNIFORM_1D, 10, 0.2, j_even=0.0)),
+], ids=["dimer_1i-bond4", "jjstar-bond2", "jjstar-J0", "uniform-J0"])
+def test_chain_with_a_zero_bond_takes_the_tridiagonal_route(chain):
+    # a chain's route follows from its type: the tridiagonal route certifies
+    # a chain cut by a zero bond as it does any other
+    spectrum = eigendecompose(chain)
+    assert spectrum.solver == "tridiagonal"
+    dense = spectra._dense_spectrum(chain.entries)
+    np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+
+
+def test_zero_chain_rejects_the_tridiagonal_route():
+    # every level is 0: inverse iteration meets a zero pivot, and the dense
+    # route decomposes the zero matrix
+    chain = build_chain(LatticeSpec(LatticeKind.UNIFORM_1D, 10, 0.0, j_even=0.0))
+    assert spectra._tridiagonal_spectrum(chain) is None
+    assert eigendecompose(chain).solver == "dense"
 
 
 def test_long_chain_decomposition_stays_below_10_mb(traced_peak):

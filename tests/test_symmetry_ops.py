@@ -8,13 +8,14 @@ from starkladder.lattices import (
     LatticeKind,
     LatticeSpec,
     OperatorMatrix,
+    SymmetryOp,
+    _parity_2d_signs,
     apply_symmetry,
     build_chain,
     compose,
     gauge_conjugation_deviation,
     gauge_op,
     interior_margin,
-    parity_2d_op,
     ramped_translation_deviation,
     time_reversal_op,
     translation_op,
@@ -79,8 +80,9 @@ def test_apply_symmetry_equals_dense_reference(case, seed):
 @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
 def test_parity_equals_dense_reference(side, seed):
     vec = _random_vector(np.random.default_rng(seed), side * side)
+    parity = SymmetryOp(signs=_parity_2d_signs(side))
     np.testing.assert_array_equal(
-        apply_symmetry(parity_2d_op(side), vec), dense_parity_2d(side) @ vec
+        apply_symmetry(parity, vec), dense_parity_2d(side) @ vec
     )
 
 
